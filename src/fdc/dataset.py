@@ -318,6 +318,22 @@ def _parse_int(token, line_no):
         raise NonInteger(f"coordinate {t!r} is not an integer", line=line_no) from None
 
 
+def _int64_array(points, line_of=lambda i: i + 1):
+    """(n, d) int64 array of integer rows.  A coordinate outside int64 raises
+    ParseError naming its line; ``line_of`` maps a row index to that line and
+    is consulted only once the conversion has failed."""
+    try:
+        return np.array(points, dtype=np.int64)
+    except OverflowError:
+        lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+        for i, row in enumerate(points):
+            for v in row:
+                if not lo <= v <= hi:
+                    raise ParseError(f"coordinate {v} is outside the int64 range",
+                                     line=line_of(i)) from None
+        raise
+
+
 def _read_csv_rows(path):
     """Raw rows with 1-based line numbers; detects and skips a header row."""
     rows = []
@@ -354,7 +370,7 @@ def _rows_to_array(rows, labeled):
         if not any(vals):
             raise ZeroPoint(line=line_no)
         pts.append(vals)
-    X = np.array(pts, dtype=np.int64)
+    X = _int64_array(pts, line_of=lambda i: rows[i][0])
     return X, (np.array(labels, dtype=np.int64) if labeled else None)
 
 
@@ -373,7 +389,7 @@ def load_points(path, format=None):
                 raise NonInteger(f"coordinate {v!r} is not an integer", line=i + 1)
         if not any(row):
             raise ZeroPoint(line=i + 1)
-    X = np.array(pts, dtype=np.int64)
+    X = _int64_array(pts)
     return PointSet(int(doc.get("dim", X.shape[1])), X)
 
 
@@ -385,7 +401,7 @@ def load_labeled(path, format=None):
         return LabeledDataset(PointSet(X.shape[1], X), y)
     with open(path) as fh:
         doc = json.load(fh)
-    X = np.array(doc["points"], dtype=np.int64)
+    X = _int64_array(doc["points"])
     y = np.array(doc["labels"], dtype=np.int64)
     return LabeledDataset(PointSet(int(doc.get("dim", X.shape[1])), X), y)
 

@@ -92,11 +92,5 @@ class IterationCapExceeded(FdcError):
     """Main learning loop hit its iteration cap without covering the space."""
 
 
-class RejectionBudgetExceeded(FdcError):
-    """Rejection sampler exhausted its draw budget.  The learner treats this as
-    evidence the uncovered mass has collapsed (success path); it is an error
-    only if raised to a caller."""
-
-
 class SizeLimit(FdcError):
     """Brute-force oracle invoked beyond its documented instance size."""

@@ -148,7 +148,8 @@ def membership_mask(basis_rows, points, ortho_basis=None):
     column-orthonormal array, is supplied) rejects points whose relative
     residual exceeds 1e-2; true members have residual at machine level because
     the projector is built from an orthonormal Q, so the prefilter cannot
-    mis-reject.  Points passing the prefilter are confirmed exactly.
+    mis-reject.  Points passing the prefilter, and only those, are converted to
+    Python ints and confirmed exactly.
     """
     pts = np.asarray(points)
     n = pts.shape[0]
@@ -161,11 +162,9 @@ def membership_mask(basis_rows, points, ortho_basis=None):
         norms = np.linalg.norm(x, axis=1)
         candidates = np.nonzero(resid <= 1e-2 * np.maximum(norms, 1.0))[0]
     else:
-        candidates = range(n)
-    int_rows = None
-    for i in candidates:
-        if int_rows is None:
-            int_rows = as_int_rows(pts)
-        if span.contains(int_rows[i]):
-            mask[i] = True
+        candidates = np.arange(n)
+    if candidates.size:
+        for i, row in zip(candidates, as_int_rows(pts[candidates])):
+            if span.contains(row):
+                mask[i] = True
     return mask

@@ -18,6 +18,14 @@ Every point the learner touches is first reduced to its primitive direction
 halfspaces and every stage decision are invariant under positive rescaling,
 so this is semantics-free, and it makes runs on inputs that differ only in
 per-point scales bit-identical.
+
+The weak learner's sample is held compressed: the distinct canonical rows
+(mapped once each), a per-draw index into them and the per-draw labels.  On a
+finite-support oracle the distinct rows are the primitive directions of the
+support rows the pool hit; on a continuous marginal they are the distinct
+canonical draws.  The subgradient descent runs on per-(row, label) counts, so
+its cost scales with the number of distinct rows, not the number of draws;
+the draw order still decides which draws train and which validate.
 """
 
 import math
@@ -47,6 +55,19 @@ def canonicalize(X):
     return X // g[:, None]
 
 
+def _distinct_rows(X):
+    """Distinct rows of an integer array and the index of each row among them.
+
+    Rows are compared as raw bytes, which is exact for integers and about ten
+    times faster than ``np.unique(X, axis=0)``; the distinct rows come out in
+    byte order, not lexicographic order.
+    """
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq.view(X.dtype).reshape(-1, X.shape[1]), inverse.reshape(-1)
+
+
 @dataclass
 class OutlierBound:
     gamma: float
@@ -56,17 +77,25 @@ class OutlierBound:
             raise ValueError("gamma must be >= 1")
 
 
-def outlier_bound(vectors):
+def outlier_bound(vectors, counts=None):
     """Smallest Gamma such that no input is a Gamma-outlier.
 
     Equals max_x sqrt(x^T Sigma^{-1} x) with Sigma the empirical second-moment
     matrix: the definitional supremum over directions v of |v.x| /
     sqrt(E|v.X|^2) is attained at v = Sigma^{-1} x (Rayleigh quotient).
+    ``counts`` gives each row's multiplicity (rows with count 0 are absent).
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DegenerateSecondMoment("need a nonempty 2-d array of vectors")
-    sigma = (X.T @ X) / X.shape[0]
+    if counts is None:
+        c = np.ones(X.shape[0])
+    else:
+        c = np.asarray(counts, dtype=np.float64)
+        X, c = X[c > 0], c[c > 0]
+        if X.shape[0] == 0:
+            raise DegenerateSecondMoment("all multiplicities are zero")
+    sigma = ((X.T * c) @ X) / c.sum()
     eigvals = np.linalg.eigvalsh(sigma)
     if eigvals[0] <= 1e-12 * max(eigvals[-1], 1e-300):
         raise DegenerateSecondMoment("second-moment matrix is singular on the span")
@@ -159,9 +188,6 @@ class LearnerConfig:
     def forster_sample_size(self, d):
         return math.ceil(self.C * d ** 4 * math.log(max(1.0 / self.delta, 2.0)))
 
-    def gamma(self, k):
-        return 4.0 * k
-
     @property
     def eps_prime(self):
         return self.eps / 2.0
@@ -226,34 +252,42 @@ def _band_select(scores, y, eta, eps_prime, min_claim):
     return float(t), cov, err
 
 
-def weak_partial_learner(F, y, eta, gamma, eps_prime, delta_prime, seed=0,
-                         gd_iters=400):
+def weak_partial_learner(F, rows, y, eta, eps_prime, gd_iters=400):
     """One band-rule partial classifier stage on mapped (unit-norm) samples.
 
-    F: (m, k) float rows with ||f|| = 1; labels follow a homogeneous halfspace
-    with Massart noise <= eta and the empirical outlier bound should not
-    exceed gamma.  Returns a WeakStageResult whose validation conditional
-    error is below eta + eps' - eps'/8 with coverage at least 1e-3, or raises
-    CoverageFailure.
+    The sample is compressed: draw i is the row F[rows[i]] with label y[i],
+    where F holds the distinct mapped rows (||f|| = 1) and labels follow a
+    homogeneous halfspace with Massart noise <= eta.  The first half of the
+    draws is training data (its first 80,000 draws feed the descent), the
+    second half validation data.  Returns a WeakStageResult whose validation
+    conditional error is below eta + eps' - eps'/8 with coverage at least 1e-3,
+    or raises CoverageFailure.
     """
     F = np.asarray(F, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.intp)
     y = np.asarray(y, dtype=np.int64)
-    m, k = F.shape
+    m = rows.shape[0]
+    u, k = F.shape
     if m < 8:
         raise CoverageFailure("too few samples for the weak learner")
     half = m // 2
-    Ftr, ytr = F[:half], y[:half]
-    Fval, yval = F[half:], y[half:]
+    rows_val, yval = rows[half:], y[half:]
     try:
-        gamma_emp = outlier_bound(Ftr).gamma
+        gamma_emp = outlier_bound(F, np.bincount(rows[:half], minlength=u)).gamma
     except DegenerateSecondMoment:
         gamma_emp = float("inf")
 
+    # Descent draws as counts over the signed rows y * f: key 2i + 1 is +f_i,
+    # key 2i is -f_i.
+    n_gd = min(half, 80_000)
+    keys = 2 * rows[:n_gd] + (y[:n_gd] > 0)
+    c = np.bincount(keys, minlength=2 * u)
+    present = np.nonzero(c)[0]
+    c = c[present].astype(np.float64)
+    U = F[present // 2] * np.where(present % 2 == 1, 1.0, -1.0)[:, None]
+
     lam = min(eta + eps_prime / 4.0, 0.499)
-    yx = ytr[:, None] * Ftr
-    if yx.shape[0] > 80_000:
-        yx = yx[:80_000]
-    w0 = yx.mean(axis=0)
+    w0 = (c @ U) / n_gd
     n0 = np.linalg.norm(w0)
     w0 = w0 / n0 if n0 > 0 else np.eye(k)[0]
 
@@ -261,27 +295,29 @@ def weak_partial_learner(F, y, eta, gamma, eps_prime, delta_prime, seed=0,
     best_w = w0.copy()
     best_loss = np.inf
     for t in range(gd_iters):
-        margins = -(yx @ w)
+        margins = -(U @ w)
         slope = np.where(margins > 0, 1.0 - lam, lam)
-        loss = float(np.mean(np.maximum(lam * margins, (1.0 - lam) * margins)))
+        # A sum, not the dot product c @ h: a threaded BLAS dot can run
+        # hundreds of times slower while another process holds a core.
+        loss = float(np.sum(c * np.maximum(lam * margins, (1.0 - lam) * margins))) / n_gd
         if loss < best_loss:
             best_loss = loss
             best_w = w.copy()
-        grad = -(slope[:, None] * yx).mean(axis=0)
+        grad = -((c * slope) @ U) / n_gd
         w = w - (0.5 / math.sqrt(t + 1.0)) * grad
         nw = np.linalg.norm(w)
         if nw > 1.0:
             w = w / nw
 
     candidates = [best_w, w, w0]
-    min_claim = max(1, math.ceil(1e-3 * Fval.shape[0]))
+    min_claim = max(1, math.ceil(1e-3 * rows_val.shape[0]))
     best = None
     for cand in candidates:
         nc = np.linalg.norm(cand)
         if nc == 0:
             continue
         cand = cand / nc
-        sel = _band_select(Fval @ cand, yval, eta, eps_prime, min_claim)
+        sel = _band_select((F @ cand)[rows_val], yval, eta, eps_prime, min_claim)
         if sel is None:
             continue
         t_band, cov, err = sel
@@ -420,9 +456,9 @@ def learn_halfspace(oracle, config, seed, dim=None):
     Loops while the empirical abstention mass on a fresh check sample exceeds
     eps/3: draws a conditioned sample, Forster-transforms it (certificate
     lambda_min >= 1/(k + transform_delta) > 1/(2k)), runs the weak learner on
-    the mapped conditioned distribution with Gamma = 4k, eps' = eps/2, and
-    extends the chain.  Rejection-budget exhaustion means the uncovered mass
-    collapsed and exits the loop; exceeding the iteration cap raises.
+    the mapped conditioned distribution with eps' = eps/2, and extends the
+    chain.  Rejection-budget exhaustion means the uncovered mass collapsed and
+    exits the loop; exceeding the iteration cap raises.
     """
     if dim is None:
         X0, _ = oracle.draw(1)
@@ -436,6 +472,9 @@ def learn_halfspace(oracle, config, seed, dim=None):
     budget_fac = config.rejection_budget_per_point
     support = getattr(oracle, "support", None)
     indexed = support is not None and hasattr(oracle, "draw_indexed")
+    if indexed:
+        canonical = canonicalize(support)
+        directions, direction_of = _distinct_rows(canonical)
 
     classifier = PartialClassifier([], default_label=1)
     telemetry = []
@@ -472,7 +511,7 @@ def learn_halfspace(oracle, config, seed, dim=None):
             hits = np.bincount(drawn[0], minlength=support.shape[0])
             present = np.nonzero(hits > 0)[0]
             piece = forster_transform(
-                PointSet(d, canonicalize(support[present])),
+                PointSet(d, canonical[present]),
                 config.transform_delta, counts=hits[present],
             )
         else:
@@ -489,6 +528,9 @@ def learn_halfspace(oracle, config, seed, dim=None):
             return membership_mask(_V.int_rows, canonicalize(X),
                                    ortho_basis=_V.basis)
 
+        # Weak pool, compressed: distinct canonical rows, a per-draw index
+        # into them, and the per-draw labels.  Support rows that share a
+        # primitive direction share one distinct row.
         if indexed:
             keep = star_support
             if k < d:
@@ -498,28 +540,22 @@ def learn_halfspace(oracle, config, seed, dim=None):
             if pool is not None:
                 rows_w, gidx_w = pool
                 yw = oracle.labels_for(rows_w, gidx_w)
-                sel = np.nonzero(keep)[0]
-                F_support = np.zeros((support.shape[0], k))
-                F_support[sel] = mapped_unit_rows(
-                    A, canonicalize(support[sel]).astype(np.float64) @ V.basis
-                )
-                F = F_support[rows_w]
+                hit, rows = np.unique(direction_of[rows_w], return_inverse=True)
+                distinct = directions[hit]
         else:
             pool = _rejection_draw(oracle, classifier, weak_n,
                                    weak_n * budget_fac * 2 * d,
                                    extra_filter=None if k == d else in_V)
             if pool is not None:
                 Xw, yw = pool
-                F = mapped_unit_rows(
-                    A, canonicalize(Xw).astype(np.float64) @ V.basis
-                )
+                distinct, rows = _distinct_rows(canonicalize(Xw))
         if pool is None:
             record["exit"] = "rejection_budget"
             telemetry.append(record)
             return classifier, telemetry
+        F = mapped_unit_rows(A, distinct.astype(np.float64) @ V.basis)
         stage_res = weak_partial_learner(
-            F, yw, config.eta, config.gamma(k), config.eps_prime,
-            config.delta_prime(d), seed=rng.derive_seed(seed, it),
+            F, rows, yw, config.eta, config.eps_prime,
             gd_iters=config.gd_iters,
         )
         classifier = PartialClassifier(

@@ -83,6 +83,24 @@ class TestTransformDecompose:
                     "--out", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("verb", ["decompose", "learn"])
+def test_coordinate_outside_int64_exits_2(tmp_path, capsys, verb):
+    data = tmp_path / "pts.csv"
+    rows = ["3,9223372036854775808", "1,2"]
+    if verb == "learn":
+        rows = [r + ",1" for r in rows]  # trailing label column
+    data.write_text("\n".join(rows) + "\n")
+    args = {
+        "decompose": ["decompose", "--input", str(data), "--delta", "1e-3"],
+        "learn": ["learn", "--train-oracle", str(data), "--eta", "0.1",
+                  "--eps", "0.2", "--delta", "0.2", "--seed", "1"],
+    }[verb]
+    assert run(args + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "int64" in err and "line 1" in err
+    assert "Traceback" not in err
+
+
 class TestLearnEval:
     def test_learn_then_eval(self, tmp_path):
         train = tmp_path / "train.csv"

@@ -79,6 +79,28 @@ class TestLoaders:
         np.testing.assert_array_equal(back.base.points, base.points)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    @pytest.mark.parametrize("big", [2 ** 63, -(2 ** 63) - 1, 2 ** 100])
+    @pytest.mark.parametrize("kind", ["csv", "csv-labeled", "json", "json-labeled"])
+    def test_coordinate_outside_int64(self, tmp_path, kind, big):
+        rows = [[1, 2], [3, big], [5, 6]]
+        labeled = kind.endswith("labeled")
+        if kind.startswith("csv"):
+            p = tmp_path / "pts.csv"
+            lines = ["x0,x1" + (",y" if labeled else "")]
+            lines += [",".join(map(str, r + ([1] if labeled else []))) for r in rows]
+            p.write_text("\n".join(lines) + "\n")
+            line = 3  # the header is line 1
+        else:
+            p = tmp_path / "pts.json"
+            doc = {"dim": 2, "points": rows}
+            if labeled:
+                doc["labels"] = [1, -1, 1]
+            p.write_text(json.dumps(doc))
+            line = 2  # the record's 1-based position
+        with pytest.raises(ParseError, match="int64") as ei:
+            (load_labeled if labeled else load_points)(p)
+        assert ei.value.line == line
+
     def test_csv_ragged_row(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("1,0\n1,2,3\n")

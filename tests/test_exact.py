@@ -86,6 +86,37 @@ def test_membership_with_huge_coordinates():
     np.testing.assert_array_equal(mask, [True, True, False])
 
 
+def test_membership_converts_only_prefilter_candidates(monkeypatch):
+    # 20,000 rows of which 12 lie in the plane and 3 more sit within the
+    # prefilter's tolerance of it: the prefiltered call returns the
+    # unfiltered call's mask and converts only those 15 rows to Python ints.
+    from fdc import exact
+
+    gen = np.random.default_rng(3)
+    pts = gen.integers(-50, 51, size=(20_000, 4))
+    pts[:, 3] = gen.integers(1, 51, size=20_000)
+    idx = gen.choice(20_000, size=15, replace=False)
+    pts[idx[:12], 2:] = 0
+    pts[idx[12:]] = [[1000, 1000, 1, 0], [-900, 4000, 0, 3], [7000, 1, 2, 2]]
+    basis = [(1, 0, 0, 0), (0, 1, 0, 0)]
+    expected = membership_mask(basis, pts)
+    assert expected.sum() == 12 and expected[idx[:12]].all()
+
+    converted = []
+    real = exact.as_int_rows
+
+    def counting(rows):
+        out = real(rows)
+        converted.append(len(out))
+        return out
+
+    monkeypatch.setattr(exact, "as_int_rows", counting)
+    sub = span_of(np.array(basis, dtype=np.int64))
+    mask = membership_mask(basis, pts, ortho_basis=sub.basis)
+    np.testing.assert_array_equal(mask, expected)
+    assert sum(converted) == 15
+
+
 def test_span_of_rows():
     span = span_of_rows([(1, 2), (2, 4)])
     assert span.rank == 1

@@ -110,7 +110,7 @@ class TestWeakLearner:
 
     def test_noiseless_two_dim(self):
         F, y, model, piece = self._mapped_massart(2, 8000, 0.0, seed=5)
-        res = weak_partial_learner(F[:4000], y[:4000], 0.0, 8.0, 0.05, 1e-6, seed=1)
+        res = weak_partial_learner(F[:4000], np.arange(4000), y[:4000], 0.0, 0.05)
         scores = F[4000:] @ res.w
         claimed = np.abs(scores) >= res.threshold
         assert claimed.mean() > 0
@@ -119,7 +119,7 @@ class TestWeakLearner:
 
     def test_massart_noise_five_dim(self):
         F, y, model, piece = self._mapped_massart(5, 30000, 0.2, seed=9)
-        res = weak_partial_learner(F[:20000], y[:20000], 0.2, 20.0, 0.05, 1e-6, seed=2)
+        res = weak_partial_learner(F[:20000], np.arange(20000), y[:20000], 0.2, 0.05)
         scores = F[20000:] @ res.w
         claimed = np.abs(scores) >= res.threshold
         err = np.mean(sign_pm1(scores[claimed]) != y[20000:][claimed])
@@ -132,9 +132,31 @@ class TestWeakLearner:
         flip = np.zeros(len(y), dtype=bool)
         flip[::10] = True  # 10% flips
         y = np.where(flip, -y, y)
-        res = weak_partial_learner(F, y, 0.15, 1.0, 0.2, 1e-3, seed=3)
+        res = weak_partial_learner(F, np.arange(len(y)), y, 0.15, 0.2)
         assert res.threshold == pytest.approx(0.0)
         assert res.val_coverage == pytest.approx(1.0)
+
+    def test_compressed_sample_matches_expanded(self):
+        # 40 support rows drawn 30,000 times: the (distinct rows, index,
+        # labels) form and the same draws written out row by row give the
+        # same stage up to float summation order.
+        model = general_position_model(4, 40, 0.2, seed=13)
+        ds = massart_draw(model, 30_000, seed=14)
+        X = canonicalize(ds.base.points)
+        piece = forster_transform(PointSet(4, X), 0.25)
+        distinct, rows = np.unique(X, axis=0, return_inverse=True)
+        rows = rows.reshape(-1)
+        F = mapped_unit_rows(piece.transform,
+                             distinct.astype(float) @ piece.subspace.basis)
+        assert F.shape[0] == 40
+        packed = weak_partial_learner(F, rows, ds.labels, 0.2, 0.05)
+        expanded = weak_partial_learner(F[rows], np.arange(rows.size), ds.labels,
+                                        0.2, 0.05)
+        assert packed.val_coverage == expanded.val_coverage
+        assert packed.val_error == expanded.val_error
+        assert packed.threshold == pytest.approx(expanded.threshold, rel=0, abs=1e-12)
+        np.testing.assert_allclose(packed.w, expanded.w, rtol=0, atol=1e-12)
+        assert packed.gamma_empirical == pytest.approx(expanded.gamma_empirical, rel=1e-12)
 
     def test_coverage_failure_on_random_labels(self):
         rng = np.random.RandomState(0)
@@ -142,7 +164,7 @@ class TestWeakLearner:
         F /= np.linalg.norm(F, axis=1, keepdims=True)
         y = rng.choice([-1, 1], size=4000)
         with pytest.raises(CoverageFailure):
-            weak_partial_learner(F, y, 0.05, 8.0, 0.02, 1e-6, seed=4)
+            weak_partial_learner(F, np.arange(len(y)), y, 0.05, 0.02)
 
 
 class TestLearnHalfspace:
@@ -178,6 +200,35 @@ class TestLearnHalfspace:
         report = evaluate_classifier(clf, test)
         assert report.total_error <= 0.15 + 0.1 + 0.02
 
+    @pytest.mark.parametrize("scale, w_ref, cond_err", [
+        # the weak pool's 64,302 draws hold 1,461 distinct points at scale 2
+        # and 63,891 at scale 64
+        (2.0, [-0.9740369944487425, 0.0999904112527513, 0.20311044065425643],
+         0.060837921059998135),
+        (64.0, [-0.9856670365853533, 0.10594122785560628, 0.13128956253066934],
+         0.05085378370812727),
+    ])
+    def test_gaussian_marginal_unindexed_path(self, scale, w_ref, cond_err):
+        # No finite support, so the learner draws points and compresses the
+        # weak pool itself.  Draw count, stage count and stage statistics are
+        # those the uncompressed learner gave; w agrees with its w up to float
+        # summation order.
+        w = np.array([1.0, 2.0, 3.0])
+        w /= np.linalg.norm(w)
+        model = MassartModel(w, 0.2, EtaSpec("margin_inverse"),
+                             MarginalSpec("gaussian", support=PointSet(3, np.eye(3, dtype=int)),
+                                          scale=scale))
+        oracle = ModelOracle(model, seed=3)
+        assert oracle.support is None
+        config = LearnerConfig(eta=0.2, eps=0.1, delta=0.2, C=4)
+        clf, telemetry = learn_halfspace(oracle, config, seed=3, dim=3)
+        assert oracle.count == 128_732
+        assert len(clf.stages) == 1
+        assert clf.stages[0].threshold == 0.0
+        assert telemetry[0]["stage"]["coverage"] == 1.0
+        assert telemetry[0]["stage"]["conditional_error"] == cond_err
+        np.testing.assert_allclose(clf.stages[0].w, w_ref, rtol=0, atol=1e-12)
+
     def test_uncovered_mass_nonincreasing(self):
         # across iterations the fresh-sample uncovered estimate never rises
         # beyond the 2*(eps/6) sampling slack
@@ -200,8 +251,8 @@ class TestLearnHalfspace:
             piece = forster_transform(PointSet(5, canonicalize(ds.base.points)), 0.25)
             coords = canonicalize(ds.base.points).astype(float) @ piece.subspace.basis
             F = mapped_unit_rows(piece.transform, coords)
-            res = weak_partial_learner(F[:16_000], ds.labels[:16_000], eta, 20.0,
-                                       eps_prime, 1e-6, seed=i)
+            res = weak_partial_learner(F[:16_000], np.arange(16_000), ds.labels[:16_000],
+                                       eta, eps_prime)
             assert res.val_coverage >= 1e-3
             scores = F[16_000:] @ res.w
             claimed = np.abs(scores) >= res.threshold
