@@ -14,14 +14,7 @@ from .dataset import (
     massart_draw,
 )
 from .errors import FdcError
-from .heavy import (
-    HeavySubspaceResult,
-    extract_subspace,
-    find_heavy_subspace,
-    lp_feasible,
-    max_weight_basis,
-    pair_swap_search,
-)
+from .heavy import HeavySubspaceResult, find_heavy_subspace
 from .learner import (
     LearnerConfig,
     ModelOracle,
@@ -55,8 +48,7 @@ __all__ = [
     "EtaSpec", "LabeledDataset", "MarginalSpec", "MassartModel", "PointSet",
     "gen_hard_instance", "load_labeled", "load_points", "massart_draw",
     "FdcError",
-    "HeavySubspaceResult", "extract_subspace", "find_heavy_subspace",
-    "lp_feasible", "max_weight_basis", "pair_swap_search",
+    "HeavySubspaceResult", "find_heavy_subspace",
     "LearnerConfig", "ModelOracle", "PartialClassifier", "evaluate_classifier",
     "learn_halfspace", "outlier_bound", "weak_partial_learner",
     "Subspace", "inv_sqrt_psd", "span_of", "sym_eigen",

@@ -181,8 +181,7 @@ def _cmd_learn(args):
     config = LearnerConfig(eta=args.eta, eps=args.eps, delta=args.delta,
                            C=args.c_const)
     oracle = DatasetOracle(data, args.seed)
-    classifier, telemetry = learn_halfspace(oracle, config, args.seed,
-                                            dim=data.base.dim)
+    classifier, telemetry = learn_halfspace(oracle, config, dim=data.base.dim)
     doc = classifier_to_dict(classifier, config=config, telemetry=telemetry)
     doc["timestamp"] = time.time()
     dump_json(doc, args.out)

@@ -62,6 +62,15 @@ class PointSet:
         return self.points.shape[0]
 
 
+def as_point_array(point_set):
+    """(n, d) int64 array of a PointSet or of an array-like of integer rows;
+    raises EmptyInput when there is no row."""
+    pts = np.asarray(getattr(point_set, "points", point_set), dtype=np.int64)
+    if pts.shape[0] == 0:
+        raise EmptyInput("empty point set")
+    return pts
+
+
 @dataclass
 class LabeledDataset:
     """PointSet plus one label in {-1, +1} per point."""
@@ -374,23 +383,41 @@ def _rows_to_array(rows, labeled):
     return X, (np.array(labels, dtype=np.int64) if labeled else None)
 
 
+def _json_to_arrays(path, labeled):
+    """(X, y, dim) from a JSON document {"dim": d, "points": [[...], ...],
+    "labels": [...]}, validated as strictly as a CSV file; a record's 1-based
+    position stands for its line."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    pts = doc["points"]
+    if not pts:
+        raise ParseError("no data rows")
+    for i, row in enumerate(pts, start=1):
+        if len(row) != len(pts[0]):
+            raise ParseError(f"expected {len(pts[0])} columns, got {len(row)}", line=i)
+        for v in row:
+            if type(v) is not int:
+                raise NonInteger(f"coordinate {v!r} is not an integer", line=i)
+        if not any(row):
+            raise ZeroPoint(line=i)
+    y = None
+    if labeled:
+        for i, v in enumerate(doc["labels"], start=1):
+            if type(v) is not int or v not in (-1, 1):
+                raise ParseError(f"label must be -1 or 1, got {v!r}", line=i)
+        y = np.array(doc["labels"], dtype=np.int64)
+    X = _int64_array(pts)
+    return X, y, int(doc.get("dim", X.shape[1]))
+
+
 def load_points(path, format=None):
     """PointSet from a CSV or JSON file; every column is a coordinate."""
     fmt = format or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "csv":
         X, _ = _rows_to_array(_read_csv_rows(path), labeled=False)
         return PointSet(X.shape[1], X)
-    with open(path) as fh:
-        doc = json.load(fh)
-    pts = doc["points"]
-    for i, row in enumerate(pts):
-        for v in row:
-            if not isinstance(v, int):
-                raise NonInteger(f"coordinate {v!r} is not an integer", line=i + 1)
-        if not any(row):
-            raise ZeroPoint(line=i + 1)
-    X = _int64_array(pts)
-    return PointSet(int(doc.get("dim", X.shape[1])), X)
+    X, _, dim = _json_to_arrays(path, labeled=False)
+    return PointSet(dim, X)
 
 
 def load_labeled(path, format=None):
@@ -399,11 +426,8 @@ def load_labeled(path, format=None):
     if fmt == "csv":
         X, y = _rows_to_array(_read_csv_rows(path), labeled=True)
         return LabeledDataset(PointSet(X.shape[1], X), y)
-    with open(path) as fh:
-        doc = json.load(fh)
-    X = _int64_array(doc["points"])
-    y = np.array(doc["labels"], dtype=np.int64)
-    return LabeledDataset(PointSet(int(doc.get("dim", X.shape[1])), X), y)
+    X, y, dim = _json_to_arrays(path, labeled=True)
+    return LabeledDataset(PointSet(dim, X), y)
 
 
 def save_points_csv(path, point_set):

@@ -29,32 +29,60 @@ def row_gcd(row):
     return g
 
 
-def primitive_row(row, keep_sign=True):
-    """Divide a nonzero integer vector by the gcd of its entries.
-
-    With keep_sign=False the result is additionally flipped so its first
-    nonzero entry is positive (canonical up to +-, used to pool a point and its
-    negation, whose second-moment contributions are identical).
-    """
-    g = row_gcd(row)
-    if g == 0:
+def primitive_rows(X):
+    """Each row of an integer array divided by the gcd of its entries, sign
+    kept.  Returns (P, g) with X == g[:, None] * P; raises EmptyInput on a zero
+    row, which has no direction."""
+    X = np.asarray(X, dtype=np.int64)
+    g = np.gcd.reduce(np.abs(X), axis=1)
+    if not g.all():
         raise EmptyInput("zero vector has no direction")
-    out = tuple(int(v) // g for v in row)
-    if not keep_sign:
-        for v in out:
-            if v != 0:
-                if v < 0:
-                    out = tuple(-u for u in out)
-                break
-    return out
+    return X // g[:, None], g
+
+
+def distinct_rows(X):
+    """Distinct rows of an integer array and the index of each row among them.
+
+    Rows are compared as raw bytes, which is exact for integers and about ten
+    times faster than ``np.unique(X, axis=0)``; the distinct rows come out in
+    byte order, not lexicographic order.
+    """
+    X = np.ascontiguousarray(X)
+    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq.view(X.dtype).reshape(-1, X.shape[1]), inverse.reshape(-1)
+
+
+def directions(X):
+    """Pool proportional rows: (dirs, mult, inverse).
+
+    ``dirs`` holds the primitive directions, each flipped so its first nonzero
+    entry is positive, in order of first occurrence; ``mult`` counts the rows
+    on each and row i lies on dirs[inverse[i]].  Pooling x with lambda*x
+    (lambda != 0) leaves spans, memberships, counts and second-moment
+    contributions unchanged.
+    """
+    P, _ = primitive_rows(X)
+    n = P.shape[0]
+    lead = P[np.arange(n), np.argmax(P != 0, axis=1)]
+    P = np.where((lead < 0)[:, None], -P, P)
+    uniq, inverse = distinct_rows(P)
+    # First occurrence order makes canonical selection downstream stable in
+    # the original point indices, not in coordinate values.
+    _, first = np.unique(inverse, return_index=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    mult = np.bincount(inverse, minlength=uniq.shape[0])
+    return uniq[order], mult[order].astype(np.int64), rank[inverse].astype(np.int64)
 
 
 class IntSpan:
     """Incrementally built integer row space with exact membership tests.
 
-    Maintains a fraction-free row-echelon form.  ``extends(x)`` answers whether
-    x is outside the current span; ``add(x)`` inserts it.  Rows are gcd-reduced
-    after every elimination step to keep entries small.
+    Maintains a fraction-free row-echelon form.  ``contains(x)`` tests
+    membership; ``add(x)`` inserts x and reports whether it extended the span.
+    Rows are gcd-reduced after every elimination step to keep entries small.
     """
 
     def __init__(self, dim):
@@ -80,9 +108,6 @@ class IntSpan:
     def contains(self, x):
         return all(v == 0 for v in self._reduce(x))
 
-    def extends(self, x):
-        return not self.contains(x)
-
     def add(self, x):
         r = self._reduce(x)
         for p in range(self.dim):
@@ -92,23 +117,9 @@ class IntSpan:
                 return True
         return False
 
-    def copy(self):
-        s = IntSpan(self.dim)
-        s.rows = [list(r) for r in self.rows]
-        s.pivots = list(self.pivots)
-        return s
-
 
 def exact_rank(rows, dim=None):
-    if len(rows) == 0:
-        return 0
-    dim = dim if dim is not None else len(rows[0])
-    span = IntSpan(dim)
-    for r in rows:
-        span.add([int(v) for v in r])
-        if span.rank == dim:
-            break
-    return span.rank
+    return len(exact_pivot_indices(rows, dim))
 
 
 def exact_pivot_indices(rows, dim=None):

@@ -1,12 +1,17 @@
-"""Experiment and audit harness: brute-force oracles, counting wrappers,
-seeded trials, and the bit-complexity-independence study.
+"""Experiment and audit harness: reference heavy-subspace engines, counting
+wrappers, seeded trials, and the bit-complexity-independence study.
 
-The brute-force heavy-subspace oracle is an independent implementation
-(Fraction-based reduced row echelon, exhaustive span enumeration) sharing no
-decision code with the production module, so agreement tests are meaningful.
+Two reference engines decide the heavy-subspace predicate independently of
+``fdc.heavy``.  The brute-force oracle shares no decision code with it
+(Fraction-based reduced row echelon, exhaustive span enumeration).  The
+literal feasibility-LP engine follows the paper's construction: a central-cut
+cutting plane over the box with the greedy matroid oracle, extraction of a
+heavy subspace from a feasible vector, and the pair-swap sweep for the
+equality threshold.  Both are for small instances and cross-checks.
 """
 
 import csv
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,17 +21,18 @@ from itertools import combinations
 
 import numpy as np
 
-from . import rng
+from . import exact, rng, scaling
 from .dataset import (
     EtaSpec,
     MarginalSpec,
     MassartModel,
     PointSet,
     _draw_gaussian_grid,
+    as_point_array,
     gen_hard_instance,
     massart_draw,
 )
-from .errors import SizeLimit
+from .errors import InternalInvariantViolated, RankDeficient, SizeLimit
 from .heavy import HeavySubspaceResult
 from .learner import LearnerConfig, ModelOracle, evaluate_classifier, learn_halfspace
 from .linalg import span_of
@@ -74,7 +80,7 @@ def brute_force_heavy_subspace(point_set, V=None):
     (the canonical one by max excess, min dimension, lexicographic members),
     else not-found.  Raises SizeLimit beyond the documented instance size.
     """
-    pts = np.asarray(getattr(point_set, "points", point_set), dtype=np.int64)
+    pts = as_point_array(point_set)
     n, d = pts.shape
     if d > BRUTE_MAX_DIM or n > BRUTE_MAX_N:
         raise SizeLimit(f"brute force limited to d<={BRUTE_MAX_DIM}, n<={BRUTE_MAX_N}")
@@ -110,6 +116,245 @@ def brute_force_heavy_subspace(point_set, V=None):
     (_, _, members) = best[0]
     W = span_of(pts[list(members)])
     return HeavySubspaceResult(True, W, list(best[1]))
+
+
+# ---------------------------------------------------------------------------
+# Literal feasibility-LP engine (greedy matroid oracle + cutting plane)
+# ---------------------------------------------------------------------------
+
+def _greedy_positions_int64(pts_ordered, k):
+    """Positions (ascending) of the greedy basis within an already-ordered
+    point list, via vectorized fraction-free elimination over int64.
+
+    Returns None when entries risk overflowing int64, in which case the caller
+    uses the arbitrary-precision fallback.
+    """
+    E = pts_ordered.astype(np.int64, copy=True)
+    if E.size == 0:
+        return []
+    if float(np.abs(E).max()) > 2.0 ** 40:
+        return None
+    chosen = []
+    excluded = np.zeros(E.shape[0], dtype=bool)
+    for _ in range(k):
+        nz = E.any(axis=1) & ~excluded
+        idxs = np.nonzero(nz)[0]
+        if idxs.size == 0:
+            break
+        p0 = int(idxs[0])
+        chosen.append(p0)
+        excluded[p0] = True
+        row = E[p0]
+        pc = int(np.nonzero(row)[0][0])
+        piv = row[pc]
+        col = E[:, pc].copy()
+        mask = (col != 0) & ~excluded
+        if mask.any():
+            if float(np.abs(E[mask]).max()) * float(np.abs(row).max()) * 2.0 > 2.0 ** 62:
+                return None
+            E[mask] = E[mask] * piv - col[mask, None] * row[None, :]
+            g = np.gcd.reduce(np.abs(E[mask]), axis=1)
+            np.maximum(g, 1, out=g)
+            E[mask] //= g[:, None]
+    return chosen
+
+
+def _greedy_positions_exact(pts_ordered, k):
+    span = exact.IntSpan(pts_ordered.shape[1])
+    chosen = []
+    for pos, row in enumerate(exact.as_int_rows(pts_ordered)):
+        if span.add(row):
+            chosen.append(pos)
+            if len(chosen) == k:
+                break
+    return chosen
+
+
+def _greedy_positions(pts, order, k):
+    ordered = pts[order]
+    res = _greedy_positions_int64(ordered, k)
+    if res is None:
+        res = _greedy_positions_exact(ordered, k)
+    return res
+
+
+def _weight_order(weights):
+    w = np.asarray(weights, dtype=np.float64)
+    return np.lexsort((np.arange(w.size), -w))
+
+
+def max_weight_basis(points, subspace_dim, weights):
+    """Indices (ascending) of the maximum-weight linearly independent set of
+    size subspace_dim: greedy over points by weight descending, ties broken by
+    smaller index, skipping points dependent on the chosen prefix.
+
+    Raises RankDeficient if the points do not span a subspace_dim-dimensional
+    space.
+    """
+    pts = as_point_array(points)
+    if len(weights) != pts.shape[0]:
+        raise ValueError("one weight per point required")
+    order = _weight_order(weights)
+    positions = _greedy_positions(pts, order, subspace_dim)
+    if len(positions) < subspace_dim:
+        raise RankDeficient(
+            f"points span only {len(positions)} of {subspace_dim} dimensions"
+        )
+    return sorted(int(order[p]) for p in positions)
+
+
+def lp_feasible(points, subspace_dim, margin=None, budget=None):
+    """Feasible vector for the basis-threshold LP, or None if infeasible.
+
+    The LP over [0,1]^N has one constraint per basis B of the points,
+    sum_i v_i >= (N/k) * sum_{i in B} v_i + 1, and is feasible iff some
+    proper subspace holds >= (N/k)*dim(W) + 1 points.  Solved by
+    ``scaling.central_cut``; the violated-constraint oracle is the greedy
+    maximum-weight basis at the current center.  A center is accepted once
+    the worst constraint holds with slack >= -margin (margin = 1/(4N));
+    binary certificates have integral slack >= 0, so the relaxation admits no
+    spurious accepts, and any feasible instance keeps an inward box of side
+    margin/(2N) around a binary certificate.
+
+    Requires N to be a multiple of subspace_dim (callers duplicate points).
+    Raises IterationBudgetExceeded on numerical failure, which is distinct
+    from the infeasible (None) verdict.
+    """
+    pts = as_point_array(points)
+    N = pts.shape[0]
+    k = subspace_dim
+    if N % k != 0:
+        raise ValueError("point count must be a multiple of the subspace dimension")
+    if margin is None:
+        margin = 1.0 / (4.0 * N)
+    if budget is None:
+        budget = int(16 * N * N * (k + math.log(max(N, 2))))
+    ratio = N / k
+
+    def cut(center):
+        order = _weight_order(center)
+        positions = _greedy_positions(pts, order, k)
+        if len(positions) < k:
+            raise RankDeficient("points do not span the subspace")
+        basis = order[positions]
+        if center.sum() - ratio * center[basis].sum() - 1.0 >= -margin:
+            return None
+        a = -np.ones(N)
+        a[basis] += ratio
+        return a
+
+    return scaling.central_cut(cut, np.full(N, 0.5), 0.5 * math.sqrt(N), 0.0, 1.0,
+                               margin / (2.0 * N), budget)
+
+
+def _members(W, pts):
+    mask = exact.membership_mask(W.int_rows, pts, ortho_basis=W.basis)
+    return [int(i) for i in np.nonzero(mask)[0]]
+
+
+def extract_subspace(points, subspace_dim, feasible_v):
+    """Heavy subspace read off a feasible LP vector.
+
+    Sorts the weights descending (ties by index), reruns the greedy basis, and
+    locates kappa with basis position p_{kappa+1} > (N/k)*kappa + 1; the first
+    (N/k)*kappa + 1 sorted points then span a kappa-dimensional subspace.
+    """
+    pts = as_point_array(points)
+    N = pts.shape[0]
+    k = subspace_dim
+    ratio = N / k
+    order = _weight_order(feasible_v)
+    positions = _greedy_positions(pts, order, k)
+    if len(positions) < k:
+        raise RankDeficient("points do not span the subspace")
+    kappa = None
+    for j in range(1, k):
+        p_next = positions[j] + 1  # 1-based position of basis element j+1
+        if p_next > ratio * j + 1:
+            kappa = j
+            break
+    if kappa is None:
+        raise InternalInvariantViolated(
+            "no kappa with p_{kappa+1} > (N/k)kappa + 1; vector was not feasible"
+        )
+    t = (N * kappa) // k + 1
+    W = span_of(pts[order[:t]])
+    if W.dim != kappa:
+        raise InternalInvariantViolated(
+            f"extracted head spans dim {W.dim}, expected {kappa}"
+        )
+    return HeavySubspaceResult(True, W, _members(W, pts))
+
+
+def _strict_lp_decision(pts, k):
+    """Strict-threshold decision via the duplicated LP.
+
+    Detects subspaces whose integer count excess k*|S cap W| - |S|*dim(W) is at
+    least gcd(|S|, k); smaller positive excesses and the equality case are the
+    equality stage's job.  Returns a verified result or None.
+    """
+    n0 = pts.shape[0]
+    m = k // math.gcd(n0, k)
+    dup = np.repeat(pts, m, axis=0)
+    v = lp_feasible(dup, k)
+    if v is None:
+        return None
+    W = extract_subspace(dup, k, v).subspace
+    members = _members(W, pts)
+    if k * len(members) - n0 * W.dim < 1:
+        raise InternalInvariantViolated("LP extraction produced a non-heavy subspace")
+    return HeavySubspaceResult(True, W, members)
+
+
+def pair_swap_search(points, subspace_dim):
+    """The all-pairs replacement sweep, run literally with the LP engine.
+
+    For each ordered pair (source i, replaced j) the point list with x_j
+    replaced by a copy of x_i is fed to the strict LP; any extracted subspace
+    is re-verified against the *original* counts and returned on first hit
+    (pairs in lexicographic order, so the result is deterministic).  Intended
+    for small instances and tests; ``find_heavy_subspace`` resolves the same
+    equality band by exact enumeration.
+    """
+    pts = as_point_array(points)
+    n0 = pts.shape[0]
+    k = subspace_dim
+    for i in range(n0):
+        for j in range(n0):
+            if i == j:
+                continue
+            mod = pts.copy()
+            mod[j] = pts[i]
+            if exact.exact_rank(exact.as_int_rows(mod)) < k:
+                # Swap collapsed the span: the span itself is the candidate.
+                W = span_of(mod)
+            else:
+                try:
+                    hit = _strict_lp_decision(mod, k)
+                except InternalInvariantViolated:
+                    hit = None
+                if hit is None:
+                    continue
+                W = hit.subspace
+            members = _members(W, pts)
+            if k * len(members) >= n0 * W.dim:
+                return HeavySubspaceResult(True, W, members)
+    return HeavySubspaceResult(False)
+
+
+def lp_heavy_subspace(point_set, V=None):
+    """``heavy.find_heavy_subspace`` decided by the literal LP engine: the
+    strict LP, then the pair-swap sweep for the equality threshold.  Small
+    instances only; raw multisets (no multiplicities)."""
+    pts = as_point_array(point_set)
+    span_S = span_of(pts)
+    if V is None:
+        V = span_S
+    if span_S.dim < V.dim:
+        return HeavySubspaceResult(True, span_S, list(range(pts.shape[0])))
+    if V.dim == 1:
+        return HeavySubspaceResult(False)
+    return _strict_lp_decision(pts, V.dim) or pair_swap_search(pts, V.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +435,7 @@ def run_learning_trial(model, config, seed, test_n=100_000):
     inner = ModelOracle(model, rng.derive_seed(seed, 1))
     oracle = CountingOracle(inner)
     t0 = time.perf_counter()
-    classifier, telemetry = learn_halfspace(oracle, config, seed, dim=model.dim)
+    classifier, telemetry = learn_halfspace(oracle, config, dim=model.dim)
     wall = time.perf_counter() - t0
     if inner.count != oracle.count:
         raise AssertionError(

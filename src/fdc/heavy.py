@@ -1,28 +1,18 @@
 """Heavy-subspace decision: does a proper subspace W of V hold at least a
 dim(W)/dim(V) fraction of the points, and if so, which one.
 
-Machinery, mirroring the feasibility-LP construction:
-
-  * ``max_weight_basis`` - greedy maximum-weight linearly-independent set (the
-    matroid separation oracle), exact over the integer coordinates.
-  * ``lp_feasible`` - central-cut cutting-plane solver for the feasibility LP
-    over [0,1]^N whose (exponentially many) constraints, one per basis B, read
-    sum_i v_i >= (N/k) * sum_{i in B} v_i + 1.  Feasible iff some proper
-    subspace holds >= (N/k)*dim(W) + 1 points.
-  * ``extract_subspace`` - reads a heavy subspace off any feasible vector.
-  * ``pair_swap_search`` - the one-point-replacement sweep that converts the
-    strict (+1) threshold into the >= threshold.
-
-``find_heavy_subspace`` composes these with two exact equivalents that make
-the decision affordable at production sizes: exhaustive flat enumeration when
-the number of distinct directions is small, and, at scale, a certified scaling
-solution (a certificate at relaxation delta <= 1/(2M) pins every proper flat's
-weighted fraction below kappa/k + 1/(kM), so integrality rules out strictly
-heavy flats) with eigenstructure-guided candidate extraction, every candidate
-verified by exact integer membership counts.
+The decision is exact over the integer coordinates.  While the number of
+distinct directions is small it enumerates every flat they span.  At scale it
+uses a certified scaling solution: a certificate at relaxation delta <= 1/(2M)
+pins every proper flat's weighted fraction below kappa/k + 1/(kM), so
+integrality rules out strictly heavy flats.  Otherwise it hunts candidates in
+the eigenstructure of the scaling dynamics, and every candidate is verified by
+exact integer membership counts.  The literal feasibility-LP engine that
+decides the same predicate lives in ``fdc.harness`` as a reference.
 
 Counts are multiset counts; proportional points are pooled into one direction
-with a multiplicity, which leaves every fraction unchanged.
+with a multiplicity (``exact.directions``), which leaves every fraction
+unchanged.
 """
 
 import math
@@ -32,11 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from . import exact, scaling
-from .errors import (
-    InternalInvariantViolated,
-    IterationBudgetExceeded,
-    RankDeficient,
-)
+from .dataset import as_point_array
+from .errors import IterationBudgetExceeded
 from .linalg import Subspace, jacobi_eigh, span_of
 
 ENUM_COMBO_CAP = 4096    # flat enumeration runs while sum C(nu, <=k-1) stays below this
@@ -48,321 +35,6 @@ class HeavySubspaceResult:
     found: bool
     subspace: Subspace = None
     member_indices: list = None
-
-
-def _points_array(obj):
-    pts = getattr(obj, "points", obj)
-    return np.asarray(pts, dtype=np.int64)
-
-
-def _dirs_with_mult(pts):
-    """Pool proportional points: primitive directions (sign-canonical),
-    multiplicities, and the original->direction index map.
-
-    Pooling x and lambda*x (lambda != 0) is sound for every decision here:
-    membership, spans, counts, and second-moment contributions are identical.
-    """
-    g = np.gcd.reduce(np.abs(pts), axis=1)
-    np.maximum(g, 1, out=g)
-    prim = pts // g[:, None]
-    first = np.argmax(prim != 0, axis=1)
-    neg = prim[np.arange(prim.shape[0]), first] < 0
-    prim = np.where(neg[:, None], -prim, prim)
-    dirs_u, inverse_u, counts = np.unique(
-        prim, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse_u = inverse_u.reshape(-1)
-    # Order directions by first occurrence: downstream canonical selection is
-    # then stable in the original point indices, not in coordinate values.
-    n = prim.shape[0]
-    first_occ = np.full(dirs_u.shape[0], n, dtype=np.int64)
-    np.minimum.at(first_occ, inverse_u, np.arange(n, dtype=np.int64))
-    order = np.argsort(first_occ, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return (
-        dirs_u[order].astype(np.int64),
-        counts[order].astype(np.int64),
-        rank[inverse_u].astype(np.int64),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Greedy matroid oracle
-# ---------------------------------------------------------------------------
-
-def _greedy_positions_int64(pts_ordered, k):
-    """Positions (ascending) of the greedy basis within an already-ordered
-    point list, via vectorized fraction-free elimination over int64.
-
-    Returns None when entries risk overflowing int64, in which case the caller
-    uses the arbitrary-precision fallback.
-    """
-    E = pts_ordered.astype(np.int64, copy=True)
-    if E.size == 0:
-        return []
-    if float(np.abs(E).max()) > 2.0 ** 40:
-        return None
-    chosen = []
-    excluded = np.zeros(E.shape[0], dtype=bool)
-    for _ in range(k):
-        nz = E.any(axis=1) & ~excluded
-        idxs = np.nonzero(nz)[0]
-        if idxs.size == 0:
-            break
-        p0 = int(idxs[0])
-        chosen.append(p0)
-        excluded[p0] = True
-        row = E[p0]
-        pc = int(np.nonzero(row)[0][0])
-        piv = row[pc]
-        col = E[:, pc].copy()
-        mask = (col != 0) & ~excluded
-        if mask.any():
-            if float(np.abs(E[mask]).max()) * float(np.abs(row).max()) * 2.0 > 2.0 ** 62:
-                return None
-            E[mask] = E[mask] * piv - col[mask, None] * row[None, :]
-            g = np.gcd.reduce(np.abs(E[mask]), axis=1)
-            np.maximum(g, 1, out=g)
-            E[mask] //= g[:, None]
-    return chosen
-
-
-def _greedy_positions_exact(pts_ordered, k):
-    span = exact.IntSpan(pts_ordered.shape[1])
-    chosen = []
-    for pos, row in enumerate(exact.as_int_rows(pts_ordered)):
-        if span.add(row):
-            chosen.append(pos)
-            if len(chosen) == k:
-                break
-    return chosen
-
-
-def _greedy_positions(pts, order, k):
-    ordered = pts[order]
-    res = _greedy_positions_int64(ordered, k)
-    if res is None:
-        res = _greedy_positions_exact(ordered, k)
-    return res
-
-
-def _weight_order(weights):
-    w = np.asarray(weights, dtype=np.float64)
-    return np.lexsort((np.arange(w.size), -w))
-
-
-def max_weight_basis(points, subspace_dim, weights):
-    """Indices (ascending) of the maximum-weight linearly independent set of
-    size subspace_dim: greedy over points by weight descending, ties broken by
-    smaller index, skipping points dependent on the chosen prefix.
-
-    Raises RankDeficient if the points do not span a subspace_dim-dimensional
-    space.
-    """
-    pts = _points_array(points)
-    if len(weights) != pts.shape[0]:
-        raise ValueError("one weight per point required")
-    order = _weight_order(weights)
-    positions = _greedy_positions(pts, order, subspace_dim)
-    if len(positions) < subspace_dim:
-        raise RankDeficient(
-            f"points span only {len(positions)} of {subspace_dim} dimensions"
-        )
-    return sorted(int(order[p]) for p in positions)
-
-
-# ---------------------------------------------------------------------------
-# Feasibility LP (cutting plane over the box)
-# ---------------------------------------------------------------------------
-
-def lp_feasible(points, subspace_dim, margin=None, budget=None):
-    """Feasible vector for the basis-threshold LP, or None if infeasible.
-
-    Central-cut cutting-plane over [0,1]^N; the violated-constraint oracle is
-    the greedy maximum-weight basis at the current center.  A center is
-    accepted once the worst constraint holds with slack >= -margin
-    (margin = 1/(4N)); binary certificates have integral slack >= 0, so the
-    relaxation admits no spurious accepts, and the subspace read off an
-    accepted vector is verified exactly downstream anyway.
-
-    Requires N to be a multiple of subspace_dim (callers duplicate points).
-    Raises IterationBudgetExceeded on numerical failure, which is distinct
-    from the infeasible (None) verdict.
-    """
-    pts = _points_array(points)
-    N = pts.shape[0]
-    k = subspace_dim
-    if N % k != 0:
-        raise ValueError("point count must be a multiple of the subspace dimension")
-    if margin is None:
-        margin = 1.0 / (4.0 * N)
-    if budget is None:
-        budget = int(16 * N * N * (k + math.log(max(N, 2))))
-    ratio = N / k
-
-    center = np.full(N, 0.5)
-    r0 = 0.5 * math.sqrt(N)
-    P = np.eye(N) * (r0 * r0)
-    log_det = 2.0 * N * math.log(r0)
-    # Any feasible instance admits a binary certificate with an inward box of
-    # side margin/(2N) still satisfying the relaxed constraints; vol(E) =
-    # V_ball(N) * sqrt(det P) must stay above it.
-    log_ball = 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N + 1.0)
-    log_vol_min = N * math.log(margin / (2.0 * N))
-
-    for it in range(budget):
-        if log_ball + 0.5 * log_det <= log_vol_min:
-            return None
-        low = int(np.argmin(center))
-        high = int(np.argmax(center))
-        if center[low] < 0.0:
-            a = np.zeros(N)
-            a[low] = -1.0
-        elif center[high] > 1.0:
-            a = np.zeros(N)
-            a[high] = 1.0
-        else:
-            order = _weight_order(center)
-            positions = _greedy_positions(pts, order, k)
-            if len(positions) < k:
-                raise RankDeficient("points do not span the subspace")
-            basis = order[positions]
-            slack = center.sum() - ratio * center[basis].sum() - 1.0
-            if slack >= -margin:
-                return center.copy()
-            a = -np.ones(N)
-            a[basis] += ratio
-        Pa = P @ a
-        aPa = float(a @ Pa)
-        if not math.isfinite(aPa):
-            raise IterationBudgetExceeded("cutting-plane ellipsoid lost definiteness")
-        # Width of E along the cut normal; the feasible region (when nonempty)
-        # contains a box of side margin/(2N), which cannot fit in a thinner
-        # slab, so collapse along any cut normal is an infeasibility verdict.
-        slab2 = (margin / (4.0 * N)) ** 2 * float(a @ a)
-        if aPa <= slab2:
-            if aPa < -16.0 * slab2:
-                raise IterationBudgetExceeded("cutting-plane ellipsoid lost definiteness")
-            return None
-        ga = Pa / math.sqrt(aPa)
-        center = center - ga / (N + 1.0)
-        P = (N * N / (N * N - 1.0)) * (P - (2.0 / (N + 1.0)) * np.outer(ga, ga))
-        # Symmetrize and pad: keeps P positive definite under round-off; the
-        # pad only inflates the volume, so the infeasible verdict stays sound.
-        P = 0.5 * (P + P.T)
-        P *= 1.0 + 1e-12
-        log_det += (
-            N * math.log(N * N / (N * N - 1.0))
-            + math.log(1.0 - 2.0 / (N + 1.0))
-            + N * 1e-12
-        )
-        if it % 32 == 31:
-            # Collapse along any direction below the box side is a verdict;
-            # the eigenfloor also repairs round-off drift in P and log_det.
-            eigs = np.linalg.eigvalsh(P)
-            if eigs[0] <= (margin / (4.0 * N)) ** 2:
-                return None
-            log_det = float(np.sum(np.log(eigs)))
-    raise IterationBudgetExceeded("cutting-plane budget exhausted without a verdict")
-
-
-def extract_subspace(points, subspace_dim, feasible_v):
-    """Heavy subspace read off a feasible LP vector.
-
-    Sorts the weights descending (ties by index), reruns the greedy basis, and
-    locates kappa with basis position p_{kappa+1} > (N/k)*kappa + 1; the first
-    (N/k)*kappa + 1 sorted points then span a kappa-dimensional subspace.
-    """
-    pts = _points_array(points)
-    N = pts.shape[0]
-    k = subspace_dim
-    ratio = N / k
-    order = _weight_order(feasible_v)
-    positions = _greedy_positions(pts, order, k)
-    if len(positions) < k:
-        raise RankDeficient("points do not span the subspace")
-    kappa = None
-    for j in range(1, k):
-        p_next = positions[j] + 1  # 1-based position of basis element j+1
-        if p_next > ratio * j + 1:
-            kappa = j
-            break
-    if kappa is None:
-        raise InternalInvariantViolated(
-            "no kappa with p_{kappa+1} > (N/k)kappa + 1; vector was not feasible"
-        )
-    t = (N * kappa) // k + 1
-    head = pts[order[:t]]
-    W = span_of(head)
-    if W.dim != kappa:
-        raise InternalInvariantViolated(
-            f"extracted head spans dim {W.dim}, expected {kappa}"
-        )
-    mask = exact.membership_mask(W.int_rows, pts, ortho_basis=W.basis)
-    members = [int(i) for i in np.nonzero(mask)[0]]
-    return HeavySubspaceResult(True, W, members)
-
-
-def _strict_lp_decision(pts, k):
-    """Strict-threshold decision via the duplicated LP.
-
-    Detects subspaces whose integer count excess k*|S cap W| - |S|*dim(W) is at
-    least gcd(|S|, k); smaller positive excesses and the equality case are the
-    equality stage's job.  Returns a verified result or None.
-    """
-    n0 = pts.shape[0]
-    m = k // math.gcd(n0, k)
-    dup = np.repeat(pts, m, axis=0)
-    v = lp_feasible(dup, k)
-    if v is None:
-        return None
-    res = extract_subspace(dup, k, v)
-    mask = exact.membership_mask(res.subspace.int_rows, pts, ortho_basis=res.subspace.basis)
-    members = [int(i) for i in np.nonzero(mask)[0]]
-    excess = k * len(members) - n0 * res.subspace.dim
-    if excess < 1:
-        raise InternalInvariantViolated("LP extraction produced a non-heavy subspace")
-    return HeavySubspaceResult(True, res.subspace, members)
-
-
-def pair_swap_search(points, subspace_dim):
-    """The all-pairs replacement sweep, run literally with the LP engine.
-
-    For each ordered pair (source i, replaced j) the point list with x_j
-    replaced by a copy of x_i is fed to the strict LP; any extracted subspace
-    is re-verified against the *original* counts and returned on first hit
-    (pairs in lexicographic order, so the result is deterministic).  Intended
-    for small instances and tests; ``find_heavy_subspace`` resolves the same
-    equality band by exact enumeration.
-    """
-    pts = _points_array(points)
-    n0 = pts.shape[0]
-    k = subspace_dim
-    for i in range(n0):
-        for j in range(n0):
-            if i == j:
-                continue
-            mod = pts.copy()
-            mod[j] = pts[i]
-            if exact.exact_rank(exact.as_int_rows(mod)) < k:
-                # Swap collapsed the span: the span itself is the candidate.
-                W = span_of(mod)
-                hit = HeavySubspaceResult(True, W, None)
-            else:
-                try:
-                    hit = _strict_lp_decision(mod, k)
-                except InternalInvariantViolated:
-                    hit = None
-            if hit is None:
-                continue
-            mask = exact.membership_mask(
-                hit.subspace.int_rows, pts, ortho_basis=hit.subspace.basis
-            )
-            members = [int(t) for t in np.nonzero(mask)[0]]
-            if k * len(members) >= n0 * hit.subspace.dim:
-                return HeavySubspaceResult(True, hit.subspace, members)
-    return HeavySubspaceResult(False)
 
 
 # ---------------------------------------------------------------------------
@@ -403,25 +75,19 @@ def _enumerate_flats(dirs, mult, k):
     return out
 
 
-def _canonical_best(flats, inverse, threshold):
-    """Best flat by (max excess, min dim, lexicographically smallest original
-    member tuple); None if none reaches the excess threshold."""
-    best = None
+def _best_flat(dirs, flats, inverse, threshold):
+    """The flat reaching the excess threshold with max excess, then min dim,
+    then lexicographically smallest original member tuple; None if none."""
     best_key = None
     for excess, dim, mask in flats:
         if excess < threshold:
             continue
-        members = tuple(int(i) for i in np.nonzero(mask[inverse])[0])
-        key = (-excess, dim, members)
+        key = (-excess, dim, tuple(int(i) for i in np.nonzero(mask[inverse])[0]))
         if best_key is None or key < best_key:
-            best_key = key
-            best = (excess, dim, mask, members)
-    return best
-
-
-def _result_from_mask(dirs, mask, members):
-    W = span_of(dirs[mask])
-    return HeavySubspaceResult(True, W, list(members))
+            best_key, best_mask = key, mask
+    if best_key is None:
+        return None
+    return HeavySubspaceResult(True, span_of(dirs[best_mask]), list(best_key[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +106,10 @@ def _certify_no_strict(coords, mult, k):
     M = float(mult.sum())
     delta_star = 1.0 / (8.0 * M)
     snapshots = []
-
-    def hook(t, c, sigma):
-        snapshots.append((t, c, sigma))
-
     for budget in CERT_BUDGETS:
         w = scaling.fixed_point_scaling(
-            coords, delta_star, max_iters=budget, mults=mult, snapshot_hook=hook
+            coords, delta_star, max_iters=budget, mults=mult,
+            snapshot_hook=lambda *snap: snapshots.append(snap),
         )
         if w is None:
             continue
@@ -506,11 +169,23 @@ def _verified_candidates(dirs, mult, k, coords, snapshots, threshold):
     return flats
 
 
+def hunt_heavy_subspace(dirs, mult, k, coords, snapshots, threshold, inverse):
+    """Best exact-verified flat with excess k*count - M*dim >= threshold among
+    candidates read off the scaling snapshots (t, c_sq, sigma) of ``coords``
+    and the per-direction rays; None if no candidate reaches it.
+
+    ``dirs`` are the pooled directions with multiplicities ``mult``; members
+    are reported as the indices i with dirs[inverse[i]] in the flat.
+    """
+    flats = _verified_candidates(dirs, mult, k, coords, snapshots, threshold)
+    return _best_flat(dirs, flats, inverse, threshold)
+
+
 # ---------------------------------------------------------------------------
 # Full decision
 # ---------------------------------------------------------------------------
 
-def find_heavy_subspace(point_set, V=None, engine="auto", mults=None):
+def find_heavy_subspace(point_set, V=None, mults=None):
     """Decide whether a proper subspace W of V holds at least a
     dim(W)/dim(V) fraction of the points; return one if so.
 
@@ -521,14 +196,13 @@ def find_heavy_subspace(point_set, V=None, engine="auto", mults=None):
     invertible maps (max count excess, then min dimension, then lexicographic
     member indices).
 
-    engine="auto" decides by exact flat enumeration while the subset count is
-    small and by the certificate/hunt route at scale; engine="lp" forces the
-    literal cutting-plane LP + all-pairs swap machinery (small instances
-    only).  The two engines decide the same predicate (the feasibility proof
-    of the basis-threshold LP is exactly the existence of a heavy flat) and
-    are cross-checked in the test suite.
+    Decides by exact flat enumeration while the subset count is small and by
+    the certificate/hunt route at scale.  ``harness.lp_heavy_subspace`` decides
+    the same predicate with the literal cutting-plane LP (the feasibility proof
+    of the basis-threshold LP is exactly the existence of a heavy flat); the
+    two are cross-checked in the test suite.
     """
-    pts = _points_array(point_set)
+    pts = as_point_array(point_set)
     n = pts.shape[0]
     span_S = span_of(pts)
     if V is None:
@@ -539,51 +213,29 @@ def find_heavy_subspace(point_set, V=None, engine="auto", mults=None):
     if k == 1:
         return HeavySubspaceResult(False)
 
-    dirs, mult, inverse = _dirs_with_mult(pts)
+    dirs, mult, inverse = exact.directions(pts)
     if mults is not None:
         mult = np.zeros(dirs.shape[0], dtype=np.int64)
         np.add.at(mult, inverse, np.asarray(mults, dtype=np.int64))
-    nu = dirs.shape[0]
-    enum_ok = _enum_combo_count(nu, k) <= ENUM_COMBO_CAP
-
-    if engine == "lp":
-        if mults is not None:
-            raise ValueError("the literal LP engine works on raw multisets only")
-        strict = _strict_lp_decision(pts, k)
-        if strict is not None:
-            return strict
-        return pair_swap_search(pts, k)
-
-    if enum_ok:
-        flats = _enumerate_flats(dirs, mult, k)
-        best = _canonical_best(flats, inverse, threshold=0)
-        if best is None:
-            return HeavySubspaceResult(False)
-        excess, dim, mask, members = best
-        return _result_from_mask(dirs, mask, members)
+    if _enum_combo_count(dirs.shape[0], k) <= ENUM_COMBO_CAP:
+        best = _best_flat(dirs, _enumerate_flats(dirs, mult, k), inverse, 0)
+        return best or HeavySubspaceResult(False)
 
     # Production scale: strict stage by certificate or verified candidates.
-    Q = span_S.basis
-    coords = dirs.astype(np.float64) @ Q
+    coords = dirs.astype(np.float64) @ span_S.basis
     proven, snapshots = _certify_no_strict(coords, mult, k)
     if not proven:
-        flats = _verified_candidates(dirs, mult, k, coords, snapshots, threshold=1)
-        best = _canonical_best(flats, inverse, threshold=1)
-        if best is not None:
-            excess, dim, mask, members = best
-            return _result_from_mask(dirs, mask, members)
-        raise IterationBudgetExceeded(
-            "could not certify absence of a strictly heavy subspace nor extract one"
-        )
+        best = hunt_heavy_subspace(dirs, mult, k, coords, snapshots, 1, inverse)
+        if best is None:
+            raise IterationBudgetExceeded(
+                "could not certify absence of a strictly heavy subspace nor extract one"
+            )
+        return best
     # Equality stage (exact-threshold flats), best effort at scale: the
     # certificate already pins every flat at excess <= 0, so only excess == 0
     # flats remain; harvest rays and dynamics-tight candidates.
     M = int(mult.sum())
     if not any((M * kappa) % k == 0 for kappa in range(1, k)):
         return HeavySubspaceResult(False)
-    flats = _verified_candidates(dirs, mult, k, coords, snapshots, threshold=0)
-    best = _canonical_best(flats, inverse, threshold=0)
-    if best is not None:
-        excess, dim, mask, members = best
-        return _result_from_mask(dirs, mask, members)
-    return HeavySubspaceResult(False)
+    best = hunt_heavy_subspace(dirs, mult, k, coords, snapshots, 0, inverse)
+    return best or HeavySubspaceResult(False)

@@ -40,32 +40,11 @@ from .errors import (
     DegenerateSecondMoment,
     IterationCapExceeded,
 )
-from .exact import membership_mask
+from .exact import distinct_rows, membership_mask, primitive_rows
 from .linalg import Subspace
 from .transform import forster_transform, mapped_unit_rows
 
 TAG_LEARN = 101
-
-
-def canonicalize(X):
-    """Primitive directions: each row divided by the gcd of its coordinates."""
-    X = np.asarray(X, dtype=np.int64)
-    g = np.gcd.reduce(np.abs(X), axis=1)
-    np.maximum(g, 1, out=g)
-    return X // g[:, None]
-
-
-def _distinct_rows(X):
-    """Distinct rows of an integer array and the index of each row among them.
-
-    Rows are compared as raw bytes, which is exact for integers and about ten
-    times faster than ``np.unique(X, axis=0)``; the distinct rows come out in
-    byte order, not lexicographic order.
-    """
-    X = np.ascontiguousarray(X)
-    keys = X.view(np.dtype((np.void, X.dtype.itemsize * X.shape[1]))).ravel()
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq.view(X.dtype).reshape(-1, X.shape[1]), inverse.reshape(-1)
 
 
 @dataclass
@@ -132,7 +111,7 @@ class PartialClassifier:
     default_label: int = 1
 
     def evaluate(self, X):
-        Xc = canonicalize(X)
+        Xc, _ = primitive_rows(X)
         n, d = Xc.shape
         out = np.zeros(n, dtype=np.int64)
         remaining = np.ones(n, dtype=bool)
@@ -405,52 +384,28 @@ class DatasetOracle:
         return self.y[rows]
 
 
-def _rejection_draw(oracle, classifier, need, budget_draws, extra_filter=None):
-    """Accumulate ``need`` oracle draws with h(x) = * (and the optional extra
-    filter); returns (X, y) or None once budget_draws have been consumed."""
-    got_X, got_y = [], []
+def _rejection_draw(oracle, method, keep, need, budget_draws):
+    """Accumulate ``need`` draws of ``oracle.<method>`` (which returns a tuple
+    of per-draw arrays) whose first array passes the mask ``keep(first)``;
+    returns the accepted arrays, or None once budget_draws have been
+    consumed.  Batches hold max(65536, need) draws."""
+    draw = getattr(oracle, method)
+    accepted = []
     got = 0
     used = 0
     while got < need and used < budget_draws:
         batch = int(min(max(65536, need), budget_draws - used))
-        X, y = oracle.draw(batch)
+        arrays = draw(batch)
         used += batch
-        keep = classifier.star_mask(X) if classifier.stages else np.ones(len(y), bool)
-        if extra_filter is not None:
-            keep &= extra_filter(X)
-        got_X.append(X[keep])
-        got_y.append(y[keep])
-        got += int(keep.sum())
-    if got < need:
-        return None
-    X = np.concatenate(got_X)[:need]
-    y = np.concatenate(got_y)[:need]
-    return X, y
-
-
-def _rejection_draw_indexed(oracle, keep_support, need, budget_draws):
-    """Indexed-oracle variant: accept draws whose support row passes the
-    precomputed mask.  Same batch schedule and draw accounting as the generic
-    path; returns (support_rows, draw_indices) or None."""
-    rows_acc, gidx_acc = [], []
-    got = 0
-    used = 0
-    while got < need and used < budget_draws:
-        batch = int(min(max(65536, need), budget_draws - used))
-        rows, gidx = oracle.draw_indexed(batch)
-        used += batch
-        m = keep_support[rows]
-        rows_acc.append(rows[m])
-        gidx_acc.append(gidx[m])
+        m = keep(arrays[0])
+        accepted.append([a[m] for a in arrays])
         got += int(m.sum())
     if got < need:
         return None
-    rows = np.concatenate(rows_acc)[:need]
-    gidx = np.concatenate(gidx_acc)[:need]
-    return rows, gidx
+    return tuple(np.concatenate(col)[:need] for col in zip(*accepted))
 
 
-def learn_halfspace(oracle, config, seed, dim=None):
+def learn_halfspace(oracle, config, dim):
     """Algorithm-1 driver: returns (PartialClassifier with * -> +1, telemetry).
 
     Loops while the empirical abstention mass on a fresh check sample exceeds
@@ -459,10 +414,10 @@ def learn_halfspace(oracle, config, seed, dim=None):
     the mapped conditioned distribution with eps' = eps/2, and extends the
     chain.  Rejection-budget exhaustion means the uncovered mass collapsed and
     exits the loop; exceeding the iteration cap raises.
+
+    An oracle with a finite ``support`` and ``draw_indexed`` is drawn by
+    support row, and every per-point decision is made once per support row.
     """
-    if dim is None:
-        X0, _ = oracle.draw(1)
-        dim = X0.shape[1]
     d = dim
     check_n = config.check_sample_size(d)
     forster_n = config.forster_sample_size(d)
@@ -473,8 +428,11 @@ def learn_halfspace(oracle, config, seed, dim=None):
     support = getattr(oracle, "support", None)
     indexed = support is not None and hasattr(oracle, "draw_indexed")
     if indexed:
-        canonical = canonicalize(support)
-        directions, direction_of = _distinct_rows(canonical)
+        method = "draw_indexed"
+        canonical, _ = primitive_rows(support)
+        directions, direction_of = distinct_rows(canonical)
+    else:
+        method = "draw"
 
     classifier = PartialClassifier([], default_label=1)
     telemetry = []
@@ -485,23 +443,23 @@ def learn_halfspace(oracle, config, seed, dim=None):
                 if classifier.stages
                 else np.ones(support.shape[0], dtype=bool)
             )
-            rows_c, _ = oracle.draw_indexed(check_n)
-            p_hat = float(np.mean(star_support[rows_c]))
-        else:
-            Xc, _ = oracle.draw(check_n)
-            p_hat = float(np.mean(classifier.star_mask(Xc)))
+
+        def star(first):
+            """Mask of the draws (support rows, or points) h abstains on."""
+            if indexed:
+                return star_support[first]
+            if classifier.stages:
+                return classifier.star_mask(first)
+            return np.ones(len(first), dtype=bool)
+
+        p_hat = float(np.mean(star(getattr(oracle, method)(check_n)[0])))
         record = {"iteration": it, "uncovered": p_hat}
         if p_hat <= eps / 3.0:
             record["exit"] = "covered"
             telemetry.append(record)
             return classifier, telemetry
 
-        if indexed:
-            drawn = _rejection_draw_indexed(oracle, star_support, forster_n,
-                                            forster_n * budget_fac)
-        else:
-            drawn = _rejection_draw(oracle, classifier, forster_n,
-                                    forster_n * budget_fac)
+        drawn = _rejection_draw(oracle, method, star, forster_n, forster_n * budget_fac)
         if drawn is None:
             record["exit"] = "rejection_budget"
             telemetry.append(record)
@@ -509,14 +467,12 @@ def learn_halfspace(oracle, config, seed, dim=None):
         if indexed:
             # Compressed multiset: the draw only hit support rows.
             hits = np.bincount(drawn[0], minlength=support.shape[0])
-            present = np.nonzero(hits > 0)[0]
-            piece = forster_transform(
-                PointSet(d, canonical[present]),
-                config.transform_delta, counts=hits[present],
-            )
+            present = np.nonzero(hits)[0]
+            sample, counts = canonical[present], hits[present]
         else:
-            piece = forster_transform(PointSet(d, canonicalize(drawn[0])),
-                                      config.transform_delta)
+            sample, counts = primitive_rows(drawn[0])[0], None
+        piece = forster_transform(PointSet(d, sample), config.transform_delta,
+                                  counts=counts)
         V, A, k = piece.subspace, piece.transform, piece.subspace.dim
         record["piece"] = {
             "dim": k,
@@ -524,35 +480,32 @@ def learn_halfspace(oracle, config, seed, dim=None):
             "lambda_max": piece.certificate[1],
         }
 
-        def in_V(X, _V=V):
-            return membership_mask(_V.int_rows, canonicalize(X),
-                                   ortho_basis=_V.basis)
+        def in_V(X):
+            return membership_mask(V.int_rows, primitive_rows(X)[0], ortho_basis=V.basis)
 
         # Weak pool, compressed: distinct canonical rows, a per-draw index
         # into them, and the per-draw labels.  Support rows that share a
         # primitive direction share one distinct row.
         if indexed:
-            keep = star_support
-            if k < d:
-                keep = keep & in_V(support)
-            pool = _rejection_draw_indexed(oracle, keep, weak_n,
-                                           weak_n * budget_fac * 2 * d)
-            if pool is not None:
-                rows_w, gidx_w = pool
-                yw = oracle.labels_for(rows_w, gidx_w)
-                hit, rows = np.unique(direction_of[rows_w], return_inverse=True)
-                distinct = directions[hit]
-        else:
-            pool = _rejection_draw(oracle, classifier, weak_n,
-                                   weak_n * budget_fac * 2 * d,
-                                   extra_filter=None if k == d else in_V)
-            if pool is not None:
-                Xw, yw = pool
-                distinct, rows = _distinct_rows(canonicalize(Xw))
+            keep_support = star_support & in_V(support) if k < d else star_support
+
+        def keep(first):
+            if indexed:
+                return keep_support[first]
+            return star(first) & in_V(first) if k < d else star(first)
+
+        pool = _rejection_draw(oracle, method, keep, weak_n, weak_n * budget_fac * 2 * d)
         if pool is None:
             record["exit"] = "rejection_budget"
             telemetry.append(record)
             return classifier, telemetry
+        if indexed:
+            yw = oracle.labels_for(*pool)
+            hit, rows = np.unique(direction_of[pool[0]], return_inverse=True)
+            distinct = directions[hit]
+        else:
+            yw = pool[1]
+            distinct, rows = distinct_rows(primitive_rows(pool[0])[0])
         F = mapped_unit_rows(A, distinct.astype(np.float64) @ V.basis)
         stage_res = weak_partial_learner(
             F, rows, yw, config.eta, config.eps_prime,

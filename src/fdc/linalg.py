@@ -117,17 +117,6 @@ def inv_sqrt_psd(M, floor):
     return 0.5 * (B + B.T)
 
 
-def spectral_norm_sym(M):
-    w, _ = sym_eigen(M)
-    return float(np.max(np.abs(w)))
-
-
-def spectral_distance_from_scaled_identity(M, alpha):
-    """|| M - alpha*I ||_2 for symmetric M."""
-    w, _ = sym_eigen(M)
-    return float(np.max(np.abs(w - alpha)))
-
-
 @dataclass
 class Subspace:
     """Linear subspace of R^d held as a column-orthonormal basis (d, r).
@@ -154,15 +143,6 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.shape[1]
-
-    def coords(self, X):
-        """Coordinates of ambient row-vectors X in this basis: (n, r)."""
-        return np.asarray(X, dtype=np.float64) @ self.basis
-
-    def embed(self, C):
-        """Ambient row-vectors from coordinate rows C."""
-        return np.asarray(C, dtype=np.float64) @ self.basis.T
-
 
 def span_of(points, tol=RANK_TOL):
     """Subspace spanned by the given nonzero points.

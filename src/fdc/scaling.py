@@ -194,62 +194,54 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None, damping=0.0,
     return None
 
 
-def _ellipsoid_scaling(points, delta, mults, radius, budget):
-    """Central-cut ellipsoid over the c^2 variables inside [1, radius]^n.
+def central_cut(cut, center, r0, lo, hi, side, budget):
+    """Central-cut ellipsoid method over the box [lo, hi]^n.
 
-    Expects unit-norm rows.  Returns certified weights, or raises Infeasible
-    when the ellipsoid volume drops below the guaranteed feasible-box volume,
-    or IterationBudgetExceeded.
+    Starts from the ball of radius r0 around ``center``.  Each step cuts on a
+    violated box face, else on ``cut(center)``: a normal a of a constraint the
+    center violates (the feasible set lies in a . x <= a . center), or None to
+    accept the center, which is then returned.  When the feasible set is
+    nonempty it contains a box of side ``side``, so the ellipsoid's volume
+    dropping below that box's, or its half-width along a cut normal or its
+    shortest semi-axis dropping to side/2, is an infeasibility verdict:
+    returns None.  Raises
+    IterationBudgetExceeded on numerical failure or after ``budget`` steps.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    n, k = pts.shape
-    m = np.asarray(mults, dtype=np.float64)
-    M = m.sum()
-    center = np.full(n, 0.5 * (1.0 + radius))
-    r0 = 0.5 * (radius - 1.0) * math.sqrt(n) + 1.0
-    P = np.eye(n) * r0 * r0
+    n = center.size
+    P = np.eye(n) * (r0 * r0)
     log_det = 2.0 * n * math.log(r0)
-    # Feasible region (when one exists) contains a box of side ~ delta/(2k)
-    # around a scaled solution; stop (infeasible) below that volume.
     log_ball = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-    log_vol_min = n * math.log(max(delta, 1e-12) / (4.0 * k))
-    last_violation = None
+    log_vol_min = n * math.log(side)
+    half2 = (0.5 * side) ** 2
     for it in range(budget):
         if log_ball + 0.5 * log_det <= log_vol_min:
-            raise Infeasible("ellipsoid volume exhausted", violation=last_violation)
-        # Bound cuts first.
-        a = None
-        low = np.argmin(center)
-        high = np.argmax(center)
-        if center[low] < 1.0:
+            return None
+        low = int(np.argmin(center))
+        high = int(np.argmax(center))
+        if center[low] < lo:
             a = np.zeros(n)
             a[low] = -1.0
-        elif center[high] > radius:
+        elif center[high] > hi:
             a = np.zeros(n)
             a[high] = 1.0
         else:
-            cand = ScalingWeights(center.copy(), delta)
-            viol = separation_oracle(pts, cand, mults=m)
-            if viol is None:
-                return ScalingWeights(_normalized(center), delta)
-            last_violation = viol
-            proj = pts @ viol.witness
-            a = -((k + delta) / M) * m * proj * proj
-            a[viol.point_index] += proj[viol.point_index] ** 2
+            a = cut(center)
+            if a is None:
+                return center
         Pa = P @ a
         aPa = float(a @ Pa)
         if not math.isfinite(aPa):
-            raise IterationBudgetExceeded("ellipsoid collapsed numerically")
-        # A feasible region contains a box of side ~ delta/(4k); thinner width
-        # along a cut normal is an infeasibility verdict at this radius.
-        slab2 = (delta / (8.0 * k)) ** 2 * float(a @ a)
+            raise IterationBudgetExceeded("ellipsoid lost definiteness")
+        slab2 = half2 * float(a @ a)
         if aPa <= slab2:
             if aPa < -16.0 * slab2:
-                raise IterationBudgetExceeded("ellipsoid collapsed numerically")
-            raise Infeasible("ellipsoid slab width exhausted", violation=last_violation)
+                raise IterationBudgetExceeded("ellipsoid lost definiteness")
+            return None
         ga = Pa / math.sqrt(aPa)
         center = center - ga / (n + 1.0)
         P = (n * n / (n * n - 1.0)) * (P - (2.0 / (n + 1.0)) * np.outer(ga, ga))
+        # Symmetrize and pad: keeps P positive definite under round-off; the
+        # pad only inflates the volume, so the infeasible verdict stays sound.
         P = 0.5 * (P + P.T)
         P *= 1.0 + 1e-12
         log_det += (
@@ -258,12 +250,45 @@ def _ellipsoid_scaling(points, delta, mults, radius, budget):
             + n * 1e-12
         )
         if it % 32 == 31:
+            # The eigenfloor also repairs round-off drift in P and log_det.
             eigs = np.linalg.eigvalsh(P)
-            if eigs[0] <= (delta / (8.0 * k)) ** 2:
-                raise Infeasible("ellipsoid slab width exhausted",
-                                 violation=last_violation)
+            if eigs[0] <= half2:
+                return None
             log_det = float(np.sum(np.log(eigs)))
     raise IterationBudgetExceeded("ellipsoid budget exhausted without a verdict")
+
+
+def _ellipsoid_scaling(points, delta, mults, radius, budget):
+    """Central-cut ellipsoid over the c^2 variables inside [1, radius]^n.
+
+    Expects unit-norm rows.  Returns certified weights, or raises Infeasible
+    when the ellipsoid collapses below the box of side ~ delta/(4k) that a
+    feasible region contains around a scaled solution, or
+    IterationBudgetExceeded.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n, k = pts.shape
+    m = np.asarray(mults, dtype=np.float64)
+    M = m.sum()
+    last_violation = None
+
+    def cut(center):
+        nonlocal last_violation
+        viol = separation_oracle(pts, ScalingWeights(center.copy(), delta), mults=m)
+        if viol is None:
+            return None
+        last_violation = viol
+        proj = pts @ viol.witness
+        a = -((k + delta) / M) * m * proj * proj
+        a[viol.point_index] += proj[viol.point_index] ** 2
+        return a
+
+    center = central_cut(cut, np.full(n, 0.5 * (1.0 + radius)),
+                         0.5 * (radius - 1.0) * math.sqrt(n) + 1.0, 1.0, radius,
+                         max(delta, 1e-12) / (4.0 * k), budget)
+    if center is None:
+        raise Infeasible("ellipsoid volume exhausted", violation=last_violation)
+    return ScalingWeights(_normalized(center), delta)
 
 
 def solve_scaling_sdp(points, delta, mults=None, fp_budget=4000):

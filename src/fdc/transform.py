@@ -19,23 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PointSet
+from . import exact
+from .dataset import PointSet, as_point_array
 from .errors import (
-    EmptyInput,
     Infeasible,
     InternalInvariantViolated,
     IterationBudgetExceeded,
     SingularTransform,
     ZeroPoint,
 )
-from .heavy import (
-    HeavySubspaceResult,
-    _canonical_best,
-    _dirs_with_mult,
-    _result_from_mask,
-    _verified_candidates,
-    find_heavy_subspace,
-)
+from .heavy import HeavySubspaceResult, find_heavy_subspace, hunt_heavy_subspace
 from .linalg import Subspace, inv_sqrt_psd, jacobi_eigh, span_of
 from .scaling import (
     ScalingWeights,
@@ -121,20 +114,13 @@ def _scale_first_step(dirs, mult, k, coords, delta, budget):
     subspace in the iteration's eigenstructure.  Returns ("weights", w) or
     ("heavy", HeavySubspaceResult) or ("stuck", None)."""
     snapshots = []
-
-    def hook(t, c, sigma):
-        snapshots.append((t, c, sigma))
-
     w = fixed_point_scaling(coords, delta, max_iters=budget, mults=mult,
-                            snapshot_hook=hook)
+                            snapshot_hook=lambda *snap: snapshots.append(snap))
     if w is not None:
         return "weights", w
-    flats = _verified_candidates(dirs, mult, k, coords, snapshots, threshold=1)
-    best = _canonical_best(flats, np.arange(dirs.shape[0]), threshold=1)
-    if best is not None:
-        _, _, mask, members = best
-        return "heavy", _result_from_mask(dirs, mask, members)
-    return "stuck", None
+    hs = hunt_heavy_subspace(dirs, mult, k, coords, snapshots, 1,
+                             np.arange(dirs.shape[0]))
+    return ("stuck", None) if hs is None else ("heavy", hs)
 
 
 def _chain_to_solvable(dirs, mult, delta):
@@ -184,7 +170,7 @@ def _expand_weights(member_pts, member_dir_pos, pooled_c_sq):
     """Per-point weights from pooled per-direction weights: points are
     g * (+-direction), and c^2(x) = c_dir^2 / g^2 keeps every constraint
     matrix c^2(x) x x^T identical to the pooled one."""
-    g = np.gcd.reduce(np.abs(member_pts), axis=1).astype(np.float64)
+    g = exact.primitive_rows(member_pts)[1].astype(np.float64)
     c = pooled_c_sq[member_dir_pos] / (g * g)
     return c / c.min()
 
@@ -202,7 +188,7 @@ def forster_transform(point_set, delta, counts=None):
     ``counts`` treats row i as appearing counts[i] times (a compressed
     multiset); all fractions and second moments are weighted accordingly.
     """
-    pts = _as_points(point_set)
+    pts = as_point_array(point_set)
     last_err = None
     for attempt, (d_eff, scale) in enumerate(((delta, 1), (delta / 2.0, 2))):
         try:
@@ -213,19 +199,11 @@ def forster_transform(point_set, delta, counts=None):
     raise last_err
 
 
-def _as_points(point_set):
-    pts = getattr(point_set, "points", point_set)
-    pts = np.asarray(pts, dtype=np.int64)
-    if pts.shape[0] == 0:
-        raise EmptyInput("transform of empty point set")
-    return pts
-
-
 def _forster_transform_once(pts, delta_report, delta_solve, budget_scale=1,
                             counts=None):
     n = pts.shape[0]
     ambient_rank = span_of(pts).dim
-    dirs, mult, inverse = _dirs_with_mult(pts)
+    dirs, mult, inverse = exact.directions(pts)
     if counts is not None:
         weighted = np.zeros(dirs.shape[0], dtype=np.int64)
         np.add.at(weighted, inverse, np.asarray(counts, dtype=np.int64))
@@ -322,7 +300,7 @@ def verify_piece(piece, point_set):
     delta + 1e-8.  Uses LAPACK end to end, independent of the Jacobi-based
     construction path.
     """
-    pts = _as_points(point_set)
+    pts = as_point_array(point_set)
     members = np.asarray(piece.member_indices, dtype=np.int64)
     V = piece.subspace
     k = V.dim

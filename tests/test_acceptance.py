@@ -17,6 +17,7 @@ from fdc.harness import (
     bit_independence_study,
     brute_force_heavy_subspace,
     general_position_model,
+    lp_heavy_subspace,
     run_learning_trial,
 )
 from fdc.heavy import find_heavy_subspace
@@ -145,7 +146,7 @@ def test_criterion_2_heavy_subspace_exactness():
             assert len(auto.member_indices) * k >= auto.subspace.dim * len(pts)
         # cutting-plane engine coherence on a bounded subsample
         if idx % 25 == 0 and len(pts) <= 8 and span_of(pts).dim == pts.shape[1]:
-            lp = find_heavy_subspace(pts, engine="lp")
+            lp = lp_heavy_subspace(pts)
             assert lp.found == auto.found, f"LP engine disagrees on instance {idx}"
             lp_checked += 1
     _report(

@@ -101,6 +101,26 @@ def test_coordinate_outside_int64_exits_2(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb, doc, line", [
+    ("decompose", {"points": [[1.5, 2], [3, 4.9]]}, 1),
+    ("learn", {"points": [[1.5, 2], [3, 4.9]], "labels": [1, -1]}, 1),
+    ("learn", {"points": [[1, 2], [3, 4]], "labels": [1.0, -1.7]}, 1),
+    ("learn", {"points": [[1, 2], [3, 4]], "labels": [1, 2 ** 70]}, 2),
+])
+def test_malformed_json_exits_2(tmp_path, capsys, verb, doc, line):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(doc))
+    args = {
+        "decompose": ["decompose", "--input", str(data), "--delta", "1e-3"],
+        "learn": ["learn", "--train-oracle", str(data), "--eta", "0.1",
+                  "--eps", "0.2", "--delta", "0.2", "--seed", "1"],
+    }[verb]
+    assert run(args + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err
+    assert "Traceback" not in err
+
+
 class TestLearnEval:
     def test_learn_then_eval(self, tmp_path):
         train = tmp_path / "train.csv"

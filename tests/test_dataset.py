@@ -18,7 +18,7 @@ from fdc.dataset import (
     sign_pm1,
 )
 from fdc.errors import NonInteger, ParseError, ZeroPoint
-from fdc.learner import canonicalize
+from fdc.exact import primitive_rows
 
 
 class TestPointSet:
@@ -99,6 +99,34 @@ class TestLoaders:
             line = 2  # the record's 1-based position
         with pytest.raises(ParseError, match="int64") as ei:
             (load_labeled if labeled else load_points)(p)
+        assert ei.value.line == line
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("points, error, line", [
+        ([[1.5, 2], [3, 4.9]], NonInteger, 1),
+        ([[1, 2], [3, 4.0]], NonInteger, 2),
+        ([[1, 2], [0, 0]], ZeroPoint, 2),
+        ([[1, 2], [3]], ParseError, 2),
+        ([], ParseError, None),
+    ])
+    def test_json_points_validated(self, tmp_path, labeled, points, error, line):
+        p = tmp_path / "pts.json"
+        doc = {"points": points}
+        if labeled:
+            doc["labels"] = [1, -1]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(error) as ei:
+            (load_labeled if labeled else load_points)(p)
+        assert ei.value.line == line
+
+    @pytest.mark.parametrize("labels, line", [
+        ([1.0, -1.7], 1), ([1, 2], 2), ([1, 2 ** 70], 2), ([1, True], 2),
+    ])
+    def test_json_label_must_be_plus_or_minus_one(self, tmp_path, labels, line):
+        p = tmp_path / "data.json"
+        p.write_text(json.dumps({"points": [[1, 2], [3, 4]], "labels": labels}))
+        with pytest.raises(ParseError, match="label") as ei:
+            load_labeled(p)
         assert ei.value.line == line
 
     def test_csv_ragged_row(self, tmp_path):
@@ -193,7 +221,7 @@ class TestHardInstance:
         m16, d16 = gen_hard_instance(10, 80, 16, 0.2, seed=3)
         m48, d48 = gen_hard_instance(10, 80, 48, 0.2, seed=3)
         np.testing.assert_array_equal(
-            canonicalize(d16.base.points), canonicalize(d48.base.points)
+            primitive_rows(d16.base.points)[0], primitive_rows(d48.base.points)[0]
         )
         np.testing.assert_array_equal(d16.labels, d48.labels)
         np.testing.assert_array_equal(m16.w_star, m48.w_star)

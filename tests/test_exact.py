@@ -1,15 +1,18 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdc.errors import EmptyInput
 from fdc.exact import (
     IntSpan,
+    directions,
     exact_pivot_indices,
     exact_rank,
     membership_mask,
-    primitive_row,
+    primitive_rows,
     span_of_rows,
 )
 from fdc.linalg import span_of
@@ -17,11 +20,50 @@ from tests.conftest import seeded_points
 
 
 def test_primitive_row():
-    assert primitive_row((4, -8, 12)) == (1, -2, 3)
-    assert primitive_row((-3, 0, 6), keep_sign=False) == (1, 0, -2)
-    assert primitive_row((5,)) == (1,)
+    P, g = primitive_rows(np.array([[4, -8, 12], [-3, 0, 6]]))
+    np.testing.assert_array_equal(P, [[1, -2, 3], [-1, 0, 2]])
+    np.testing.assert_array_equal(g, [4, 3])
+    np.testing.assert_array_equal(directions(np.array([[-3, 0, 6]]))[0], [[1, 0, -2]])
+    np.testing.assert_array_equal(primitive_rows(np.array([[5]]))[0], [[1]])
     with pytest.raises(EmptyInput):
-        primitive_row((0, 0))
+        primitive_rows(np.array([[1, 2], [0, 0]]))
+
+
+def _pooled(rows):
+    """Plain-Python pooling: primitive direction, sign flipped so the first
+    nonzero entry is positive, directions in order of first occurrence."""
+    dirs, mult, inverse = [], [], []
+    for row in rows:
+        g = 0
+        for v in row:
+            g = math.gcd(g, v)
+        p = tuple(v // g for v in row)
+        if next(v for v in p if v) < 0:
+            p = tuple(-v for v in p)
+        if p not in dirs:
+            dirs.append(p)
+            mult.append(0)
+        mult[dirs.index(p)] += 1
+        inverse.append(dirs.index(p))
+    return dirs, mult, inverse
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=d, max_size=d).filter(any),
+             min_size=1, max_size=5),
+    st.lists(st.tuples(st.integers(0, 4), st.integers(-4, 4).filter(bool)),
+             min_size=1, max_size=25),
+)))
+def test_directions_match_python_pooling(case):
+    # rows are scaled and negated copies of a few base rows
+    base, picks = case
+    rows = [[s * v for v in base[i % len(base)]] for i, s in picks]
+    dirs, mult, inverse = directions(np.array(rows, dtype=np.int64))
+    want_dirs, want_mult, want_inverse = _pooled(rows)
+    assert [tuple(int(v) for v in r) for r in dirs] == want_dirs
+    assert mult.tolist() == want_mult
+    assert inverse.tolist() == want_inverse
 
 
 def test_int_span_incremental():

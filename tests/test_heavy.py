@@ -5,14 +5,15 @@ import pytest
 
 from fdc.errors import RankDeficient
 from fdc.exact import exact_rank
-from fdc.harness import brute_force_heavy_subspace
-from fdc.heavy import (
+from fdc.harness import (
+    brute_force_heavy_subspace,
     extract_subspace,
-    find_heavy_subspace,
     lp_feasible,
+    lp_heavy_subspace,
     max_weight_basis,
     pair_swap_search,
 )
+from fdc.heavy import find_heavy_subspace
 from tests.conftest import seeded_points
 
 
@@ -132,7 +133,7 @@ class TestFindHeavySubspace:
             if exact_rank([tuple(x) for x in pts]) < 3:
                 continue
             auto = find_heavy_subspace(pts)
-            lp = find_heavy_subspace(pts, engine="lp")
+            lp = lp_heavy_subspace(pts)
             assert auto.found == lp.found
 
     def test_matches_brute_force(self):
@@ -183,5 +184,5 @@ class TestPairSwap:
             if exact_rank([tuple(x) for x in pts]) < 2:
                 continue
             auto = find_heavy_subspace(pts)
-            lp_full = find_heavy_subspace(pts, engine="lp")
+            lp_full = lp_heavy_subspace(pts)
             assert auto.found == lp_full.found

@@ -11,13 +11,13 @@ from fdc.dataset import (
     sign_pm1,
 )
 from fdc.errors import CoverageFailure, DegenerateSecondMoment
+from fdc.exact import primitive_rows
 from fdc.harness import general_position_model
 from fdc.learner import (
     LearnerConfig,
     ModelOracle,
     PartialClassifier,
     Stage,
-    canonicalize,
     classifier_from_dict,
     classifier_to_dict,
     evaluate_classifier,
@@ -32,7 +32,7 @@ from fdc.transform import forster_transform, mapped_unit_rows
 class TestCanonicalize:
     def test_gcd_stripped_sign_kept(self):
         X = np.array([[4, -8], [-6, -9], [1, 0]])
-        np.testing.assert_array_equal(canonicalize(X), [[1, -2], [-2, -3], [1, 0]])
+        np.testing.assert_array_equal(primitive_rows(X)[0], [[1, -2], [-2, -3], [1, 0]])
 
 
 class TestOutlierBound:
@@ -103,8 +103,8 @@ class TestWeakLearner:
     def _mapped_massart(self, dim, n, eta, seed, n_support=150):
         model = general_position_model(dim, n_support, eta, seed)
         ds = massart_draw(model, n, seed)
-        piece = forster_transform(PointSet(dim, canonicalize(ds.base.points)), 0.25)
-        coords = canonicalize(ds.base.points).astype(float) @ piece.subspace.basis
+        piece = forster_transform(PointSet(dim, primitive_rows(ds.base.points)[0]), 0.25)
+        coords = primitive_rows(ds.base.points)[0].astype(float) @ piece.subspace.basis
         F = mapped_unit_rows(piece.transform, coords)
         return F, ds.labels, model, piece
 
@@ -142,7 +142,7 @@ class TestWeakLearner:
         # same stage up to float summation order.
         model = general_position_model(4, 40, 0.2, seed=13)
         ds = massart_draw(model, 30_000, seed=14)
-        X = canonicalize(ds.base.points)
+        X = primitive_rows(ds.base.points)[0]
         piece = forster_transform(PointSet(4, X), 0.25)
         distinct, rows = np.unique(X, axis=0, return_inverse=True)
         rows = rows.reshape(-1)
@@ -172,7 +172,7 @@ class TestLearnHalfspace:
         model = general_position_model(2, 120, 0.0, seed=21)
         config = LearnerConfig(eta=0.0, eps=0.1, delta=0.2, C=8)
         oracle = ModelOracle(model, seed=77)
-        clf, telemetry = learn_halfspace(oracle, config, seed=77, dim=2)
+        clf, telemetry = learn_halfspace(oracle, config, dim=2)
         test = massart_draw(model, 100_000, seed=12345)
         report = evaluate_classifier(clf, test)
         assert report.total_error <= 0.1
@@ -183,7 +183,7 @@ class TestLearnHalfspace:
         model = MassartModel(w, 0.0, EtaSpec("constant", value=0.0),
                              MarginalSpec("uniform", support=support))
         config = LearnerConfig(eta=0.0, eps=0.2, delta=0.2, C=4)
-        clf, telemetry = learn_halfspace(ModelOracle(model, seed=5), config, seed=5, dim=3)
+        clf, telemetry = learn_halfspace(ModelOracle(model, seed=5), config, dim=3)
         stage_iters = [t for t in telemetry if "stage" in t]
         assert len(stage_iters) == 1
         assert clf.stages[0].subspace.dim == 1
@@ -195,7 +195,7 @@ class TestLearnHalfspace:
     def test_noisy_moderate_dim(self):
         model = general_position_model(4, 200, 0.15, seed=31)
         config = LearnerConfig(eta=0.15, eps=0.1, delta=0.2, C=16)
-        clf, _ = learn_halfspace(ModelOracle(model, seed=8), config, seed=8, dim=4)
+        clf, _ = learn_halfspace(ModelOracle(model, seed=8), config, dim=4)
         test = massart_draw(model, 50_000, seed=54321)
         report = evaluate_classifier(clf, test)
         assert report.total_error <= 0.15 + 0.1 + 0.02
@@ -221,7 +221,7 @@ class TestLearnHalfspace:
         oracle = ModelOracle(model, seed=3)
         assert oracle.support is None
         config = LearnerConfig(eta=0.2, eps=0.1, delta=0.2, C=4)
-        clf, telemetry = learn_halfspace(oracle, config, seed=3, dim=3)
+        clf, telemetry = learn_halfspace(oracle, config, dim=3)
         assert oracle.count == 128_732
         assert len(clf.stages) == 1
         assert clf.stages[0].threshold == 0.0
@@ -234,8 +234,7 @@ class TestLearnHalfspace:
         # beyond the 2*(eps/6) sampling slack
         model = general_position_model(6, 250, 0.2, seed=61)
         config = LearnerConfig(eta=0.2, eps=0.1, delta=0.2, C=16)
-        _, telemetry = learn_halfspace(ModelOracle(model, seed=17), config,
-                                       seed=17, dim=6)
+        _, telemetry = learn_halfspace(ModelOracle(model, seed=17), config, dim=6)
         uncovered = [t["uncovered"] for t in telemetry]
         for prev, cur in zip(uncovered, uncovered[1:]):
             assert cur <= prev + 2 * (config.eps / 6.0)
@@ -248,8 +247,8 @@ class TestLearnHalfspace:
         for i in range(trials):
             model = general_position_model(5, 150, eta, seed=1000 + i)
             ds = massart_draw(model, 24_000, seed=2000 + i)
-            piece = forster_transform(PointSet(5, canonicalize(ds.base.points)), 0.25)
-            coords = canonicalize(ds.base.points).astype(float) @ piece.subspace.basis
+            piece = forster_transform(PointSet(5, primitive_rows(ds.base.points)[0]), 0.25)
+            coords = primitive_rows(ds.base.points)[0].astype(float) @ piece.subspace.basis
             F = mapped_unit_rows(piece.transform, coords)
             res = weak_partial_learner(F[:16_000], np.arange(16_000), ds.labels[:16_000],
                                        eta, eps_prime)
@@ -276,7 +275,7 @@ class TestIterationCap:
         model = general_position_model(2, 50, 0.1, seed=2)
         config = ZeroCapConfig(eta=0.1, eps=0.2, delta=0.2, C=4)
         with pytest.raises(IterationCapExceeded):
-            learn_halfspace(ModelOracle(model, seed=1), config, seed=1, dim=2)
+            learn_halfspace(ModelOracle(model, seed=1), config, dim=2)
 
 
 class TestEvaluate:
@@ -300,7 +299,7 @@ class TestEvaluate:
 def test_classifier_json_roundtrip():
     model = general_position_model(2, 100, 0.1, seed=3)
     config = LearnerConfig(eta=0.1, eps=0.15, delta=0.2, C=8)
-    clf, telemetry = learn_halfspace(ModelOracle(model, seed=11), config, seed=11, dim=2)
+    clf, telemetry = learn_halfspace(ModelOracle(model, seed=11), config, dim=2)
     doc = classifier_to_dict(clf, config=config, telemetry=telemetry)
     back = classifier_from_dict(doc)
     X = massart_draw(model, 3000, seed=77).base.points

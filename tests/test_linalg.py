@@ -8,7 +8,6 @@ from fdc.linalg import (
     inv_sqrt_psd,
     jacobi_eigh,
     span_of,
-    spectral_norm_sym,
     sym_eigen,
 )
 
@@ -137,6 +136,3 @@ class TestSpanOf:
         with pytest.raises(ValueError):
             Subspace(2, np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-
-def test_spectral_norm_sym():
-    assert spectral_norm_sym(np.diag([3.0, -7.0])) == pytest.approx(7.0)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fdc.errors import Infeasible
+from fdc.errors import Infeasible, IterationBudgetExceeded
 from fdc.scaling import (
     ScalingWeights,
+    central_cut,
     fixed_point_scaling,
     recheck_certificate,
     separation_oracle,
@@ -14,6 +15,36 @@ from tests.conftest import seeded_points
 
 FOUR_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 HAND_SOLUTION = np.array([2.0, 2.0, 1.0, 1.0])  # closed-form by symmetry
+
+
+class TestCentralCut:
+    @staticmethod
+    def _halfplanes(lo0, hi0, hi1):
+        """Cut oracle for {x0 >= lo0, x0 <= hi0, x1 <= hi1}."""
+        def cut(c):
+            for i, sign, bound in ((0, -1.0, -lo0), (0, 1.0, hi0), (1, 1.0, hi1)):
+                if sign * c[i] > bound:
+                    return sign * np.eye(2)[i]
+            return None
+        return cut
+
+    def test_feasible_box_returns_a_center_inside_it(self):
+        cut = self._halfplanes(0.6, 1.0, 0.3)   # the box [0.6, 1] x [0, 0.3]
+        c = central_cut(cut, np.full(2, 0.5), 0.5 * np.sqrt(2), 0.0, 1.0, 0.1, 1000)
+        assert c is not None
+        assert 0.6 <= c[0] <= 1.0 and 0.0 <= c[1] <= 0.3
+
+    def test_empty_region_returns_none(self):
+        cut = self._halfplanes(0.6, 0.4, 1.0)   # x0 >= 0.6 and x0 <= 0.4
+        # Every cut is along x0, so the slab verdict comes within 12 steps,
+        # well before the volume verdict would.
+        assert central_cut(cut, np.full(2, 0.5), 0.5 * np.sqrt(2), 0.0, 1.0, 0.1,
+                           12) is None
+
+    def test_budget_exhausted_raises(self):
+        cut = self._halfplanes(0.6, 1.0, 0.3)
+        with pytest.raises(IterationBudgetExceeded):
+            central_cut(cut, np.full(2, 0.5), 0.5 * np.sqrt(2), 0.0, 1.0, 0.1, 1)
 
 
 class TestSeparationOracle:
