@@ -383,16 +383,32 @@ def _rows_to_array(rows, labeled):
     return X, (np.array(labels, dtype=np.int64) if labeled else None)
 
 
+def _json_list(doc, key):
+    value = doc.get(key)
+    if not isinstance(value, list):
+        raise ParseError(f'"{key}" must be a list' if key in doc else f'no "{key}" list')
+    return value
+
+
 def _json_to_arrays(path, labeled):
     """(X, y, dim) from a JSON document {"dim": d, "points": [[...], ...],
     "labels": [...]}, validated as strictly as a CSV file; a record's 1-based
-    position stands for its line."""
+    position stands for its line.  A document that is not valid JSON, or not
+    of this shape, raises ParseError."""
     with open(path) as fh:
-        doc = json.load(fh)
-    pts = doc["points"]
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or a non-UTF-8 byte
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                             line=getattr(exc, "lineno", None)) from None
+    if not isinstance(doc, dict):
+        raise ParseError('the JSON document must be an object with a "points" list')
+    pts = _json_list(doc, "points")
     if not pts:
         raise ParseError("no data rows")
     for i, row in enumerate(pts, start=1):
+        if not isinstance(row, list):
+            raise ParseError(f"a point must be a list of coordinates, got {row!r}", line=i)
         if len(row) != len(pts[0]):
             raise ParseError(f"expected {len(pts[0])} columns, got {len(row)}", line=i)
         for v in row:
@@ -402,12 +418,16 @@ def _json_to_arrays(path, labeled):
             raise ZeroPoint(line=i)
     y = None
     if labeled:
-        for i, v in enumerate(doc["labels"], start=1):
+        labels = _json_list(doc, "labels")
+        for i, v in enumerate(labels, start=1):
             if type(v) is not int or v not in (-1, 1):
                 raise ParseError(f"label must be -1 or 1, got {v!r}", line=i)
-        y = np.array(doc["labels"], dtype=np.int64)
+        y = np.array(labels, dtype=np.int64)
     X = _int64_array(pts)
-    return X, y, int(doc.get("dim", X.shape[1]))
+    dim = doc.get("dim", X.shape[1])
+    if type(dim) is not int:
+        raise ParseError(f'"dim" must be an integer, got {dim!r}')
+    return X, y, dim
 
 
 def load_points(path, format=None):

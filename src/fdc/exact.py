@@ -3,8 +3,12 @@
 All decision-critical geometry (heavy-subspace counts, piece membership,
 classifier stage locality) is computed over the raw integer coordinates with
 fraction-free elimination, so decisions are unaffected by floating-point
-round-off.  Python's arbitrary-precision ints carry the intermediate growth
-(entries stay small after per-row gcd reduction; dimensions here are <= ~20).
+round-off.  A subspace W is held as an integer basis of its orthogonal
+complement, so membership of a whole point array is one product perp . X
+tested for zero: in int64 when no partial sum can overflow, else through a
+float prefilter and Python ints.  Python's arbitrary-precision ints carry the
+intermediate growth (entries stay the size of W's minors after per-row gcd
+reduction; dimensions here are <= ~20).
 """
 
 import math
@@ -77,45 +81,108 @@ def directions(X):
     return uniq[order], mult[order].astype(np.int64), rank[inverse].astype(np.int64)
 
 
-class IntSpan:
-    """Incrementally built integer row space with exact membership tests.
+def extend_perp(perp, x):
+    """One fraction-free elimination step on a complement basis.
 
-    Maintains a fraction-free row-echelon form.  ``contains(x)`` tests
-    membership; ``add(x)`` inserts x and reports whether it extended the span.
-    Rows are gcd-reduced after every elimination step to keep entries small.
+    ``perp`` lists integer rows spanning W^perp for a subspace W of Q^d.
+    Returns rows spanning (W + span(x))^perp, one fewer, or None when x
+    already lies in W (every row annihilates it).  With y = perp . x and a
+    pivot j where y_j != 0 (the least |y_j|), each row i becomes
+    (y_j/g) row_i - (y_i/g) row_j, g = gcd(y_i, y_j), and is divided by the
+    gcd of its entries; the pivot row drops out.  The entries stay about the
+    size of W's minors: r generators of b bits give (b r)-bit entries
+    (measured for d = 10 and b up to 47).
+    """
+    y = [sum(a * b for a, b in zip(row, x)) for row in perp]
+    live = [i for i, v in enumerate(y) if v]
+    if not live:
+        return None
+    j = min(live, key=lambda i: abs(y[i]))
+    yj, rj = y[j], perp[j]
+    out = []
+    for i, row in enumerate(perp):
+        if i == j:
+            continue
+        if y[i]:
+            g = math.gcd(y[i], yj)
+            a, b = yj // g, y[i] // g
+            row = [a * u - b * v for u, v in zip(row, rj)]
+            g = row_gcd(row)
+            if g > 1:
+                row = [v // g for v in row]
+        out.append(row)
+    return out
+
+
+INT64_LIMIT = 2 ** 63
+
+
+def annihilated(perp, X):
+    """Mask of the rows x of an integer array X with perp . x == 0 exactly,
+    i.e. of the points in the subspace whose complement ``perp`` spans.
+
+    When d * max|perp| * max|X| < 2^63 no partial sum can overflow, and the
+    product runs in int64.  Otherwise a float product prefilters: with each
+    row of perp scaled into [-1, 1], a member's float residual is round-off,
+    below 1e-12 of |perp| . |x|, so only rows inside that band are converted
+    to Python ints and multiplied exactly.
+    """
+    X = np.asarray(X)
+    n, d = X.shape
+    if not perp or n == 0:
+        return np.full(n, not perp, dtype=bool)
+    pmax = max(abs(v) for row in perp for v in row)
+    xmax = max(-int(X.min()), int(X.max()))
+    if d * pmax * xmax < INT64_LIMIT:
+        return ~(X @ np.array(perp, dtype=np.int64).T).any(axis=1)
+    # int / int rounds correctly however large the ints are.
+    pf = np.array([[v / (1 << max(abs(u) for u in row).bit_length()) for v in row]
+                   for row in perp])
+    xf = X.astype(np.float64)
+    resid = np.abs(xf @ pf.T)
+    band = np.abs(xf, out=xf) @ np.abs(pf).T
+    band *= 1e-12
+    band += 1e-290
+    cand = np.nonzero((resid <= band).all(axis=1))[0]
+    mask = np.zeros(n, dtype=bool)
+    if cand.size:
+        exact_rows = np.array(as_int_rows(X[cand]), dtype=object)
+        prod = exact_rows @ np.array(perp, dtype=object).T
+        mask[cand] = ~(prod != 0).any(axis=1)
+    return mask
+
+
+class IntSpan:
+    """Incrementally built integer subspace W of Q^dim with exact membership.
+
+    Held as ``perp``, integer rows spanning W^perp (the identity while W is
+    zero), so x lies in W iff perp . x == 0: ``contains(x)`` tests one point,
+    ``members(X)`` every row of an array at once (``annihilated``), and
+    ``add(x)`` extends W by x with one ``extend_perp`` step and reports
+    whether it grew.
     """
 
     def __init__(self, dim):
         self.dim = dim
-        self.rows = []        # echelon rows (lists of int)
-        self.pivots = []      # pivot column per row
+        self.perp = [[int(i == j) for j in range(dim)] for i in range(dim)]
 
     @property
     def rank(self):
-        return len(self.rows)
-
-    def _reduce(self, x):
-        x = [int(v) for v in x]
-        for row, p in zip(self.rows, self.pivots):
-            if x[p] != 0:
-                a, b = row[p], x[p]
-                x = [xi * a - ri * b for xi, ri in zip(x, row)]
-                g = row_gcd(x)
-                if g > 1:
-                    x = [v // g for v in x]
-        return x
+        return self.dim - len(self.perp)
 
     def contains(self, x):
-        return all(v == 0 for v in self._reduce(x))
+        x = [int(v) for v in x]
+        return not any(sum(a * b for a, b in zip(row, x)) for row in self.perp)
+
+    def members(self, X):
+        return annihilated(self.perp, X)
 
     def add(self, x):
-        r = self._reduce(x)
-        for p in range(self.dim):
-            if r[p] != 0:
-                self.rows.append(r)
-                self.pivots.append(p)
-                return True
-        return False
+        perp = extend_perp(self.perp, [int(v) for v in x])
+        if perp is None:
+            return False
+        self.perp = perp
+        return True
 
 
 def exact_rank(rows, dim=None):
@@ -152,30 +219,8 @@ def span_of_rows(rows, dim=None):
     return span
 
 
-def membership_mask(basis_rows, points, ortho_basis=None):
-    """Exact membership of every point in span(basis_rows).
-
-    A float orthogonal-projection prefilter (when ``ortho_basis``, a (d, r)
-    column-orthonormal array, is supplied) rejects points whose relative
-    residual exceeds 1e-2; true members have residual at machine level because
-    the projector is built from an orthonormal Q, so the prefilter cannot
-    mis-reject.  Points passing the prefilter, and only those, are converted to
-    Python ints and confirmed exactly.
-    """
+def membership_mask(basis_rows, points):
+    """Exact membership of every point (rows of an integer array) in
+    span(basis_rows)."""
     pts = np.asarray(points)
-    n = pts.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    span = span_of_rows(basis_rows, dim=pts.shape[1])
-    if ortho_basis is not None and n > 0:
-        x = pts.astype(np.float64)
-        proj = x @ ortho_basis @ ortho_basis.T
-        resid = np.linalg.norm(x - proj, axis=1)
-        norms = np.linalg.norm(x, axis=1)
-        candidates = np.nonzero(resid <= 1e-2 * np.maximum(norms, 1.0))[0]
-    else:
-        candidates = np.arange(n)
-    if candidates.size:
-        for i, row in zip(candidates, as_int_rows(pts[candidates])):
-            if span.contains(row):
-                mask[i] = True
-    return mask
+    return span_of_rows(basis_rows, dim=pts.shape[1]).members(pts)

@@ -248,7 +248,7 @@ def lp_feasible(points, subspace_dim, margin=None, budget=None):
 
 
 def _members(W, pts):
-    mask = exact.membership_mask(W.int_rows, pts, ortho_basis=W.basis)
+    mask = exact.membership_mask(W.int_rows, pts)
     return [int(i) for i in np.nonzero(mask)[0]]
 
 

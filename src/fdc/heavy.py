@@ -17,7 +17,6 @@ unchanged.
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -52,26 +51,36 @@ def _enum_combo_count(nu, k):
 
 def _enumerate_flats(dirs, mult, k):
     """All proper flats spanned by direction subsets, as
-    (excess, dim, member_mask) with excess = k*count - M*dim; deduplicated."""
+    (excess, dim, member_mask) with excess = k*count - M*dim; deduplicated.
+
+    Subsets grow depth first, one direction at a time, each extending its
+    prefix's complement basis by one elimination step; a direction already
+    in the prefix's span makes the subset (and every superset) dependent,
+    and its flat appears at a smaller size."""
     nu = dirs.shape[0]
     M = int(mult.sum())
     rows = exact.as_int_rows(dirs)
     seen = set()
     out = []
-    for size in range(1, min(k - 1, nu) + 1):
-        for comb in combinations(range(nu), size):
-            span = exact.IntSpan(dirs.shape[1])
-            for i in comb:
-                span.add(rows[i])
-            if span.rank < size:
-                continue  # dependent subset; its flat appears at a smaller size
-            mask = np.fromiter((span.contains(r) for r in rows), dtype=bool, count=nu)
-            key = mask.tobytes()
-            if key in seen:
-                continue
+    # One (prefix complement, next direction to try) entry per subset size.
+    stack = [(exact.IntSpan(dirs.shape[1]).perp, 0)]
+    while stack:
+        perp, i = stack[-1]
+        if i == nu:
+            stack.pop()
+            continue
+        stack[-1] = (perp, i + 1)
+        sub = exact.extend_perp(perp, rows[i])
+        if sub is None:
+            continue
+        size = len(stack)
+        mask = exact.annihilated(sub, dirs)
+        key = mask.tobytes()
+        if key not in seen:
             seen.add(key)
-            cnt = int(mult[mask].sum())
-            out.append((k * cnt - M * span.rank, span.rank, mask))
+            out.append((k * int(mult[mask].sum()) - M * size, size, mask))
+        if size < k - 1:
+            stack.append((sub, i + 1))
     return out
 
 
@@ -129,21 +138,21 @@ def _verified_candidates(dirs, mult, k, coords, snapshots, threshold):
     dynamics' eigenstructure plus per-direction multiplicity rays."""
     nu = dirs.shape[0]
     M = int(mult.sum())
-    rows = exact.as_int_rows(dirs)
     norms = np.linalg.norm(coords, axis=1)
     unit = coords / norms[:, None]
     seen = set()
     flats = []
 
     def consider(sel_idx):
-        if not (1 <= len(sel_idx)):
-            return
         span = exact.IntSpan(dirs.shape[1])
-        for i in sel_idx:
-            span.add(rows[i])
-        if not (1 <= span.rank <= k - 1):
-            return
-        mask = np.fromiter((span.contains(r) for r in rows), dtype=bool, count=nu)
+        rest = dirs[sel_idx]
+        while rest.shape[0]:
+            # The first selected direction outside the span so far.
+            span.add(rest[0])
+            if span.rank == k:
+                return
+            rest = rest[~span.members(rest)]
+        mask = span.members(dirs)
         key = mask.tobytes()
         if key in seen:
             return
@@ -157,15 +166,18 @@ def _verified_candidates(dirs, mult, k, coords, snapshots, threshold):
     for i in range(nu):
         if k * int(mult[i]) - M >= threshold:
             consider([i])
-    for _, _, sigma in snapshots[-12:]:
-        eigvals, eigvecs = jacobi_eigh(sigma)
-        for j in range(1, k):
-            U = eigvecs[:, :j]
-            resid = np.linalg.norm(unit - (unit @ U) @ U.T, axis=1)
-            for theta in (1e-9, 1e-6, 1e-3, 3e-2):
-                sel = np.nonzero(resid <= theta)[0]
-                if 1 <= sel.size <= max(4 * M, 64):
-                    consider(list(sel))
+    # One batched eigendecomposition for the snapshots' moment matrices.
+    recent = snapshots[-12:]
+    if recent:
+        _, frames = jacobi_eigh(np.array([sigma for _, _, sigma in recent]))
+        for eigvecs in frames:
+            for j in range(1, k):
+                U = eigvecs[:, :j]
+                resid = np.linalg.norm(unit - (unit @ U) @ U.T, axis=1)
+                for theta in (1e-9, 1e-6, 1e-3, 3e-2):
+                    sel = np.nonzero(resid <= theta)[0]
+                    if 1 <= sel.size <= max(4 * M, 64):
+                        consider(sel)
     return flats
 
 

@@ -123,9 +123,7 @@ class PartialClassifier:
             if stage.subspace.dim == d:
                 member = np.ones(idx.size, dtype=bool)
             else:
-                member = membership_mask(
-                    stage.subspace.int_rows, Xi, ortho_basis=stage.subspace.basis
-                )
+                member = membership_mask(stage.subspace.int_rows, Xi)
             imgs = Xi.astype(np.float64) @ stage.ambient_map.T
             norms = np.linalg.norm(imgs, axis=1)
             scores = imgs @ stage.w
@@ -481,7 +479,7 @@ def learn_halfspace(oracle, config, dim):
         }
 
         def in_V(X):
-            return membership_mask(V.int_rows, primitive_rows(X)[0], ortho_basis=V.basis)
+            return membership_mask(V.int_rows, primitive_rows(X)[0])
 
         # Weak pool, compressed: distinct canonical rows, a per-draw index
         # into them, and the per-draw labels.  Support rows that share a

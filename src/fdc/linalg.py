@@ -1,8 +1,9 @@
 """Deterministic dense linear algebra kernel.
 
-Symmetric eigendecomposition is a cyclic Jacobi iteration (vectorized over a
-batch axis) rather than LAPACK: certificates must reproduce bit-for-bit across
-runs, and Jacobi has no pivoting heuristics or threading nondeterminism.  The
+Symmetric eigendecomposition is a Jacobi iteration in round-robin order
+(vectorized over the disjoint pairs of each round and over a batch axis)
+rather than LAPACK: certificates must reproduce bit-for-bit across runs, and
+Jacobi has no pivoting heuristics or threading nondeterminism.  The
 independent certificate re-checks elsewhere in the package deliberately go
 through ``np.linalg.eigh`` so the two routes share no eigensolver code.
 
@@ -11,6 +12,7 @@ singular-value threshold test is kept for float inputs only.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,13 +35,45 @@ def check_symmetric(M, tol=SYM_TOL):
     return 0.5 * (M + M.T)
 
 
+@lru_cache(maxsize=None)
+def _round_robin(k):
+    """The rounds of a round-robin tournament on 0..k-1, as flat indices
+    into a k x k matrix: (pp, qq, pq, qp, bye) per round.  Each round pairs
+    every index at most once, and every pair p < q meets in exactly one of
+    the k - 1 rounds (k rounds for odd k, where one index per round sits out,
+    the bye)."""
+    kk = k + k % 2
+    ring = list(range(1, kk))
+    rounds = []
+    for _ in range(kk - 1):
+        order = [0] + ring
+        pairs = sorted((min(a, b), max(a, b)) for a, b in zip(order[: kk // 2], order[::-1]))
+        P = np.array([p for p, q in pairs if q < k], dtype=np.int64)
+        Q = np.array([q for p, q in pairs if q < k], dtype=np.int64)
+        bye = np.array([p for p, q in pairs if q == k], dtype=np.int64)
+        flat = (P * k + P, Q * k + Q, P * k + Q, Q * k + P, bye * k + bye)
+        for a in flat:
+            a.flags.writeable = False   # cached: every caller shares them
+        rounds.append(flat)
+        ring = ring[-1:] + ring[:-1]
+    return rounds
+
+
 def jacobi_eigh(mats, sweeps=JACOBI_SWEEPS):
-    """Eigendecomposition of a batch of symmetric matrices by cyclic Jacobi.
+    """Eigendecomposition of a batch of symmetric matrices by Jacobi sweeps
+    in round-robin (parallel) order.
 
     Accepts shape (..., k, k); returns (eigenvalues descending (..., k),
     eigenvectors (..., k, k) with columns matching the eigenvalue order).
-    Raises NonConvergent if any batch element still has off-diagonal mass
-    above 1e-9 of its scale after the sweep budget.
+    A sweep is the k - 1 rounds of a round-robin tournament on the indices
+    (k rounds for odd k, each with one index left out).  A round's pairs are
+    disjoint, so its rotations commute: one step A <- J^T A J, V <- V J with
+    J the product of the round's rotations rotates all of them at once, for
+    every matrix of the batch (Brent and Luk 1985).  Each rotation zeroes its
+    (p, q) entry; it is skipped where that entry is at most 1e-18 of the
+    matrix's scale.  Sweeps stop once every off-diagonal entry is within
+    1e-14 of the scale.  Raises NonConvergent if any batch element still has
+    off-diagonal mass above 1e-9 of its scale after the sweep budget.
     """
     A = np.array(mats, dtype=np.float64)
     k = A.shape[-1]
@@ -53,38 +87,35 @@ def jacobi_eigh(mats, sweeps=JACOBI_SWEEPS):
         return w, V.reshape(*batch_shape, k, k)
 
     scale = np.maximum(np.abs(A).reshape(m, -1).max(axis=1), 1e-300)
-    rot_tol = 1e-18 * scale
+    rot_tol = 1e-18 * scale[:, None]
+    rounds = _round_robin(k)
+    J = np.zeros((m, k * k))
+    Jm = J.reshape(m, k, k)
+    Jt = Jm.transpose(0, 2, 1)
 
     iu = np.triu_indices(k, 1)
     for _ in range(sweeps):
         off = np.abs(A[:, iu[0], iu[1]]).max(axis=1)
         if np.all(off <= 1e-14 * scale):
             break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                apq = A[:, p, q]
-                active = np.abs(apq) > rot_tol
-                if not active.any():
-                    continue
-                theta = np.where(
-                    active, 0.5 * np.arctan2(2.0 * apq, A[:, q, q] - A[:, p, p]), 0.0
-                )
-                c = np.cos(theta)
-                s = np.sin(theta)
-                rp = c[:, None] * A[:, p, :] - s[:, None] * A[:, q, :]
-                rq = s[:, None] * A[:, p, :] + c[:, None] * A[:, q, :]
-                A[:, p, :] = rp
-                A[:, q, :] = rq
-                cp = c[:, None] * A[:, :, p] - s[:, None] * A[:, :, q]
-                cq = s[:, None] * A[:, :, p] + c[:, None] * A[:, :, q]
-                A[:, :, p] = cp
-                A[:, :, q] = cq
-                A[:, p, q] = 0.0
-                A[:, q, p] = 0.0
-                vp = c[:, None] * V[:, :, p] - s[:, None] * V[:, :, q]
-                vq = s[:, None] * V[:, :, p] + c[:, None] * V[:, :, q]
-                V[:, :, p] = vp
-                V[:, :, q] = vq
+        for pp, qq, pq, qp, bye in rounds:
+            flat = A.reshape(m, k * k)
+            apq = flat[:, pq]
+            theta = 0.5 * np.arctan2(2.0 * apq, flat[:, qq] - flat[:, pp])
+            theta *= np.abs(apq) > rot_tol
+            c = np.cos(theta)
+            s = np.sin(theta)
+            J[:, pp] = c
+            J[:, qq] = c
+            J[:, pq] = s
+            J[:, qp] = -s
+            J[:, bye] = 1.0
+            A = Jt @ A @ Jm
+            flat = A.reshape(m, k * k)
+            flat[:, pq] = 0.0
+            flat[:, qp] = 0.0
+            V = V @ Jm
+            J[:] = 0.0
     off = np.abs(A[:, iu[0], iu[1]]).max(axis=1)
     if np.any(off > 1e-9 * scale):
         raise NonConvergent("Jacobi sweep budget exceeded")

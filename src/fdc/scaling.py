@@ -62,14 +62,78 @@ def weighted_second_moment(points, c_sq, mults=None):
 
 
 REL_SLACK = 1e-12
+SECULAR_STEPS = 200   # a cap only; Newton settles within about 15 steps
+
+
+def _secular_min(lam, w):
+    """Least eigenvalue of each rank-one downdate diag(lam) - c z z^T, given
+    the weights w = c z_j^2 >= 0 as rows of an (n, k) array: the least root
+    of 1 = sum_j w_j/(lam_j - mu), which lies below every pole with w_j > 0,
+    or the least pole with w_j == 0 (a deflated eigenvalue) if that is lower.
+
+    Solved in t = hi - mu > 0, with hi the least undeflated pole, where
+    F(t) = 1/h(t) - 1 with h(t) = sum_j w_j/(lam_j - hi + t) is increasing
+    and concave (Cauchy-Schwarz gives 2h'^2 <= h h'').  So a Newton step
+    from below the root stays below it and climbs monotonically; a step that
+    leaves the bracket [t_lo, t_up] is replaced by the bracket's geometric
+    mean.  The bracket: h(t_up) <= 1 at t_up = sum_j w_j, and h(t_lo) >= 2 at
+    t_lo = half the weight on the poles at hi.  Returns (mins, t, hi, gaps):
+    mins the eigenvalues, t the roots, gaps = lam_j - hi (inf where
+    deflated), so lam_j - mu = gaps + t.
+    """
+    live = w > 0
+    lam_row = np.broadcast_to(lam, w.shape)
+    hi = np.where(live, lam_row, np.inf).min(axis=1)
+    deflated = np.where(live, np.inf, lam_row).min(axis=1)
+    gaps = np.where(live, lam_row - hi[:, None], np.inf)
+    w0 = np.where(gaps == 0.0, w, 0.0).sum(axis=1)
+    t_lo = 0.5 * w0
+    t_up = w.sum(axis=1)
+    # Start below t_up where the far poles, frozen at t = 0 (they only fall
+    # as t grows), sum to R0 < 1: then the root is at most about w0/(1 - R0).
+    R0 = (w / np.where(gaps > 0.0, gaps, np.inf)).sum(axis=1)
+    start = np.divide(w0, 1.0 - R0, out=t_up.copy(), where=R0 < 1.0)
+    rows = np.nonzero(t_up > 0)[0]
+    t = np.minimum(start, t_up)
+    lo, up = t_lo[rows], t_up[rows]
+    tr, wr, gr = t[rows], w[rows], gaps[rows]
+    for _ in range(SECULAR_STEPS):
+        if rows.size == 0:
+            break
+        r = wr / (gr + tr[:, None])
+        h = r.sum(axis=1)
+        dh = (r / (gr + tr[:, None])).sum(axis=1)
+        F = 1.0 / h - 1.0
+        lo = np.where(F < 0, np.maximum(lo, tr), lo)
+        up = np.where(F >= 0, np.minimum(up, tr), up)
+        tn = tr - F * h * h / dh
+        inside = ((tn > lo) & (tn < up)) | (F == 0)
+        # A step that lands on the bracket's ends means F's round-off has
+        # taken over: the root is known to the bracket's width.
+        settled = ~inside & (up - lo <= 1e-13 * up)
+        tn = np.where(inside, tn, np.sqrt(lo * up))
+        done = settled | (np.abs(tn - tr) <= 1e-15 * tn)
+        t[rows] = tn
+        keep = ~done
+        rows, lo, up, tr, wr, gr = rows[keep], lo[keep], up[keep], tn[keep], wr[keep], gr[keep]
+    mins = np.minimum(np.where(t_up > 0, hi - t, np.inf), deflated)
+    return mins, t, hi, gaps
 
 
 def separation_oracle(points, candidate, mults=None, tau=None):
     """Most-violated spectral constraint at the candidate weights, or None.
 
-    For each x checks M_x = ((k+delta)/M) Sigma_c - c^2(x) x x^T for
-    eigenvalues below the slack; returns the most negative one's eigenvector
-    as the witness direction.
+    For each x checks M_x = S - c^2(x) x x^T, S = ((k+delta)/M) Sigma_c, for
+    eigenvalues below the slack, and returns the most negative one's
+    eigenvector as the witness direction.  Every M_x is a rank-one downdate
+    of the one matrix S (Golub 1973; Bunch, Nielsen and Sorensen 1978): with
+    S = Q diag(lam) Q^T from one Jacobi eigendecomposition and z = Q^T x,
+    the least eigenvalue mu of M_x is the least root of the secular equation
+    1 = c^2(x) sum_j z_j^2/(lam_j - mu), solved for all points at once, or
+    an eigenvalue lam_j of S whose z_j is zero (deflation; repeated
+    eigenvalues need no special case because the least root lies below all
+    of them).  The witness is (S - mu I)^{-1} x, or the deflated
+    eigenvector.
 
     With tau=None the slack is per-constraint and purely a round-off
     allowance: REL_SLACK * (tr(scaled Sigma_c) + c^2(x)||x||^2), the natural
@@ -85,9 +149,9 @@ def separation_oracle(points, candidate, mults=None, tau=None):
     M = m.sum()
     sigma = weighted_second_moment(pts, c, m)
     scaled = ((k + candidate.delta) / M) * sigma
-    mats = scaled[None, :, :] - c[:, None, None] * np.einsum("ni,nj->nij", pts, pts)
-    eigvals, eigvecs = jacobi_eigh(mats)
-    mins = eigvals[:, -1]
+    lam, Q = jacobi_eigh(scaled)
+    z = pts @ Q
+    mins, t, hi, gaps = _secular_min(lam, c[:, None] * z * z)
     if tau is None:
         scale = float(np.trace(scaled)) + c * np.einsum("ni,ni->n", pts, pts)
         slack = REL_SLACK * scale
@@ -96,7 +160,10 @@ def separation_oracle(points, candidate, mults=None, tau=None):
     rel = mins + slack
     worst = int(np.argmin(rel))
     if rel[worst] < 0:
-        w = eigvecs[worst][:, -1]
+        if mins[worst] < hi[worst] - t[worst]:
+            w = Q[:, int(np.argmin(np.where(np.isinf(gaps[worst]), lam, np.inf)))]
+        else:
+            w = Q @ np.where(np.isinf(gaps[worst]), 0.0, z[worst] / (gaps[worst] + t[worst]))
         return ViolatedConstraint(worst, w / np.linalg.norm(w), float(-mins[worst]))
     return None
 

@@ -112,26 +112,29 @@ def test_membership_mask_exact_and_prefiltered():
     basis = [(1, 0, 0), (0, 1, 0)]
     expected = np.array([True, True, True, True, False, False])
     np.testing.assert_array_equal(membership_mask(basis, pts), expected)
-    sub = span_of(np.array(basis, dtype=np.int64))
-    np.testing.assert_array_equal(
-        membership_mask(basis, pts, ortho_basis=sub.basis), expected
-    )
+    # Coordinates near 2^60 overflow the int64 product's guard, so the same
+    # decision goes through the float prefilter and the Python-int product.
+    big = [(1, 0, 3 * 2 ** 58), (0, 1, 2 ** 58)]
+    pts_big = np.array([[1, 0, 3 * 2 ** 58], [2, 1, 7 * 2 ** 58], [1, 0, 3 * 2 ** 58 + 1],
+                        [0, 0, 1], [5, -2, 13 * 2 ** 58]])
+    np.testing.assert_array_equal(membership_mask(big, pts_big),
+                                  [True, True, False, False, True])
 
 
 def test_membership_with_huge_coordinates():
-    # mixed scales spanning ~2^45: the float prefilter must not mis-reject
+    # mixed scales spanning ~2^45: no member may be rejected
     big = 2 ** 45
     pts = np.array([[big, big, 0], [1, -1, 0], [big, 0, 1]], dtype=np.int64)
     basis = [(1, 1, 0), (1, -1, 0)]
-    sub = span_of(np.array(basis, dtype=np.int64))
-    mask = membership_mask(basis, pts, ortho_basis=sub.basis)
+    mask = membership_mask(basis, pts)
     np.testing.assert_array_equal(mask, [True, True, False])
 
 
 def test_membership_converts_only_prefilter_candidates(monkeypatch):
-    # 20,000 rows of which 12 lie in the plane and 3 more sit within the
-    # prefilter's tolerance of it: the prefiltered call returns the
-    # unfiltered call's mask and converts only those 15 rows to Python ints.
+    # 20,000 rows of which 12 lie in the plane and 3 more sit close to it.
+    # With small entries the product runs in int64 and converts no row to
+    # Python ints; with entries that overflow the int64 guard only the rows
+    # passing the float prefilter are converted.
     from fdc import exact
 
     gen = np.random.default_rng(3)
@@ -141,8 +144,12 @@ def test_membership_converts_only_prefilter_candidates(monkeypatch):
     pts[idx[:12], 2:] = 0
     pts[idx[12:]] = [[1000, 1000, 1, 0], [-900, 4000, 0, 3], [7000, 1, 2, 2]]
     basis = [(1, 0, 0, 0), (0, 1, 0, 0)]
-    expected = membership_mask(basis, pts)
-    assert expected.sum() == 12 and expected[idx[:12]].all()
+    # The shear x2 += B x0 + C x1 maps the plane and the points alike, so it
+    # keeps every membership, and it gives the complement 41-bit entries.
+    B, C = 2 ** 40 + 1, 2 ** 41 - 3
+    big_basis = [(1, 0, B, 0), (0, 1, C, 0)]
+    big_pts = pts.copy()
+    big_pts[:, 2] += B * pts[:, 0] + C * pts[:, 1]
 
     converted = []
     real = exact.as_int_rows
@@ -153,10 +160,38 @@ def test_membership_converts_only_prefilter_candidates(monkeypatch):
         return out
 
     monkeypatch.setattr(exact, "as_int_rows", counting)
-    sub = span_of(np.array(basis, dtype=np.int64))
-    mask = membership_mask(basis, pts, ortho_basis=sub.basis)
-    np.testing.assert_array_equal(mask, expected)
-    assert sum(converted) == 15
+    mask = membership_mask(basis, pts)
+    assert mask.sum() == 12 and mask[idx[:12]].all()
+    assert sum(converted) == 0
+    np.testing.assert_array_equal(membership_mask(big_basis, big_pts), mask)
+    assert 12 <= sum(converted) <= 15
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=d, max_size=d),
+             min_size=1, max_size=d - 1),
+    st.lists(st.lists(st.integers(-3, 3), min_size=d - 1, max_size=d - 1),
+             min_size=1, max_size=6),
+    st.lists(st.lists(st.integers(-2 ** 46, 2 ** 46), min_size=d, max_size=d),
+             min_size=1, max_size=6),
+)))
+def test_membership_mask_matches_reference(case):
+    # Members are small combinations of the basis rows (coordinates up to
+    # ~2^43), and their neighbours at distance 1 and arbitrary 47-bit rows
+    # are mostly not; entries this large take the Python-int fallback.
+    basis, combos, others = case
+    d = len(basis[0])
+    if exact_rank(basis) == 0:
+        return
+    members = [[sum(c * b[j] for c, b in zip(combo, basis)) for j in range(d)]
+               for combo in combos]
+    near = [[v + (j == 0) for j, v in enumerate(row)] for row in members]
+    pts = np.array(members + near + others, dtype=np.int64)
+    span = span_of_rows(basis, dim=d)
+    want = [_frac_rank(basis + [list(row)]) == _frac_rank(basis) for row in pts.tolist()]
+    np.testing.assert_array_equal(membership_mask(basis, pts), want)
+    np.testing.assert_array_equal([span.contains(row) for row in pts.tolist()], want)
 
 
 def test_span_of_rows():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdc.errors import EmptyInput, NonSymmetric, NotPositiveDefinite
+from fdc.errors import EmptyInput, NonConvergent, NonSymmetric, NotPositiveDefinite
 from fdc.linalg import (
     Subspace,
     inv_sqrt_psd,
@@ -45,6 +45,11 @@ class TestSymEigen:
             assert np.abs(Q.T @ M @ Q - np.diag(w)).max() <= 1e-9 * norm
             assert np.all(np.diff(w) <= 1e-12)
 
+    def test_sweep_budget_exhausted_raises(self, rng_np):
+        M = rng_np.randn(6, 6)
+        with pytest.raises(NonConvergent):
+            jacobi_eigh(M + M.T, sweeps=1)
+
     def test_nonsymmetric_raises(self):
         with pytest.raises(NonSymmetric):
             sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -61,7 +66,7 @@ class TestSymEigen:
     @given(st.integers(0, 10_000))
     def test_hypothesis_reconstruction(self, seed):
         r = np.random.RandomState(seed)
-        k = r.randint(1, 7)
+        k = r.randint(1, 11)   # odd k: one index sits out each round
         M = r.randn(k, k) * 10.0 ** r.randint(-3, 4)
         M = M + M.T
         w, Q = sym_eigen(M)

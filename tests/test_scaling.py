@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fdc.errors import Infeasible, IterationBudgetExceeded
+from fdc.linalg import jacobi_eigh
 from fdc.scaling import (
     ScalingWeights,
+    _secular_min,
     central_cut,
     fixed_point_scaling,
     recheck_certificate,
@@ -68,6 +70,87 @@ class TestSeparationOracle:
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         for c in (np.ones(3), np.array([1.0, 1.0, 100.0]), np.array([1e6, 1e6, 1.0])):
             assert separation_oracle(pts, ScalingWeights(c, 1e-3)) is not None
+
+
+def _check_oracle(pts, c_sq, delta, tau=None):
+    """The oracle against LAPACK on every constraint matrix: the worst point,
+    its least eigenvalue (within 1e-13 of the matrix's scale) and a witness
+    that really violates it; None only when nothing is violated."""
+    pts = np.asarray(pts, dtype=np.float64)
+    n, k = pts.shape
+    c = np.asarray(c_sq, dtype=np.float64)
+    scaled = ((k + delta) / n) * weighted_second_moment(pts, c)
+    mats = scaled[None] - c[:, None, None] * np.einsum("ni,nj->nij", pts, pts)
+    mins = np.linalg.eigvalsh(mats)[:, 0]
+    scale = np.trace(scaled) + c * np.einsum("ni,ni->n", pts, pts)
+    slack = 1e-12 * scale if tau is None else np.full(n, tau)
+    viol = separation_oracle(pts, ScalingWeights(c, delta), tau=tau)
+    rel = mins + slack
+    if viol is None:
+        assert rel.min() >= -1e-13 * scale.max()
+        return None
+    i = viol.point_index
+    assert rel[i] <= rel.min() + 1e-13 * scale.max()
+    assert abs(-viol.violation_gap - mins[i]) <= 1e-13 * scale[i]
+    w = viol.witness
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    assert w @ mats[i] @ w < 0
+    # The witness is a least eigenvector: its Rayleigh quotient is mins[i].
+    assert abs(w @ mats[i] @ w - mins[i]) <= 1e-12 * scale[i]
+    # Every point's least eigenvalue, not only the worst one's.
+    lam, Q = jacobi_eigh(scaled)
+    z = pts @ Q
+    every = _secular_min(lam, c[:, None] * z * z)[0]
+    np.testing.assert_array_less(np.abs(every - mins), 1e-13 * scale)
+    return viol
+
+
+class TestSecularOracle:
+    def test_deflated_axis_points(self):
+        # S is diagonal with distinct eigenvalues; every point lies on an
+        # eigenvector, so all but one z_j vanish.
+        pts = np.array([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0],
+                        [0.0, 5.0, 0.0]])
+        viol = _check_oracle(pts, [1.0, 4.0, 1.0, 1.0], 0.0)
+        assert viol is not None
+
+    def test_point_orthogonal_to_an_eigenvector(self):
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0],
+                        [1.0, 1.0, 0.0]])
+        for c in ([1.0, 1.0, 1.0, 1.0], [1.0, 9.0, 2.0, 30.0], [50.0, 1.0, 1.0, 1.0]):
+            _check_oracle(pts, c, 1e-3)
+
+    def test_repeated_eigenvalues(self):
+        # S is a multiple of I: one eigenvalue of multiplicity k.
+        assert _check_oracle(FOUR_POINTS, np.ones(4), 0.0, tau=1e-12) is not None
+        assert _check_oracle(FOUR_POINTS, HAND_SOLUTION, 0.01) is None
+        cube = np.array([[s0, s1, s2] for s0 in (-1.0, 1.0) for s1 in (-1.0, 1.0)
+                         for s2 in (-1.0, 1.0)])
+        pts = np.vstack([cube, np.eye(3)])
+        _check_oracle(pts, np.ones(11), 0.0)
+        _check_oracle(pts, np.r_[np.ones(8), 30.0 * np.ones(3)], 0.0)
+
+    def test_one_dimensional(self):
+        pts = np.array([[2.0], [-1.0], [5.0]])
+        assert _check_oracle(pts, [1.0, 1.0, 1.0], 0.0) is not None
+        assert _check_oracle(pts, [1.0, 1.0, 1.0], 0.0, tau=100.0) is None
+
+    def test_explicit_tau(self):
+        pts = seeded_points(4, 9, 6, 2).astype(np.float64)
+        c = np.exp(np.linspace(0.0, 4.0, 9))
+        viol = _check_oracle(pts, c, 1e-3, tau=0.0)
+        assert viol is not None
+        # A threshold just past the worst violation certifies the same weights.
+        assert _check_oracle(pts, c, 1e-3, tau=viol.violation_gap * (1 + 1e-9) + 1e-300) is None
+
+    def test_random_instances_match_lapack(self):
+        gen = np.random.default_rng(5)
+        for _ in range(40):
+            k = int(gen.integers(1, 9))
+            n = int(gen.integers(1, 30))
+            pts = gen.standard_normal((n, k)) * 10.0 ** gen.uniform(-3, 3, size=(n, 1))
+            c = np.exp(gen.uniform(0.0, 12.0, size=n))
+            _check_oracle(pts, c / c.min(), float(gen.choice([0.0, 1e-3, 0.5])))
 
 
 class TestFixedPoint:
