@@ -8,7 +8,10 @@ draws is reproducible byte for byte and parallel draws match serial draws.
 
 import csv
 import json
+import re
+import warnings
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -319,68 +322,122 @@ def gen_hard_instance(dim, n, bits, eta, seed, eta_kind="constant"):
 # File ingestion / serialization
 # ---------------------------------------------------------------------------
 
-def _parse_int(token, line_no):
-    t = token.strip()
-    try:
-        return int(t)
-    except ValueError:
-        raise NonInteger(f"coordinate {t!r} is not an integer", line=line_no) from None
+# CSV point files: UTF-8 text, one point per line, cells separated by commas.
+# Lines end in LF, CRLF or CR.  Blank lines and lines of only ASCII whitespace and
+# commas are skipped; the first remaining line is a header when its first cell
+# is not an integer.  A cell is an ASCII optional sign and digits inside int64,
+# with whitespace (any character str.isspace accepts) around it and optional
+# '"' quoting allowed.
+_BLANK = b" \t\x0b\x0c\x1c\x1d\x1e\x1f,"  # the bytes a skipped line consists of
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_INT64 = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
 
 
-def _int64_array(points, line_of=lambda i: i + 1):
+def _int64_array(points):
     """(n, d) int64 array of integer rows.  A coordinate outside int64 raises
-    ParseError naming its line; ``line_of`` maps a row index to that line and
-    is consulted only once the conversion has failed."""
+    ParseError naming its row's 1-based position."""
     try:
         return np.array(points, dtype=np.int64)
     except OverflowError:
-        lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-        for i, row in enumerate(points):
+        for i, row in enumerate(points, start=1):
             for v in row:
-                if not lo <= v <= hi:
+                if not _INT64[0] <= v <= _INT64[1]:
                     raise ParseError(f"coordinate {v} is outside the int64 range",
-                                     line=line_of(i)) from None
+                                     line=i) from None
         raise
 
 
 def _read_csv_rows(path):
-    """Raw rows with 1-based line numbers; detects and skips a header row."""
-    rows = []
-    with open(path, newline="") as fh:
-        for line_no, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            rows.append((line_no, [c.strip() for c in rec]))
-    if rows:
-        first = rows[0][1][0]
+    """(data lines as bytes, their 1-based line numbers): the file's lines
+    without skipped lines and header.  A byte sequence that is not UTF-8
+    raises ParseError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start] + b".").splitlines())  # breaks before it, + 1
+        raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
+    lines = data.splitlines()  # splits at LF, CRLF and CR only
+    keep = np.fromiter(map(bool, map(bytes.lstrip, lines, repeat(_BLANK))),
+                       dtype=bool, count=len(lines))
+    if keep.any():
+        first = int(np.argmax(keep))
         try:
-            int(first)
+            # an integer to int() or, past int()'s 4300-digit limit, to _INTEGER
+            cell = next(csv.reader([lines[first].decode()]))[0].strip()
+            if not _INTEGER.fullmatch(cell):
+                int(cell)
         except ValueError:
-            rows = rows[1:]
-    return rows
+            keep[first] = False  # a header
+        except csv.Error:
+            pass  # not a header; _csv_fault names the line
+    return list(compress(lines, keep)), np.flatnonzero(keep) + 1
 
 
 def _rows_to_array(rows, labeled):
-    if not rows:
+    """(X, y) from ``_read_csv_rows``' output in one np.loadtxt pass; the
+    label and zero-row checks run on the arrays, and a fault names the first
+    line that has one."""
+    lines, line_no = rows
+    if not lines:
         raise ParseError("no data rows")
-    width = len(rows[0][1])
-    if labeled and width < 2:
-        raise ParseError("labeled file needs at least 2 columns", line=rows[0][0])
-    pts, labels = [], []
-    for line_no, rec in rows:
-        if len(rec) != width:
-            raise ParseError(f"expected {width} columns, got {len(rec)}", line=line_no)
-        vals = [_parse_int(tok, line_no) for tok in rec]
+    try:
+        with warnings.catch_warnings():
+            # NumPy 1.23-1.26 read a cell that is not an int64 integer ('1.5',
+            # '1e3', 2**63) as a float and cast it, with only this warning.
+            warnings.filterwarnings("error", message=".*integer via a float",
+                                    category=DeprecationWarning)
+            A = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
+                           quotechar='"', ndmin=2, encoding="utf-8")
+    except (ValueError, DeprecationWarning) as exc:
+        raise _csv_fault(lines, line_no, labeled, exc) from None
+    if labeled and A.shape[1] < 2:
+        raise ParseError("labeled file needs at least 2 columns", line=int(line_no[0]))
+    X, y = (A[:, :-1], A[:, -1]) if labeled else (A, None)
+    bad_label = (y != 1) & (y != -1) if labeled else np.zeros(len(A), dtype=bool)
+    bad = np.flatnonzero(bad_label | ~X.any(axis=1))
+    if bad.size:
+        r = bad[0]
+        if bad_label[r]:
+            raise ParseError(f"label must be -1 or 1, got {y[r]}", line=int(line_no[r]))
+        raise ZeroPoint(line=int(line_no[r]))
+    return X, y
+
+
+def _csv_fault(lines, line_no, labeled, exc):
+    """The typed error of the first data line that is ragged, holds a cell
+    that is not an int64 integer, has a bad label or is zero.  Called only
+    once np.loadtxt has rejected the lines."""
+    width = None
+    for line, n in zip(lines, line_no.tolist()):
+        try:
+            cells = [c.strip() for c in next(csv.reader([line.decode()]))]
+        except csv.Error as err:
+            return ParseError(f"unreadable row: {err}", line=n)
+        if width is None:
+            width = len(cells)
+            if labeled and width < 2:
+                return ParseError("labeled file needs at least 2 columns", line=n)
+        if len(cells) != width:
+            return ParseError(f"expected {width} columns, got {len(cells)}", line=n)
+        for c in cells:
+            if not _INTEGER.fullmatch(c):
+                return NonInteger(f"coordinate {c!r} is not an integer", line=n)
+        for c in cells:  # int() refuses more than 4300 digits; int64 needs 19
+            if len(c.lstrip("+-").lstrip("0")) > 19:
+                return ParseError(f"value {c[:24]}... is outside the int64 range", line=n)
+        vals = [int(c) for c in cells]
         if labeled:
             if vals[-1] not in (-1, 1):
-                raise ParseError(f"label must be -1 or 1, got {vals[-1]}", line=line_no)
-            labels.append(vals[-1])
+                return ParseError(f"label must be -1 or 1, got {vals[-1]}", line=n)
             vals = vals[:-1]
+        for v in vals:
+            if not _INT64[0] <= v <= _INT64[1]:
+                return ParseError(f"coordinate {v} is outside the int64 range", line=n)
         if not any(vals):
-            raise ZeroPoint(line=line_no)
-        pts.append(vals)
-    X = _int64_array(pts, line_of=lambda i: rows[i][0])
-    return X, (np.array(labels, dtype=np.int64) if labeled else None)
+            return ZeroPoint(line=n)
+    return ParseError(f"unreadable CSV data: {exc}")
 
 
 def _json_list(doc, key):
@@ -450,17 +507,21 @@ def load_labeled(path, format=None):
     return LabeledDataset(PointSet(dim, X), y)
 
 
-def save_points_csv(path, point_set):
+def _write_csv(path, rows, header=None):
+    """Integer rows as CSV, byte for byte what ``csv.writer`` writes: no
+    quoting, every line ending in CRLF."""
+    lines = [",".join(map(str, r)) for r in rows.tolist()]
+    if header:
+        lines.insert(0, ",".join(header))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in point_set.points:
-            w.writerow([int(v) for v in row])
+        fh.write("\r\n".join([*lines, ""]))
+
+
+def save_points_csv(path, point_set):
+    _write_csv(path, point_set.points)
 
 
 def save_labeled_csv(path, dataset, header=False):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow([f"x{i}" for i in range(dataset.base.dim)] + ["y"])
-        for row, label in zip(dataset.base.points, dataset.labels):
-            w.writerow([int(v) for v in row] + [int(label)])
+    names = [f"x{i}" for i in range(dataset.base.dim)] + ["y"]
+    _write_csv(path, np.column_stack([dataset.base.points, dataset.labels]),
+               header=names if header else None)

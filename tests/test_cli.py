@@ -101,6 +101,24 @@ def test_coordinate_outside_int64_exits_2(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["decompose", "learn"])
+def test_non_utf8_csv_exits_2(tmp_path, capsys, verb):
+    data = tmp_path / "pts.csv"
+    rows = [b"1,2", b"\xff\xfe,3"]
+    if verb == "learn":
+        rows = [r + b",1" for r in rows]  # trailing label column
+    data.write_bytes(b"\n".join(rows) + b"\n")
+    args = {
+        "decompose": ["decompose", "--input", str(data), "--delta", "1e-3"],
+        "learn": ["learn", "--train-oracle", str(data), "--eta", "0.1",
+                  "--eps", "0.2", "--delta", "0.2", "--seed", "1"],
+    }[verb]
+    assert run(args + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "line 2" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb, doc, line", [
     ("decompose", {"points": [[1.5, 2], [3, 4.9]]}, 1),
     ("learn", {"points": [[1.5, 2], [3, 4.9]], "labels": [1, -1]}, 1),
