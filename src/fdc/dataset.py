@@ -6,6 +6,7 @@ a pure function of (seed, stream tag, draw index), so any prefix or batch of
 draws is reproducible byte for byte and parallel draws match serial draws.
 """
 
+import codecs
 import csv
 import json
 import re
@@ -330,6 +331,7 @@ def gen_hard_instance(dim, n, bits, eta, seed, eta_kind="constant"):
 # '"' quoting allowed.
 _BLANK = b" \t\x0b\x0c\x1c\x1d\x1e\x1f,"  # the bytes a skipped line consists of
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_NUMERIC_START = re.compile(r"[+-]?[\d.]")  # a cell that begins like a number
 _INT64 = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
 
 
@@ -349,7 +351,10 @@ def _int64_array(points):
 
 def _read_csv_rows(path):
     """(data lines as bytes, their 1-based line numbers): the file's lines
-    without skipped lines and header.  A byte sequence that is not UTF-8
+    without a leading byte order mark, skipped lines and header.  The first
+    kept line is a header only when its first cell does not begin like a
+    number (an optional sign, then a digit or '.'), so a malformed first
+    data row is a fault, not a header.  A byte sequence that is not UTF-8
     raises ParseError naming its line."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -358,20 +363,18 @@ def _read_csv_rows(path):
     except UnicodeDecodeError as exc:
         line = len((data[:exc.start] + b".").splitlines())  # breaks before it, + 1
         raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
-    lines = data.splitlines()  # splits at LF, CRLF and CR only
+    lines = data.removeprefix(codecs.BOM_UTF8).splitlines()  # at LF, CRLF and CR only
     keep = np.fromiter(map(bool, map(bytes.lstrip, lines, repeat(_BLANK))),
                        dtype=bool, count=len(lines))
     if keep.any():
         first = int(np.argmax(keep))
         try:
-            # an integer to int() or, past int()'s 4300-digit limit, to _INTEGER
             cell = next(csv.reader([lines[first].decode()]))[0].strip()
-            if not _INTEGER.fullmatch(cell):
-                int(cell)
-        except ValueError:
-            keep[first] = False  # a header
         except csv.Error:
             pass  # not a header; _csv_fault names the line
+        else:
+            if not _NUMERIC_START.match(cell):
+                keep[first] = False  # a header
     return list(compress(lines, keep)), np.flatnonzero(keep) + 1
 
 

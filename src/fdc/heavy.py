@@ -50,37 +50,40 @@ def _enum_combo_count(nu, k):
 
 
 def _enumerate_flats(dirs, mult, k):
-    """All proper flats spanned by direction subsets, as
-    (excess, dim, member_mask) with excess = k*count - M*dim; deduplicated.
+    """All proper flats spanned by direction subsets, each exactly once, as
+    (excess, dim, member_mask) with excess = k*count - M*dim.
 
-    Subsets grow depth first, one direction at a time, each extending its
-    prefix's complement basis by one elimination step; a direction already
-    in the prefix's span makes the subset (and every superset) dependent,
-    and its flat appears at a smaller size."""
+    Subsets grow depth first in index order, one direction at a time, each
+    extending its prefix's complement basis by one elimination step; a
+    direction already in the prefix's flat is skipped.  A flat is reached
+    only through its greedy basis (each element the least index of the flat
+    outside the span of the elements before it): a child whose flat holds a
+    lower index than the new direction that its prefix's flat lacks is not a
+    greedy basis, and neither is any extension of it, so its subtree is
+    pruned."""
     nu = dirs.shape[0]
     M = int(mult.sum())
     rows = exact.as_int_rows(dirs)
-    seen = set()
     out = []
-    # One (prefix complement, next direction to try) entry per subset size.
-    stack = [(exact.IntSpan(dirs.shape[1]).perp, 0)]
+    # One (prefix complement, prefix flat's mask, next direction to try)
+    # entry per subset size.
+    stack = [(exact.IntSpan(dirs.shape[1]).perp, np.zeros(nu, dtype=bool), 0)]
     while stack:
-        perp, i = stack[-1]
+        perp, prefix_mask, i = stack[-1]
         if i == nu:
             stack.pop()
             continue
-        stack[-1] = (perp, i + 1)
+        stack[-1] = (perp, prefix_mask, i + 1)
+        if prefix_mask[i]:
+            continue
         sub = exact.extend_perp(perp, rows[i])
-        if sub is None:
+        mask = exact.annihilated(sub, dirs)
+        if (mask[:i] & ~prefix_mask[:i]).any():
             continue
         size = len(stack)
-        mask = exact.annihilated(sub, dirs)
-        key = mask.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append((k * int(mult[mask].sum()) - M * size, size, mask))
+        out.append((k * int(mult[mask].sum()) - M * size, size, mask))
         if size < k - 1:
-            stack.append((sub, i + 1))
+            stack.append((sub, mask, i + 1))
     return out
 
 
@@ -111,6 +114,10 @@ def _certify_no_strict(coords, mult, k):
     weighted fraction by (kappa + delta_eff)/(k + delta_eff) with
     delta_eff <= 1/(4M) < 1/M, and integer counts then forbid
     k*count >= M*kappa + 1.  Returns (proven, snapshots).
+
+    The fixed point runs under CERT_BUDGETS in turn, escalating to the next
+    budget only when a run used its budget up (its snapshot hook fired at
+    t == budget); any other run ends the loop.
     """
     M = float(mult.sum())
     delta_star = 1.0 / (8.0 * M)
@@ -120,16 +127,18 @@ def _certify_no_strict(coords, mult, k):
             coords, delta_star, max_iters=budget, mults=mult,
             snapshot_hook=lambda *snap: snapshots.append(snap),
         )
-        if w is None:
-            continue
-        sigma = scaling.weighted_second_moment(coords, w.c_sq, mult)
-        eigvals, _ = jacobi_eigh(sigma)
-        lam_min = float(eigvals[-1])
-        if lam_min <= 0:
-            continue
-        tau_proof = lam_min / (8.0 * M * M)
-        if scaling.separation_oracle(coords, w, mults=mult, tau=tau_proof) is None:
-            return True, snapshots
+        if w is not None:
+            sigma = scaling.weighted_second_moment(coords, w.c_sq, mult)
+            eigvals, _ = jacobi_eigh(sigma)
+            lam_min = float(eigvals[-1])
+            if lam_min > 0:
+                tau_proof = lam_min / (8.0 * M * M)
+                if scaling.separation_oracle(coords, w, mults=mult, tau=tau_proof) is None:
+                    return True, snapshots
+        # The iterates do not depend on the budget, so a run that stopped
+        # before using it up would stop at the same step under a larger one.
+        if not snapshots or snapshots[-1][0] != budget:
+            break
     return False, snapshots
 
 

@@ -168,6 +168,42 @@ def separation_oracle(points, candidate, mults=None, tau=None):
     return None
 
 
+PREREJECT_MARGIN = 1e-9
+
+
+def _surely_violated(points, candidate, mults):
+    """True only when the separation oracle would surely report a violation:
+    a cheap rank-one test that lets ``fixed_point_scaling`` skip the oracle's
+    eigendecomposition at weights that are still far from certified.
+
+    With S = ((k+delta)/M) Sigma_c = L L^T, the downdate S - c^2(x) x x^T is
+    indefinite iff q(x) = c^2(x) ||L^{-1} x||^2 > 1.  At the point of largest
+    q, v = S^{-1} x gives the Rayleigh quotient (v^T S v - c^2(x)(x.v)^2)/v^T v,
+    an upper bound on the downdate's least eigenvalue.  The test fires only
+    when that bound lies below the oracle's slack by PREREJECT_MARGIN of the
+    constraint's scale, far beyond either computation's round-off.  False
+    (including on a failed Cholesky) means "ask the oracle", never "certified".
+    """
+    k = points.shape[1]
+    c = candidate.c_sq
+    S = ((k + candidate.delta) / mults.sum()) * weighted_second_moment(points, c, mults)
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    sol = np.linalg.solve(L, points.T)
+    q = c * np.einsum("kn,kn->n", sol, sol)
+    i = int(np.argmax(q))
+    if not q[i] > 1.0:
+        return False
+    x = points[i]
+    v = np.linalg.solve(L.T, sol[:, i])
+    xv = float(x @ v)
+    rayleigh = (float(v @ S @ v) - c[i] * xv * xv) / float(v @ v)
+    scale = float(np.trace(S)) + c[i] * float(x @ x)
+    return rayleigh < -(REL_SLACK + PREREJECT_MARGIN) * scale
+
+
 def recheck_certificate(points, weights, mults=None, tol_factor=1e-9):
     """Independent eigenvalue re-check of the scaling inequality.
 
@@ -215,6 +251,11 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None, damping=0.0,
     well-scaled for inputs whose coordinate magnitudes span many octaves.
     ``snapshot_hook(t, c_sq, sigma_hat)`` is invoked on a sparse schedule so
     callers can inspect the dynamics (used for heavy-subspace candidates).
+    The iterates do not depend on ``max_iters``, and the hook always fires at
+    t == max_iters, so a caller can tell a run that used its budget up (the
+    only kind a larger budget can change) from one that stopped earlier.
+    Candidates that ``_surely_violated`` rejects skip the oracle; every
+    certificate still comes from ``separation_oracle``.
     """
     raw = np.asarray(points, dtype=np.float64)
     unit, norms2 = _unit_rows(raw)
@@ -253,7 +294,8 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None, damping=0.0,
         if rel < 1e-7 or t - last_check >= check_gap or t == max_iters:
             last_check = t
             cand = ScalingWeights(_normalized(c), delta)
-            if separation_oracle(unit, cand, mults=m) is None:
+            if (not _surely_violated(unit, cand, m)
+                    and separation_oracle(unit, cand, mults=m) is None):
                 return ScalingWeights(_normalized(c / norms2), delta)
             if rel < 1e-13:
                 # Converged but cannot certify: genuinely obstructed.

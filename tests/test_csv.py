@@ -3,7 +3,9 @@ and the writers against ``csv.writer``.
 
 The grammar (README, "Point files"): UTF-8 text; lines end in LF, CRLF or
 CR; blank lines and lines of only ASCII whitespace and commas are skipped;
-the first remaining line is a header when its first cell is not an integer;
+a leading byte order mark is dropped; the first remaining line is a header
+when its first cell does not begin like a number (an optional sign, then a
+digit or '.');
 a cell is an optional sign and ASCII digits inside int64, with whitespace
 (``str.isspace``) around it.  With ``labeled``, the last column is a label in {-1, 1}.  A
 fault names the first line that has one; within a line the checks run in
@@ -34,19 +36,15 @@ from fdc.errors import FdcError, NonInteger, ParseError, ZeroPoint
 INT64 = (-(2 ** 63), 2 ** 63 - 1)
 ASCII_BLANK = " \t\x0b\x0c\x1c\x1d\x1e\x1f,"
 INTEGER = r"[+-]?[0-9]+"
+NUMERIC_START = r"[+-]?[\d.]"
 
 
 def reference_load(text, labeled):
     """(X, y) as lists, or (error class, line), by the grammar above."""
-    rows = [(n, line) for n, line in enumerate(re.split(r"\r\n|\r|\n", text), start=1)
-            if line.strip(ASCII_BLANK)]
-    if rows:
-        first = rows[0][1].split(",")[0].strip()
-        try:
-            if not re.fullmatch(INTEGER, first):
-                int(first)
-        except ValueError:
-            rows = rows[1:]
+    lines = re.split(r"\r\n|\r|\n", text.removeprefix("\ufeff"))
+    rows = [(n, line) for n, line in enumerate(lines, start=1) if line.strip(ASCII_BLANK)]
+    if rows and not re.match(NUMERIC_START, rows[0][1].split(",")[0].strip()):
+        rows = rows[1:]
     if not rows:
         return ParseError, None
     width = None
@@ -130,6 +128,8 @@ def csv_file(draw):
     text = "".join(line + end for line, end in zip(lines, ends))
     if text and draw(st.booleans()):
         text = text[:-len(ends[-1])]
+    if draw(st.booleans()):
+        text = "\ufeff" + text
     return text
 
 
@@ -178,6 +178,11 @@ def test_non_utf8_byte_names_its_line(tmp_path, end):
     ("1,2\n+" + "0" * 5000 + "3,4\n", None, None),    # leading zeros do not count
     ("1\xa0,2\n3,\u3000\x0c4\n", None, None),         # str.isspace around a cell
     ("1,2\n\u3000,\n", NonInteger, 2),                # but a line of it is not blank
+    ("1.5,2\n3,4\n", NonInteger, 1),                   # begins like a number: no header
+    ("1e3,2\n3,4\n", NonInteger, 1),
+    ("x0,x1\n1,2\n3,4\n", None, None),                # a header
+    ("\ufeff1,2\n3,4\n", None, None),                  # a byte order mark is dropped
+    ("\ufeffx,y\n1,2\n3,4\n", None, None),
 ])
 def test_cell_grammar(tmp_path, text, error, line):
     p = tmp_path / "pts.csv"

@@ -1,10 +1,11 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fdc.errors import RankDeficient
-from fdc.exact import exact_rank
+from fdc.exact import directions, exact_rank
 from fdc.harness import (
     brute_force_heavy_subspace,
     extract_subspace,
@@ -13,7 +14,9 @@ from fdc.harness import (
     max_weight_basis,
     pair_swap_search,
 )
-from fdc.heavy import find_heavy_subspace
+from fdc import heavy, scaling
+from fdc.heavy import _certify_no_strict, _enumerate_flats, find_heavy_subspace
+from fdc.linalg import jacobi_eigh, span_of
 from tests.conftest import seeded_points
 
 
@@ -186,3 +189,149 @@ class TestPairSwap:
             auto = find_heavy_subspace(pts)
             lp_full = lp_heavy_subspace(pts)
             assert auto.found == lp_full.found
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over the rationals."""
+    rows = [[Fraction(int(v)) for v in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def brute_force_flats(dirs, mult, k):
+    """{(excess, dim, mask bytes)} over the flats of all independent
+    subsets of at most k - 1 directions."""
+    M = int(mult.sum())
+    out = set()
+    for size in range(1, k):
+        for comb in combinations(range(len(dirs)), size):
+            sub = [dirs[i] for i in comb]
+            if fraction_rank(sub) < size:
+                continue
+            mask = np.array([fraction_rank(sub + [x]) == size for x in dirs])
+            out.add((k * int(mult[mask].sum()) - M * size, size, mask.tobytes()))
+    return out
+
+
+def general_points(gen, d, n):
+    X = gen.integers(-9, 10, size=(n, d))
+    X[~X.any(axis=1), 0] = 1
+    return X
+
+
+def nested_points(gen, d, n):
+    frame = gen.integers(-3, 4, size=(d, d))
+    while fraction_rank(frame) < d:
+        frame = gen.integers(-3, 4, size=(d, d))
+    parts, level = [], 1
+    while n > 0:
+        cnt = max(n // 2, 1) if level < d else n
+        parts.append(gen.integers(-5, 6, size=(cnt, level)) @ frame[:level])
+        n -= cnt
+        level += 1
+    X = np.vstack(parts)
+    X[~X.any(axis=1), 0] = 1
+    return X
+
+
+def cluster_points(gen, d, n):
+    X = gen.integers(-5, 6, size=(n, d))
+    X[~X.any(axis=1), 0] = 1
+    X[:n // 3] = X[0] * np.arange(1, n // 3 + 1)[:, None]
+    return X
+
+
+def planted_points(gen, d, n):
+    X = gen.integers(-5, 6, size=(n, d))
+    X[:n // 2, 2:] = 0
+    X[~X.any(axis=1), 0] = 1
+    return X
+
+
+class TestEnumerateFlats:
+    @pytest.mark.parametrize("family", [nested_points, cluster_points, planted_points])
+    def test_each_flat_once_and_all_of_them(self, family):
+        gen = np.random.default_rng(7)
+        for d, n in ((3, 9), (4, 12), (4, 14)):
+            X = family(gen, d, n)
+            dirs, mult, _ = directions(X)
+            k = fraction_rank(dirs)
+            flats = _enumerate_flats(dirs, mult, k)
+            keys = [(e, dim, mask.tobytes()) for e, dim, mask in flats]
+            assert len({key[2] for key in keys}) == len(keys)
+            assert set(keys) == brute_force_flats(dirs, mult, k)
+
+
+def replayed_certify(coords, mult, budgets):
+    """The certificate loop run under every budget in turn, whatever the
+    previous run did: (proven, snapshots)."""
+    M = float(mult.sum())
+    snapshots = []
+    for budget in budgets:
+        w = scaling.fixed_point_scaling(
+            coords, 1.0 / (8.0 * M), max_iters=budget, mults=mult,
+            snapshot_hook=lambda *snap: snapshots.append(snap))
+        if w is None:
+            continue
+        lam_min = float(jacobi_eigh(scaling.weighted_second_moment(coords, w.c_sq, mult))[0][-1])
+        if lam_min > 0 and scaling.separation_oracle(
+                coords, w, mults=mult, tau=lam_min / (8.0 * M * M)) is None:
+            return True, snapshots
+    return False, snapshots
+
+
+def frames(snapshots):
+    return {(t, c.tobytes(), sigma.tobytes()) for t, c, sigma in snapshots}
+
+
+class TestCertifyBudgets:
+    @staticmethod
+    def _instance(X):
+        dirs, mult, _ = directions(X)
+        return dirs.astype(np.float64) @ span_of(X).basis, mult, span_of(X).dim
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        inner = scaling.fixed_point_scaling
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["max_iters"])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "fixed_point_scaling", counting)
+        return calls
+
+    @pytest.mark.parametrize("family", [general_points, planted_points, cluster_points,
+                                        nested_points])
+    def test_run_ending_early_is_not_replayed(self, monkeypatch, family):
+        X = family(np.random.default_rng(3), 5, 40)
+        coords, mult, k = self._instance(X)
+        want = replayed_certify(coords, mult, heavy.CERT_BUDGETS)
+        calls = self._counted(monkeypatch)
+        proven, snaps = _certify_no_strict(coords, mult, k)
+        assert calls == [heavy.CERT_BUDGETS[0]]
+        assert snaps[-1][0] < heavy.CERT_BUDGETS[0]
+        assert proven == want[0]
+        assert frames(snaps) == frames(want[1])
+
+    def test_exhausted_run_escalates(self, monkeypatch):
+        X = general_points(np.random.default_rng(3), 5, 30)
+        coords, mult, k = self._instance(X)
+        budgets = (2, 4, 8)
+        monkeypatch.setattr(heavy, "CERT_BUDGETS", budgets)
+        want = replayed_certify(coords, mult, budgets)
+        calls = self._counted(monkeypatch)
+        proven, snaps = _certify_no_strict(coords, mult, k)
+        assert calls == list(budgets)
+        assert proven == want[0]
+        assert frames(snaps) == frames(want[1])

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from fdc import scaling
 from fdc.errors import Infeasible, IterationBudgetExceeded
 from fdc.linalg import jacobi_eigh
 from fdc.scaling import (
     ScalingWeights,
     _secular_min,
+    _surely_violated,
     central_cut,
     fixed_point_scaling,
     recheck_certificate,
@@ -166,6 +168,77 @@ class TestFixedPoint:
     def test_heavy_input_returns_none(self):
         pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert fixed_point_scaling(pts, 1e-3, max_iters=800) is None
+
+
+class TestPreRejection:
+    """``_surely_violated`` may only claim a violation the oracle reports too.
+
+    Near-feasible candidates stress it: fixed-point snapshots, certified
+    weights scaled pointwise by 1 +- eps, and certified weights with one
+    point's weight raised to the oracle's own decision boundary, where only
+    the pre-rejection's margin keeps the two from disagreeing.
+    """
+
+    @staticmethod
+    def _boundary(pts, m, w, i):
+        def raised(e):
+            c = w.c_sq.copy()
+            c[i] *= 1.0 + e
+            return ScalingWeights(c, w.delta)
+
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if separation_oracle(pts, raised(mid), mults=m) is None:
+                lo = mid
+            else:
+                hi = mid
+        return [raised(e) for e in np.linspace(lo, hi, 5)]
+
+    def _candidates(self):
+        gen = np.random.default_rng(11)
+        for _ in range(16):
+            k = int(gen.integers(2, 7))
+            n = int(gen.integers(k + 1, 40))
+            pts = gen.standard_normal((n, k))
+            pts /= np.linalg.norm(pts, axis=1)[:, None]
+            m = gen.integers(1, 4, size=n).astype(np.float64)
+            delta = float(gen.choice([0.0, 1e-9, 1e-3]))
+            snaps = []
+            w = fixed_point_scaling(pts, delta, max_iters=400, mults=m,
+                                    snapshot_hook=lambda t, c, sigma: snaps.append(c))
+            for c in snaps:
+                yield pts, m, ScalingWeights(c, delta)
+            if w is None:
+                continue
+            for eps in (1e-9, 1e-12):
+                c = w.c_sq * (1.0 + eps * gen.uniform(-1.0, 1.0, size=n))
+                yield pts, m, ScalingWeights(c / c.min(), delta)
+            for i in gen.choice(n, size=2, replace=False):
+                for cand in self._boundary(pts, m, w, i):
+                    yield pts, m, cand
+
+    def test_never_rejects_what_the_oracle_accepts(self):
+        fired = 0
+        for pts, m, cand in self._candidates():
+            if _surely_violated(pts, cand, m):
+                fired += 1
+                assert separation_oracle(pts, cand, mults=m) is not None
+        assert fired > 100  # the test is not vacuous
+
+    def test_fixed_point_output_unchanged(self, monkeypatch):
+        def weights():
+            out = []
+            for seed in range(4):
+                pts = seeded_points(5, 40, 30, seed=seed).astype(np.float64)
+                w = fixed_point_scaling(pts, 1e-3, max_iters=800)
+                assert w is not None
+                out.append(w.c_sq.tobytes())
+            return out
+
+        with_skips = weights()
+        monkeypatch.setattr(scaling, "_surely_violated", lambda *a: False)
+        assert weights() == with_skips
 
 
 class TestSolve:
