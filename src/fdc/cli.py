@@ -130,7 +130,8 @@ def _cmd_gen(args):
     else:
         model = general_position_model(args.dim, args.support, args.eta or 0.0,
                                        args.seed, bits=args.bits or 10)
-    data = massart_draw(model, args.n, args.seed)
+    draw_seed = args.seed if args.draw_seed is None else args.draw_seed
+    data = massart_draw(model, args.n, draw_seed)
     save_labeled_csv(args.out, data)
     print(f"wrote {args.n} labeled examples (dim={args.dim}, "
           f"b={data.base.bit_complexity}) to {args.out}")
@@ -245,7 +246,10 @@ def build_parser():
     g.add_argument("--n", type=int)
     g.add_argument("--bits", type=int)
     g.add_argument("--eta", type=float)
-    g.add_argument("--seed", type=int)
+    g.add_argument("--seed", type=int, help="seed of the halfspace, support and draws")
+    g.add_argument("--draw-seed", type=int,
+                   help="seed of the draws only (default: --seed); a held-out "
+                        "file of the same halfspace takes another")
     g.add_argument("--out")
     g.add_argument("--marginal", choices=("hard", "general"), default="hard")
     g.add_argument("--support", type=int, default=400,

@@ -12,7 +12,7 @@ import json
 import re
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -450,6 +450,53 @@ def _json_list(doc, key):
     return value
 
 
+def _json_points(pts):
+    """The JSON "points" rows as an int64 array, checked in a few passes over
+    the coordinates; None when they are well formed but some coordinate lies
+    outside int64.  A faulty row raises the typed error of the first one:
+    not a list, ragged, a coordinate that is not a JSON integer (true and
+    false are not), or zero."""
+    widths = {*map(len, pts)} if {*map(type, pts)} == {list} else ()
+    if len(widths) == 1 and {*map(type, chain.from_iterable(pts))} <= {int}:
+        (d,) = widths
+        try:
+            X = np.fromiter(chain.from_iterable(pts), dtype=np.int64,
+                            count=len(pts) * d).reshape(len(pts), d)
+        except OverflowError:
+            X = None
+        else:
+            if X.any(axis=1).all():
+                return X
+    for i, row in enumerate(pts, start=1):
+        if not isinstance(row, list):
+            raise ParseError(f"a point must be a list of coordinates, got {row!r}", line=i)
+        if len(row) != len(pts[0]):
+            raise ParseError(f"expected {len(pts[0])} columns, got {len(row)}", line=i)
+        for v in row:
+            if type(v) is not int:
+                raise NonInteger(f"coordinate {v!r} is not an integer", line=i)
+        if not any(row):
+            raise ZeroPoint(line=i)
+    return None
+
+
+def _json_labels(labels):
+    """The JSON "labels" list as an int64 array of -1 and 1; the first other
+    value raises ParseError naming its record."""
+    if {*map(type, labels)} <= {int}:
+        try:
+            y = np.array(labels, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if np.all((y == 1) | (y == -1)):
+                return y
+    for i, v in enumerate(labels, start=1):
+        if type(v) is not int or v not in (-1, 1):
+            raise ParseError(f"label must be -1 or 1, got {v!r}", line=i)
+    return np.array(labels, dtype=np.int64)
+
+
 def _json_to_arrays(path, labeled):
     """(X, y, dim) from a JSON document {"dim": d, "points": [[...], ...],
     "labels": [...]}, validated as strictly as a CSV file; a record's 1-based
@@ -466,24 +513,12 @@ def _json_to_arrays(path, labeled):
     pts = _json_list(doc, "points")
     if not pts:
         raise ParseError("no data rows")
-    for i, row in enumerate(pts, start=1):
-        if not isinstance(row, list):
-            raise ParseError(f"a point must be a list of coordinates, got {row!r}", line=i)
-        if len(row) != len(pts[0]):
-            raise ParseError(f"expected {len(pts[0])} columns, got {len(row)}", line=i)
-        for v in row:
-            if type(v) is not int:
-                raise NonInteger(f"coordinate {v!r} is not an integer", line=i)
-        if not any(row):
-            raise ZeroPoint(line=i)
+    X = _json_points(pts)
     y = None
     if labeled:
-        labels = _json_list(doc, "labels")
-        for i, v in enumerate(labels, start=1):
-            if type(v) is not int or v not in (-1, 1):
-                raise ParseError(f"label must be -1 or 1, got {v!r}", line=i)
-        y = np.array(labels, dtype=np.int64)
-    X = _int64_array(pts)
+        y = _json_labels(_json_list(doc, "labels"))
+    if X is None:
+        X = _int64_array(pts)  # raises, naming the row
     dim = doc.get("dim", X.shape[1])
     if type(dim) is not int:
         raise ParseError(f'"dim" must be an integer, got {dim!r}')

@@ -195,37 +195,70 @@ class WeakStageResult:
     gamma_empirical: float
 
 
-def _band_select(scores, y, eta, eps_prime, min_claim):
-    """Widest prefix of |score|-sorted validation points whose conditional
-    error clears the selection threshold; returns (threshold, coverage, error)
-    or None."""
-    m = scores.shape[0]
+def _band_select(s, rows_val, yval, eta, eps_prime, min_claim):
+    """Widest prefix of the |score|-sorted validation draws whose conditional
+    error clears the selection threshold; returns (threshold, coverage,
+    error) or None.
+
+    Draw i scores s[rows_val[i]]; the draws sort by descending |score|, ties
+    in draw order.  Prefixes that end between two distinct |s| values are
+    judged from per-value counts.  A tie group's interior is replayed in draw
+    order only when it can hold the widest admissible prefix: an interior
+    prefix j of a group that starts after E wrong draws has error at least
+    E / (P_end - 1), and correctly rounded division is monotone, so the
+    float test carries over.  Every error is the same float64 division of
+    exact integer counts as in a per-draw cumulative sum.
+    """
+    m = rows_val.shape[0]
     target = eta + eps_prime - eps_prime / 8.0
-    absval = np.abs(scores)
-    order = np.argsort(-absval, kind="stable")
-    pred = sign_pm1(scores[order])
-    wrong = (pred != y[order]).astype(np.float64)
-    cum_err = np.cumsum(wrong) / np.arange(1, m + 1)
-    js = np.arange(1, m + 1)
-    admissible = (cum_err < target) & (js >= min_claim)
-    if not admissible.any():
+    pred_pos = s >= 0  # sign_pm1(s) == +1
+    # Per row: draws with label +1 and with label -1.
+    lab = np.bincount(2 * rows_val + (yval > 0), minlength=2 * s.shape[0]).reshape(-1, 2)
+    seen = np.flatnonzero(lab.any(axis=1))
+    vals, group_of = np.unique(np.abs(s[seen]), return_inverse=True)
+    vals, group_of = vals[::-1], vals.size - 1 - group_of  # group 0: largest |s|
+    wrong_row = np.where(pred_pos[seen], lab[seen, 0], lab[seen, 1])
+    P = np.cumsum(np.bincount(group_of, weights=lab[seen].sum(axis=1)).astype(np.int64))
+    E = np.cumsum(np.bincount(group_of, weights=wrong_row).astype(np.int64))
+    P0 = np.concatenate(([0], P[:-1]))  # draws before each group
+    E0 = np.concatenate(([0], E[:-1]))
+
+    ends = np.flatnonzero((E / P < target) & (P >= min_claim))
+    last = int(ends[-1]) if ends.size else -1
+    j = int(P[last]) if ends.size else 0
+    inner = (P - P0 >= 2) & (P - 1 >= min_claim) & (E0 / np.maximum(P - 1, 1) < target)
+    if inner[last + 1:].any():
+        draw_group = np.full(s.shape[0], -1, dtype=np.int64)
+        draw_group[seen] = group_of
+        draw_group = draw_group[rows_val]
+        for g in np.flatnonzero(inner[last + 1:])[::-1] + last + 1:
+            at = np.flatnonzero(draw_group == g)
+            wrong = pred_pos[rows_val[at]] != (yval[at] > 0)
+            js = P0[g] + np.arange(1, at.size + 1)
+            ok = ((E0[g] + np.cumsum(wrong)) / js < target) & (js >= min_claim)
+            if ok.any():
+                j = int(js[np.flatnonzero(ok)[-1]])
+                break
+    if j == 0:
         return None
-    j = int(np.nonzero(admissible)[0][-1]) + 1  # widest admissible prefix
+
+    g = int(np.searchsorted(P, j))  # the group holding sorted position j
     if j >= m:
         t = 0.0
     else:
-        t = 0.5 * (absval[order][j - 1] + absval[order][j])
-        if t >= absval[order][j - 1]:
-            t = absval[order][j - 1]
-    claimed = absval >= t
-    err = float(np.mean(sign_pm1(scores[claimed]) != y[claimed]))
-    cov = float(np.mean(claimed))
+        t = 0.5 * (vals[g] + vals[g + 1 if j == P[g] else g])
+        if t >= vals[g]:
+            t = vals[g]
+
+    def claim(t):
+        n = int(np.searchsorted(-vals, -t, side="right"))  # groups with |s| >= t
+        return float(E[n - 1] / P[n - 1]), float(P[n - 1] / m)
+
+    err, cov = claim(t)
     if err >= target and j > min_claim:
         # ties dragged extra points in; fall back to the exact prefix value
-        t = float(absval[order][j - 1])
-        claimed = absval >= t
-        err = float(np.mean(sign_pm1(scores[claimed]) != y[claimed]))
-        cov = float(np.mean(claimed))
+        t = vals[g]
+        err, cov = claim(t)
     return float(t), cov, err
 
 
@@ -294,7 +327,7 @@ def weak_partial_learner(F, rows, y, eta, eps_prime, gd_iters=400):
         if nc == 0:
             continue
         cand = cand / nc
-        sel = _band_select((F @ cand)[rows_val], yval, eta, eps_prime, min_claim)
+        sel = _band_select(F @ cand, rows_val, yval, eta, eps_prime, min_claim)
         if sel is None:
             continue
         t_band, cov, err = sel
@@ -347,11 +380,14 @@ class ModelOracle:
         return rows, gidx
 
     def labels_for(self, rows, gidx):
-        from .dataset import TAG_FLIP, eta_values, sign_pm1
+        """Labels of the draws ``gidx`` that hit support rows ``rows``: the
+        clean label and flip rate are fixed per support row, the flip
+        uniform is drawn per draw."""
+        from .dataset import TAG_FLIP, eta_values
 
-        X = self.support[rows]
-        clean = sign_pm1(X.astype(np.float64) @ self.model.w_star)
-        flips = rng.uniform01(self.seed, TAG_FLIP, gidx) < eta_values(self.model, X)
+        S = self.support
+        clean = sign_pm1(S.astype(np.float64) @ self.model.w_star)[rows]
+        flips = rng.uniform01(self.seed, TAG_FLIP, gidx) < eta_values(self.model, S)[rows]
         return np.where(flips, -clean, clean)
 
 
@@ -499,8 +535,11 @@ def learn_halfspace(oracle, config, dim):
             return classifier, telemetry
         if indexed:
             yw = oracle.labels_for(*pool)
-            hit, rows = np.unique(direction_of[pool[0]], return_inverse=True)
-            distinct = directions[hit]
+            # Renumber the hit directions 0.. in direction order.
+            dirs = direction_of[pool[0]]
+            present = np.bincount(dirs, minlength=directions.shape[0]) > 0
+            rows = (np.cumsum(present) - 1)[dirs]
+            distinct = directions[present]
         else:
             yw = pool[1]
             distinct, rows = distinct_rows(primitive_rows(pool[0])[0])

@@ -12,7 +12,6 @@ separated by large odd constants so distinct streams do not collide.
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _TAG_STRIDE = np.uint64(0xBF58476D1CE4E5B9)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -20,39 +19,47 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _splitmix64(x):
+    """splitmix64 output for state x.  uint64 arithmetic wraps modulo 2^64;
+    a uint64 array argument is overwritten with the result."""
     with np.errstate(over="ignore"):
-        x = (x + _GOLDEN) & _MASK
-        x = ((x ^ (x >> np.uint64(30))) * _MIX1) & _MASK
-        x = ((x ^ (x >> np.uint64(27))) * _MIX2) & _MASK
-        return x ^ (x >> np.uint64(31))
+        x += _GOLDEN
+        x ^= x >> np.uint64(30)
+        x *= _MIX1
+        x ^= x >> np.uint64(27)
+        x *= _MIX2
+        x ^= x >> np.uint64(31)
+        return x
 
 
 def raw_u64(seed, tag, indices):
-    """Vector of uniform uint64, one per index, for stream (seed, tag).
-
-    uint64 arithmetic wraps modulo 2^64 by design.
-    """
+    """Vector of uniform uint64, one per index, for stream (seed, tag)."""
     idx = np.asarray(indices, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        base = (
-            np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN
-            + np.uint64(tag) * _TAG_STRIDE
-        ) & _MASK
-        return _splitmix64((base + idx * _GOLDEN) & _MASK)
+        base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN + np.uint64(tag) * _TAG_STRIDE
+        x = idx * _GOLDEN
+        x += base
+        return _splitmix64(x)
 
 
 def uniform01(seed, tag, indices):
     """Uniform doubles in [0, 1), one per index (53-bit resolution)."""
-    return (raw_u64(seed, tag, indices) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    x = raw_u64(seed, tag, indices)
+    x >>= np.uint64(11)
+    u = x.astype(np.float64)
+    u *= 2.0 ** -53
+    return u
 
 
 def integers(seed, tag, indices, high):
     """Uniform integers in [0, high), one per index.
 
     Uses modular reduction; the bias is < high/2^64 and irrelevant at any
-    support size this package handles.
+    support size this package handles.  The result is an int64 view of the
+    reduced uint64 values, all below high <= 2^63.
     """
-    return (raw_u64(seed, tag, indices) % np.uint64(high)).astype(np.int64)
+    x = raw_u64(seed, tag, indices)
+    x %= np.uint64(high)
+    return x.view(np.int64)
 
 
 def normals(seed, tag, indices, cols=1):
@@ -79,7 +86,5 @@ def derive_seed(seed, *parts):
     with np.errstate(over="ignore"):
         for i, p in enumerate(parts):
             x = _splitmix64(
-                (x + np.uint64((int(p) & 0xFFFFFFFFFFFFFFFF)) * _GOLDEN + np.uint64(i + 1))
-                & _MASK
-            )
+                x + np.uint64(int(p) & 0xFFFFFFFFFFFFFFFF) * _GOLDEN + np.uint64(i + 1))
     return int(x)

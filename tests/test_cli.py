@@ -168,6 +168,28 @@ class TestLearnEval:
         # same support + same w*: error should beat the noise budget comfortably
         assert doc["total_error"] <= 0.1 + 0.15
 
+    def test_held_out_file_of_the_same_halfspace(self, tmp_path):
+        # --draw-seed changes only the draws: a held-out file shares the
+        # training file's support and halfspace, and --draw-seed equal to
+        # --seed writes the file --seed alone writes.
+        train, same, test = (tmp_path / f"{n}.csv" for n in ("train", "same", "test"))
+        gen = ["gen", "--dim", "3", "--n", "40000", "--bits", "12", "--eta", "0.1",
+               "--seed", "3", "--support", "150"]
+        assert run(gen + ["--out", str(train)]) == 0
+        assert run(gen + ["--draw-seed", "3", "--out", str(same)]) == 0
+        assert run(gen + ["--draw-seed", "5", "--out", str(test)]) == 0
+        assert same.read_bytes() == train.read_bytes()
+        tr, te = load_labeled(train), load_labeled(test)
+        assert not np.array_equal(tr.base.points, te.base.points)
+        assert {*map(tuple, te.base.points.tolist())} <= {*map(tuple, tr.base.points.tolist())}
+        model_out, result = tmp_path / "h.json", tmp_path / "eval.json"
+        assert run(["learn", "--train-oracle", str(train), "--eta", "0.1",
+                    "--eps", "0.15", "--delta", "0.2", "--seed", "7",
+                    "--out", str(model_out), "--c-const", "8"]) == 0
+        assert run(["eval", "--model", str(model_out), "--test", str(test),
+                    "--out", str(result)]) == 0
+        assert json.loads(result.read_text())["total_error"] <= 0.1 + 0.15
+
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("delta = 1e-3\n# comment\n")

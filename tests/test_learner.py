@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from fdc import rng
 from fdc.dataset import (
+    TAG_FLIP,
     EtaSpec,
     LabeledDataset,
     MarginalSpec,
     MassartModel,
     PointSet,
+    eta_values,
     massart_draw,
     sign_pm1,
 )
@@ -18,6 +21,7 @@ from fdc.learner import (
     ModelOracle,
     PartialClassifier,
     Stage,
+    _band_select,
     classifier_from_dict,
     classifier_to_dict,
     evaluate_classifier,
@@ -165,6 +169,133 @@ class TestWeakLearner:
         y = rng.choice([-1, 1], size=4000)
         with pytest.raises(CoverageFailure):
             weak_partial_learner(F, np.arange(len(y)), y, 0.05, 0.02)
+
+
+def _per_draw_band_select(scores, y, eta, eps_prime, min_claim):
+    """The per-draw band selection that ``_band_select`` replaced, verbatim:
+    one stable argsort of every validation draw by descending |score|."""
+    m = scores.shape[0]
+    target = eta + eps_prime - eps_prime / 8.0
+    absval = np.abs(scores)
+    order = np.argsort(-absval, kind="stable")
+    pred = sign_pm1(scores[order])
+    wrong = (pred != y[order]).astype(np.float64)
+    cum_err = np.cumsum(wrong) / np.arange(1, m + 1)
+    js = np.arange(1, m + 1)
+    admissible = (cum_err < target) & (js >= min_claim)
+    if not admissible.any():
+        return None
+    j = int(np.nonzero(admissible)[0][-1]) + 1  # widest admissible prefix
+    if j >= m:
+        t = 0.0
+    else:
+        t = 0.5 * (absval[order][j - 1] + absval[order][j])
+        if t >= absval[order][j - 1]:
+            t = absval[order][j - 1]
+    claimed = absval >= t
+    err = float(np.mean(sign_pm1(scores[claimed]) != y[claimed]))
+    cov = float(np.mean(claimed))
+    if err >= target and j > min_claim:
+        # ties dragged extra points in; fall back to the exact prefix value
+        t = float(absval[order][j - 1])
+        claimed = absval >= t
+        err = float(np.mean(sign_pm1(scores[claimed]) != y[claimed]))
+        cov = float(np.mean(claimed))
+    return float(t), cov, err
+
+
+def _band_case(seed):
+    """Per-row scores s with many ties, zeros and +-s pairs, per-draw rows
+    and noisy labels, eta, eps' and min_claim, the latter often at the end
+    of a tie group."""
+    g = np.random.default_rng(seed)
+    u, m = int(g.integers(1, 40)), int(g.integers(1, 300))
+    s = np.round(g.normal(size=u) * g.choice([1, 2, 4, 16]), 0) / 4
+    s[g.random(u) < 0.15] = 0.0
+    pairs = int(g.integers(0, u // 2 + 1))
+    s[:pairs] = -s[u - pairs:]
+    rows = g.integers(0, u, m)
+    clean = sign_pm1(s[rows])
+    noise = g.uniform(0.0, 0.6)
+    y = np.where(g.random(m) < noise, -clean, clean)
+    eta, eps_prime = g.uniform(0.0, 0.45), g.uniform(0.01, 0.4)
+    if g.random() < 0.4:  # the end of a tie group in the sorted draw order
+        sizes = np.unique(np.abs(s[rows]), return_counts=True)[1][::-1]
+        min_claim = int(np.cumsum(sizes)[g.integers(0, sizes.size)]) + int(g.integers(0, 2))
+    else:
+        min_claim = int(g.integers(1, m + 2))
+    return s, rows, y, eta, eps_prime, min_claim
+
+
+def _branches(scores, y, eta, eps_prime, min_claim):
+    """Which cases of the per-draw rule a case reaches: the widest prefix
+    ends inside a tie group, min_claim is admissible only at a group end,
+    the fallback to the exact prefix value runs."""
+    m = scores.shape[0]
+    target = eta + eps_prime - eps_prime / 8.0
+    a = np.sort(np.abs(scores))[::-1]
+    order = np.argsort(-np.abs(scores), kind="stable")
+    wrong = sign_pm1(scores[order]) != y[order]
+    js = np.arange(1, m + 1)
+    ok = (np.cumsum(wrong) / js < target) & (js >= min_claim)
+    if not ok.any():
+        return set()
+    j = int(np.flatnonzero(ok)[-1]) + 1
+    hit = set()
+    if j < m and a[j - 1] == a[j]:
+        hit.add("interior")
+    if min_claim < m and a[min_claim - 1] != a[min_claim] and ok[min_claim - 1]:
+        hit.add("min_claim_at_group_end")
+    t = 0.0 if j >= m else min(0.5 * (a[j - 1] + a[j]), a[j - 1])
+    claimed = np.abs(scores) >= t
+    if np.mean(sign_pm1(scores[claimed]) != y[claimed]) >= target and j > min_claim:
+        hit.add("fallback")
+    return hit
+
+
+class TestBandSelect:
+    def test_matches_per_draw_rule(self):
+        # Exact tuples (or None) on 2,400 seeded cases, and every case of the
+        # per-draw rule reached many times.
+        seen = {"none": 0, "interior": 0, "min_claim_at_group_end": 0, "fallback": 0}
+        for seed in range(2400):
+            s, rows, y, eta, eps_prime, min_claim = _band_case(seed)
+            want = _per_draw_band_select(s[rows], y, eta, eps_prime, min_claim)
+            got = _band_select(s, rows, y, eta, eps_prime, min_claim)
+            assert got == want, (seed, got, want)
+            if want is None:
+                seen["none"] += 1
+            for b in _branches(s[rows], y, eta, eps_prime, min_claim):
+                seen[b] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_unhit_rows_are_not_groups(self):
+        # Rows no validation draw hit must not split the sorted draw order:
+        # the midpoint is taken between the values the draws carry.
+        s = np.array([0.9, 0.7, 0.5, 0.3])
+        rows = np.array([0, 0, 2, 2, 3, 3])
+        y = np.array([1, 1, -1, -1, -1, -1])
+        want = _per_draw_band_select(s[rows], y, 0.2, 0.1, 1)
+        assert want == (0.5 * (0.9 + 0.5), 2 / 6, 0.0)
+        assert _band_select(s, rows, y, 0.2, 0.1, 1) == want
+
+
+class TestModelOracleLabels:
+    @pytest.mark.parametrize("kind", ["constant", "margin_inverse", "table"])
+    def test_per_support_row_labels_match_per_draw_formula(self, kind):
+        model = general_position_model(6, 300, 0.3, seed=41, eta_kind=kind)
+        if kind == "table":
+            S = model.marginal.support.points
+            table = {tuple(int(v) for v in S[i]): 0.05 * (i % 7) for i in range(0, 300, 3)}
+            model.eta = EtaSpec("table", table=table, default=0.1)
+        oracle = ModelOracle(model, seed=9)
+        rows, gidx = oracle.draw_indexed(100_000)
+        X = oracle.support[rows]
+        clean = sign_pm1(X.astype(np.float64) @ model.w_star)
+        flips = rng.uniform01(9, TAG_FLIP, gidx) < eta_values(model, X)
+        want = np.where(flips, -clean, clean)
+        np.testing.assert_array_equal(oracle.labels_for(rows, gidx), want)
+        assert 0 < np.mean(want != clean) < 0.3
 
 
 class TestLearnHalfspace:
