@@ -94,24 +94,32 @@ def _load_config_file(path):
     return values
 
 
-def _merge_config(args, parser_defaults):
+def _merge_config(args, actions):
+    """Fill options still at their defaults from the ``--config`` file.
+
+    ``actions`` are the verb parser's actions; each file value is converted
+    by its option's own ``type`` and checked against its ``choices``, and a
+    value that does not parse is a UsageError.  Keys naming no option of the
+    verb are ignored.
+    """
     if not getattr(args, "config", None):
         return args
-    file_vals = _load_config_file(args.config)
-    for key, val in file_vals.items():
-        if not hasattr(args, key):
+    by_dest = {a.dest: a for a in actions}
+    for key, val in _load_config_file(args.config).items():
+        action = by_dest.get(key)
+        if action is None or not hasattr(args, key) or getattr(args, key) != action.default:
             continue
-        if getattr(args, key) is None or getattr(args, key) == parser_defaults.get(key):
-            cur = parser_defaults.get(key)
-            caster = type(cur) if cur is not None else str
-            if caster is bool:
-                val = val.lower() in ("1", "true", "yes")
-                setattr(args, key, val)
-            else:
-                try:
-                    setattr(args, key, caster(val) if cur is not None else val)
-                except ValueError:
-                    setattr(args, key, val)
+        if isinstance(action.default, bool):
+            val = val.lower() in ("1", "true", "yes")
+        elif action.type is not None:
+            try:
+                val = action.type(val)
+            except (TypeError, ValueError):
+                raise UsageError(f"config value {key} = {val!r} does not parse") from None
+        if action.choices is not None and val not in action.choices:
+            raise UsageError(f"config value {key} = {val!r} is not one of "
+                             f"{', '.join(map(str, action.choices))}")
+        setattr(args, key, val)
     return args
 
 
@@ -306,9 +314,9 @@ def run(argv):
     if args.verb is None:
         parser.print_help(sys.stderr)
         return 1
-    defaults = {a.dest: a.default for a in parser._actions}
+    verbs = next(a.choices for a in parser._actions if a.dest == "verb")
     try:
-        args = _merge_config(args, defaults)
+        args = _merge_config(args, verbs[args.verb]._actions)
         return _COMMANDS[args.verb](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

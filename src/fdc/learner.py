@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
+from . import exact, rng
 from .dataset import PointSet, sign_pm1
 from .errors import (
     CoverageFailure,
@@ -422,7 +422,8 @@ def _rejection_draw(oracle, method, keep, need, budget_draws):
     """Accumulate ``need`` draws of ``oracle.<method>`` (which returns a tuple
     of per-draw arrays) whose first array passes the mask ``keep(first)``;
     returns the accepted arrays, or None once budget_draws have been
-    consumed.  Batches hold max(65536, need) draws."""
+    consumed.  Batches hold max(65536, need) draws; a batch whose draws all
+    pass is kept as drawn, without a copy or an index array."""
     draw = getattr(oracle, method)
     accepted = []
     got = 0
@@ -432,11 +433,34 @@ def _rejection_draw(oracle, method, keep, need, budget_draws):
         arrays = draw(batch)
         used += batch
         m = keep(arrays[0])
-        accepted.append([a[m] for a in arrays])
-        got += int(m.sum())
+        if m.all():
+            got += batch
+        else:
+            idx = np.flatnonzero(m)
+            arrays = [a.take(idx, axis=0) for a in arrays]
+            got += idx.size
+        accepted.append(arrays)
     if got < need:
         return None
+    if len(accepted) == 1:
+        return tuple(a[:need] for a in accepted[0])
     return tuple(np.concatenate(col)[:need] for col in zip(*accepted))
+
+
+def _line_sample(lines, line_of, hits):
+    """Compressed Forster input of a sample that hit support row i hits[i]
+    times, where row i lies on the line lines[line_of[i]]: one row per line
+    hit, with its summed hits, ordered by the line's first hit support row.
+    exact.directions gives the hit support rows themselves the same rows,
+    multiplicities and order, so the transform and its certificate are the
+    ones the per-row sample would get."""
+    present = np.flatnonzero(hits)
+    hit_lines, first = np.unique(line_of[present], return_index=True)
+    hit_lines = hit_lines[np.argsort(first)]
+    # Float sums of integer counts below 2^53 are exact.
+    per_line = np.bincount(line_of[present], weights=hits[present],
+                           minlength=lines.shape[0])
+    return lines[hit_lines], per_line[hit_lines].astype(np.int64)
 
 
 def learn_halfspace(oracle, config, dim):
@@ -450,7 +474,10 @@ def learn_halfspace(oracle, config, dim):
     exits the loop; exceeding the iteration cap raises.
 
     An oracle with a finite ``support`` and ``draw_indexed`` is drawn by
-    support row, and every per-point decision is made once per support row.
+    support row.  Every per-point decision is then made once per distinct
+    primitive direction of the support, and the Forster transform sees one
+    row per line through the origin, weighted by its hits: positive rescaling
+    changes neither a halfspace's label nor a Forster transform.
     """
     d = dim
     check_n = config.check_sample_size(d)
@@ -463,8 +490,11 @@ def learn_halfspace(oracle, config, dim):
     indexed = support is not None and hasattr(oracle, "draw_indexed")
     if indexed:
         method = "draw_indexed"
-        canonical, _ = primitive_rows(support)
-        directions, direction_of = distinct_rows(canonical)
+        directions, direction_of = distinct_rows(primitive_rows(support)[0])
+        # Lines through the origin: each direction pooled with its negation;
+        # support row i lies on lines[line_of[i]].
+        lines, _, line_of = exact.directions(directions)
+        line_of = line_of[direction_of]
     else:
         method = "draw"
 
@@ -472,11 +502,12 @@ def learn_halfspace(oracle, config, dim):
     telemetry = []
     for it in range(cap):
         if indexed:
-            star_support = (
-                classifier.star_mask(support)
+            star_dir = (
+                classifier.star_mask(directions)
                 if classifier.stages
-                else np.ones(support.shape[0], dtype=bool)
+                else np.ones(directions.shape[0], dtype=bool)
             )
+            star_support = star_dir[direction_of]
 
         def star(first):
             """Mask of the draws (support rows, or points) h abstains on."""
@@ -499,10 +530,8 @@ def learn_halfspace(oracle, config, dim):
             telemetry.append(record)
             return classifier, telemetry
         if indexed:
-            # Compressed multiset: the draw only hit support rows.
             hits = np.bincount(drawn[0], minlength=support.shape[0])
-            present = np.nonzero(hits)[0]
-            sample, counts = canonical[present], hits[present]
+            sample, counts = _line_sample(lines, line_of, hits)
         else:
             sample, counts = primitive_rows(drawn[0])[0], None
         piece = forster_transform(PointSet(d, sample), config.transform_delta,
@@ -521,7 +550,9 @@ def learn_halfspace(oracle, config, dim):
         # into them, and the per-draw labels.  Support rows that share a
         # primitive direction share one distinct row.
         if indexed:
-            keep_support = star_support & in_V(support) if k < d else star_support
+            keep_support = (
+                (star_dir & in_V(directions))[direction_of] if k < d else star_support
+            )
 
         def keep(first):
             if indexed:

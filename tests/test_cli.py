@@ -201,6 +201,28 @@ class TestLearnEval:
         doc = json.loads(out.read_text())
         assert doc["certificate"]["delta"] == pytest.approx(1e-3)
 
+    def test_config_value_cast_by_verb_option_type(self, tmp_path):
+        # --seed has no default, so only the verb's own option type can
+        # turn the file's text into an int.
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 5\n")
+        gen = ["gen", "--dim", "3", "--n", "10", "--bits", "8", "--eta", "0.1"]
+        by_file, by_flag = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(gen + ["--config", str(cfg), "--out", str(by_file)]) == 0
+        assert run(gen + ["--seed", "5", "--out", str(by_flag)]) == 0
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("line", ["seed = abc", "marginal = nope"])
+    def test_config_value_that_does_not_parse(self, tmp_path, capsys, line):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "x.csv"
+        assert run(["gen", "--dim", "3", "--n", "10", "--bits", "8", "--eta", "0.1",
+                    "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def test_json_floats_roundtrip_17g(tmp_path):
     from fdc.cli import dump_json

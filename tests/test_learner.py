@@ -10,18 +10,22 @@ from fdc.dataset import (
     MassartModel,
     PointSet,
     eta_values,
+    gen_hard_instance,
     massart_draw,
     sign_pm1,
 )
 from fdc.errors import CoverageFailure, DegenerateSecondMoment
-from fdc.exact import primitive_rows
+from fdc.exact import directions, distinct_rows, primitive_rows
 from fdc.harness import general_position_model
 from fdc.learner import (
+    DatasetOracle,
     LearnerConfig,
     ModelOracle,
     PartialClassifier,
     Stage,
     _band_select,
+    _line_sample,
+    _rejection_draw,
     classifier_from_dict,
     classifier_to_dict,
     evaluate_classifier,
@@ -390,6 +394,145 @@ class TestLearnHalfspace:
             if err <= eta + eps_prime + 0.02:
                 hits += 1
         assert hits >= 18
+
+
+def _masked_rejection_draw(oracle, method, keep, need, budget_draws):
+    """_rejection_draw as it was before it compacted by index: a boolean mask
+    applied to every array of every batch."""
+    draw = getattr(oracle, method)
+    accepted = []
+    got = 0
+    used = 0
+    while got < need and used < budget_draws:
+        batch = int(min(max(65536, need), budget_draws - used))
+        arrays = draw(batch)
+        used += batch
+        m = keep(arrays[0])
+        accepted.append([a[m] for a in arrays])
+        got += int(m.sum())
+    if got < need:
+        return None
+    return tuple(np.concatenate(col)[:need] for col in zip(*accepted))
+
+
+def _cycling_keep(modes, mixed):
+    """A keep function whose k-th call keeps every draw ("all"), the draws
+    ``mixed`` passes ("mixed") or none ("none"), by modes[k % len(modes)]."""
+    calls = []
+
+    def keep(first):
+        mode = modes[len(calls) % len(modes)]
+        calls.append(mode)
+        if mode == "all":
+            return np.ones(len(first), dtype=bool)
+        if mode == "none":
+            return np.zeros(len(first), dtype=bool)
+        return mixed(first)
+
+    return keep
+
+
+class TestRejectionDraw:
+    # (modes, need, budget): single and multiple batches, pass-through,
+    # compacted and empty batches mixed in one call, and exhausted budgets.
+    CASES = [
+        (["all"], 1_000, 10 ** 6),
+        (["all"], 70_000, 200_000),
+        (["mixed"], 70_000, 10 ** 6),
+        (["none"], 100, 200_000),
+        (["none", "all", "mixed"], 70_000, 10 ** 6),
+        (["mixed", "all"], 70_000, 10 ** 6),
+        (["mixed", "none", "all"], 100_000, 10 ** 6),
+        (["mixed"], 70_000, 100_000),
+    ]
+
+    def _compare(self, make_oracle, method, mixed, modes, need, budget):
+        old_oracle, new_oracle = make_oracle(), make_oracle()
+        want = _masked_rejection_draw(old_oracle, method, _cycling_keep(modes, mixed),
+                                      need, budget)
+        got = _rejection_draw(new_oracle, method, _cycling_keep(modes, mixed),
+                              need, budget)
+        assert new_oracle.count == old_oracle.count
+        if want is None:
+            assert got is None
+            return
+        assert got is not None and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("modes, need, budget", CASES)
+    def test_indexed_path_matches_masking(self, modes, need, budget):
+        X = np.arange(1, 151).reshape(50, 3)
+        data = LabeledDataset(PointSet(3, X), np.where(np.arange(50) % 2 == 0, 1, -1))
+        self._compare(lambda: DatasetOracle(data, seed=4), "draw_indexed",
+                      lambda rows: rows % 3 == 0, modes, need, budget)
+
+    @pytest.mark.parametrize("modes, need, budget", CASES)
+    def test_point_path_matches_masking(self, modes, need, budget):
+        # 2-D point arrays: compacting must keep whole rows.
+        model = general_position_model(3, 40, 0.1, seed=1)
+        self._compare(lambda: ModelOracle(model, seed=2), "draw",
+                      lambda X: X[:, 0] > 0, modes, need, budget)
+
+
+class TestForsterInputPerLine:
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_per_line_input_matches_per_row_input(self, planted):
+        # Support rows repeat their directions scaled by 2 and 8 and negated
+        # (times -1 and -3); some rows are never hit.
+        g = np.random.default_rng(5)
+        base = g.integers(-6, 7, size=(40, 4))
+        if planted:
+            base[:28, 2:] = 0  # a heavy plane
+        base[~base.any(axis=1), 0] = 1
+        scale = g.choice([1, 2, 8, -1, -3], size=160)
+        support = base[g.integers(0, 40, size=160)] * scale[:, None]
+        hits = g.integers(0, 50, size=160)
+        hits[::7] = 0
+        canonical = primitive_rows(support)[0]
+        present = np.flatnonzero(hits)
+        per_row = forster_transform(PointSet(4, canonical[present]), 0.25,
+                                    counts=hits[present])
+
+        dirs, direction_of = distinct_rows(canonical)
+        lines, _, line_of = directions(dirs)
+        sample, counts = _line_sample(lines, line_of[direction_of], hits)
+        per_line = forster_transform(PointSet(4, sample), 0.25, counts=counts)
+
+        assert sample.shape[0] < dirs.shape[0] < present.size
+        assert counts.sum() == hits.sum()
+        assert (per_row.subspace.dim < 4) == planted
+        assert per_line.subspace.basis.tobytes() == per_row.subspace.basis.tobytes()
+        assert per_line.subspace.int_rows == per_row.subspace.int_rows
+        assert per_line.transform.tobytes() == per_row.transform.tobytes()
+        assert (np.array(per_line.certificate).tobytes()
+                == np.array(per_row.certificate).tobytes())
+
+
+class TestPinnedDatasetRun:
+    def test_hard_file_run(self):
+        # An fdc gen --marginal hard file, plus negated copies of its first
+        # 700 rows so that lines carry both signs.  Draw count, stages, w
+        # bytes and thresholds are those of the per-support-row learner.
+        model, _ = gen_hard_instance(5, 80, 24, 0.1, 11)
+        data = massart_draw(model, 4000, 11)
+        X = np.concatenate([data.base.points, -data.base.points[:700]])
+        y = np.concatenate([data.labels, -data.labels[:700]])
+        oracle = DatasetOracle(LabeledDataset(PointSet(5, X), y), seed=7)
+        config = LearnerConfig(eta=0.1, eps=0.15, delta=0.2, C=8.0)
+        clf, telemetry = learn_halfspace(oracle, config, dim=5)
+        assert oracle.count == 6_162_264
+        assert [s.subspace.dim for s in clf.stages] == [5, 1, 1]
+        assert [s.w.tobytes().hex() for s in clf.stages] == [
+            "3ab95d98d00eea3f8071ba67a6e9c7bfa326b5b159d3aa3f"
+            "d142cd665447b6bfd4130eae4d48e13f",
+            "000000000000f03f",
+            "000000000000f03f",
+        ]
+        assert [s.threshold for s in clf.stages] == [0.053170705416273695, 0.0, 0.0]
+        assert [t["piece"]["lambda_min"] for t in telemetry if "piece" in t] == [
+            0.19950124675556752, 1.0, 1.0]
 
 
 class TestIterationCap:

@@ -107,3 +107,49 @@ def test_caller_indices_untouched():
     rng.raw_u64(3, 1, idx)
     rng.integers(3, 1, idx, 5)
     np.testing.assert_array_equal(idx, np.arange(6, dtype=np.uint64))
+
+
+# Blocked generation against a per-element Python-int splitmix64.
+
+_M64 = 2 ** 64 - 1
+_G = 0x9E3779B97F4A7C15
+
+
+def _ref_u64(seed, tag, i):
+    x = ((seed & _M64) * _G + tag * 0xBF58476D1CE4E5B9 + i * _G + _G) & _M64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & _M64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & _M64
+    return x ^ (x >> 31)
+
+
+def _block_cases():
+    """(name, index array) pairs: a strided view and an offset range, each
+    at sizes around the block length."""
+    B = rng.BLOCK
+    n_max = 3 * B + 7
+    strided = (np.arange(2 * n_max, dtype=np.uint64) * np.uint64(5)).reshape(-1, 2)[:, 1]
+    assert not strided.flags.c_contiguous
+    offset = np.arange(2 ** 40, 2 ** 40 + n_max, dtype=np.uint64)
+    for name, idx in (("strided", strided), ("offset", offset)):
+        for n in (0, 1, B - 1, B, B + 1, n_max):
+            yield name, idx, n
+
+
+def test_blocked_generation_matches_per_element_reference():
+    seed, tag = 2 ** 64 - 3, 17
+    refs = {}
+    for name, idx, n in _block_cases():
+        if name not in refs:
+            refs[name] = [_ref_u64(seed, tag, int(i)) for i in idx]
+        ref = refs[name][:n]
+        sub = idx[:n]
+        raw = rng.raw_u64(seed, tag, sub)
+        assert raw.shape == (n,) and raw.dtype == np.uint64
+        assert raw.tolist() == ref
+        assert rng.uniform01(seed, tag, sub).tolist() == [(x >> 11) * 2.0 ** -53 for x in ref]
+        for high in (1, 7, 100_000, 2 ** 63):
+            v = rng.integers(seed, tag, sub, high)
+            assert v.dtype == np.int64
+            assert v.tolist() == [x % high for x in ref]
