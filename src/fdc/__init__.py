@@ -38,7 +38,6 @@ from .transform import (
     ForsterPiece,
     forster_decompose,
     forster_transform,
-    radial_map,
     verify_piece,
 )
 
@@ -55,5 +54,5 @@ __all__ = [
     "ScalingWeights", "ViolatedConstraint", "fixed_point_scaling",
     "recheck_certificate", "separation_oracle", "solve_scaling_sdp",
     "ForsterDecomposition", "ForsterPiece", "forster_decompose",
-    "forster_transform", "radial_map", "verify_piece",
+    "forster_transform", "verify_piece",
 ]

@@ -23,7 +23,7 @@ from .dataset import (
     massart_draw,
     save_labeled_csv,
 )
-from .errors import FdcError
+from .errors import FdcError, ParseError
 from .harness import general_position_model
 from .learner import (
     DatasetOracle,
@@ -226,6 +226,9 @@ def _cmd_eval(args):
         doc = json.load(fh)
     classifier = classifier_from_dict(doc)
     test = load_labeled(args.test, format=args.format)
+    if any(st.subspace.ambient_dim != test.base.dim for st in classifier.stages):
+        raise ParseError(f"model dimension {classifier.stages[0].subspace.ambient_dim} "
+                         f"does not match the test file's {test.base.dim}")
     report = evaluate_classifier(classifier, test)
     out = {
         "error_claimed": report.error_claimed,

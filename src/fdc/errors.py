@@ -61,8 +61,9 @@ class RankDeficient(FdcError):
 
 
 class IterationBudgetExceeded(FdcError):
-    """Cutting-plane / ellipsoid iteration budget exhausted before a sound
-    feasible-or-infeasible verdict; signals numerical failure, not infeasibility."""
+    """An iterative search (the heavy-subspace hunt, or the reference LP's
+    central-cut loop) exhausted its budget before a sound verdict; signals
+    numerical failure, not infeasibility."""
 
 
 class InternalInvariantViolated(FdcError):

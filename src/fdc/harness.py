@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import exact, rng, scaling
+from . import exact, rng
 from .dataset import (
     EtaSpec,
     MarginalSpec,
@@ -32,7 +32,12 @@ from .dataset import (
     gen_hard_instance,
     massart_draw,
 )
-from .errors import InternalInvariantViolated, RankDeficient, SizeLimit
+from .errors import (
+    InternalInvariantViolated,
+    IterationBudgetExceeded,
+    RankDeficient,
+    SizeLimit,
+)
 from .heavy import HeavySubspaceResult
 from .learner import LearnerConfig, ModelOracle, evaluate_classifier, learn_halfspace
 from .linalg import span_of
@@ -203,13 +208,77 @@ def max_weight_basis(points, subspace_dim, weights):
     return sorted(int(order[p]) for p in positions)
 
 
+def central_cut(cut, center, r0, lo, hi, side, budget):
+    """Central-cut ellipsoid method over the box [lo, hi]^n.
+
+    Starts from the ball of radius r0 around ``center``.  Each step cuts on a
+    violated box face, else on ``cut(center)``: a normal a of a constraint the
+    center violates (the feasible set lies in a . x <= a . center), or None to
+    accept the center, which is then returned.  When the feasible set is
+    nonempty it contains a box of side ``side``, so the ellipsoid's volume
+    dropping below that box's, or its half-width along a cut normal or its
+    shortest semi-axis dropping to side/2, is an infeasibility verdict:
+    returns None.  Raises
+    IterationBudgetExceeded on numerical failure or after ``budget`` steps.
+    """
+    n = center.size
+    P = np.eye(n) * (r0 * r0)
+    log_det = 2.0 * n * math.log(r0)
+    log_ball = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
+    log_vol_min = n * math.log(side)
+    half2 = (0.5 * side) ** 2
+    for it in range(budget):
+        if log_ball + 0.5 * log_det <= log_vol_min:
+            return None
+        low = int(np.argmin(center))
+        high = int(np.argmax(center))
+        if center[low] < lo:
+            a = np.zeros(n)
+            a[low] = -1.0
+        elif center[high] > hi:
+            a = np.zeros(n)
+            a[high] = 1.0
+        else:
+            a = cut(center)
+            if a is None:
+                return center
+        Pa = P @ a
+        aPa = float(a @ Pa)
+        if not math.isfinite(aPa):
+            raise IterationBudgetExceeded("ellipsoid lost definiteness")
+        slab2 = half2 * float(a @ a)
+        if aPa <= slab2:
+            if aPa < -16.0 * slab2:
+                raise IterationBudgetExceeded("ellipsoid lost definiteness")
+            return None
+        ga = Pa / math.sqrt(aPa)
+        center = center - ga / (n + 1.0)
+        P = (n * n / (n * n - 1.0)) * (P - (2.0 / (n + 1.0)) * np.outer(ga, ga))
+        # Symmetrize and pad: keeps P positive definite under round-off; the
+        # pad only inflates the volume, so the infeasible verdict stays sound.
+        P = 0.5 * (P + P.T)
+        P *= 1.0 + 1e-12
+        log_det += (
+            n * math.log(n * n / (n * n - 1.0))
+            + math.log(max(1.0 - 2.0 / (n + 1.0), 1e-12))
+            + n * 1e-12
+        )
+        if it % 32 == 31:
+            # The eigenfloor also repairs round-off drift in P and log_det.
+            eigs = np.linalg.eigvalsh(P)
+            if eigs[0] <= half2:
+                return None
+            log_det = float(np.sum(np.log(eigs)))
+    raise IterationBudgetExceeded("ellipsoid budget exhausted without a verdict")
+
+
 def lp_feasible(points, subspace_dim, margin=None, budget=None):
     """Feasible vector for the basis-threshold LP, or None if infeasible.
 
     The LP over [0,1]^N has one constraint per basis B of the points,
     sum_i v_i >= (N/k) * sum_{i in B} v_i + 1, and is feasible iff some
     proper subspace holds >= (N/k)*dim(W) + 1 points.  Solved by
-    ``scaling.central_cut``; the violated-constraint oracle is the greedy
+    ``central_cut``; the violated-constraint oracle is the greedy
     maximum-weight basis at the current center.  A center is accepted once
     the worst constraint holds with slack >= -margin (margin = 1/(4N));
     binary certificates have integral slack >= 0, so the relaxation admits no
@@ -243,8 +312,8 @@ def lp_feasible(points, subspace_dim, margin=None, budget=None):
         a[basis] += ratio
         return a
 
-    return scaling.central_cut(cut, np.full(N, 0.5), 0.5 * math.sqrt(N), 0.0, 1.0,
-                               margin / (2.0 * N), budget)
+    return central_cut(cut, np.full(N, 0.5), 0.5 * math.sqrt(N), 0.0, 1.0,
+                       margin / (2.0 * N), budget)
 
 
 def _members(W, pts):

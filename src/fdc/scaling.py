@@ -5,22 +5,18 @@ multiplicities m(x) summing to M, is the matrix inequality
 
     c^2(x) x x^T  <=  ((k + delta)/M) * sum_y m(y) c^2(y) y y^T     for all x,
 
-with the normalization c^2 >= 1.  Two solvers are provided: a fixed-point
-iteration (fast; its output is only ever trusted after certification) and a
-central-cut ellipsoid method driven by the spectral separation oracle
-(faithful fallback).  Either way the returned weights pass the same
-certificate, so correctness never depends on which solver produced them.
+with the normalization c^2 >= 1.  A fixed-point iteration is the cheap first
+try and damped Newton on Barthe's convex potential the fallback.  Weights
+from either are returned only once the spectral separation oracle accepts
+them, so correctness never depends on which solver produced them.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, IterationBudgetExceeded
+from .errors import Infeasible
 from .linalg import jacobi_eigh
-
-ELLIPSOID_N_CAP = 24
 
 
 @dataclass
@@ -41,11 +37,9 @@ class ScalingWeights:
 
 @dataclass
 class ViolatedConstraint:
-    """Witness that the scaling inequality fails at one point.
-
-    The linear constraint (in the c^2 variables) indexed by (point_index, w):
-        c^2(x) |w.x|^2 <= ((k+delta)/M) * sum_y m(y) c^2(y) |w.y|^2
-    is violated by violation_gap at the candidate weights.
+    """Witness that the scaling inequality fails at one point: the linear
+    constraint c^2(x) |w.x|^2 <= ((k+delta)/M) * sum_y m(y) c^2(y) |w.y|^2,
+    indexed by (point_index, witness w), is violated by violation_gap.
     """
 
     point_index: int
@@ -124,16 +118,14 @@ def separation_oracle(points, candidate, mults=None, tau=None):
     """Most-violated spectral constraint at the candidate weights, or None.
 
     For each x checks M_x = S - c^2(x) x x^T, S = ((k+delta)/M) Sigma_c, for
-    eigenvalues below the slack, and returns the most negative one's
-    eigenvector as the witness direction.  Every M_x is a rank-one downdate
-    of the one matrix S (Golub 1973; Bunch, Nielsen and Sorensen 1978): with
-    S = Q diag(lam) Q^T from one Jacobi eigendecomposition and z = Q^T x,
-    the least eigenvalue mu of M_x is the least root of the secular equation
-    1 = c^2(x) sum_j z_j^2/(lam_j - mu), solved for all points at once, or
-    an eigenvalue lam_j of S whose z_j is zero (deflation; repeated
-    eigenvalues need no special case because the least root lies below all
-    of them).  The witness is (S - mu I)^{-1} x, or the deflated
-    eigenvector.
+    eigenvalues below the slack; the most negative one's eigenvector is the
+    witness.  Every M_x is a rank-one downdate of S (Golub 1973; Bunch,
+    Nielsen and Sorensen 1978): with S = Q diag(lam) Q^T from one Jacobi
+    eigendecomposition and z = Q^T x, the least eigenvalue mu of M_x is the
+    least root of 1 = c^2(x) sum_j z_j^2/(lam_j - mu), solved for all points
+    at once, or an eigenvalue lam_j with z_j = 0 (deflation; repeated
+    eigenvalues need no special case, as the least root lies below them all).
+    The witness is (S - mu I)^{-1} x, or the deflated eigenvector.
 
     With tau=None the slack is per-constraint and purely a round-off
     allowance: REL_SLACK * (tr(scaled Sigma_c) + c^2(x)||x||^2), the natural
@@ -173,16 +165,14 @@ PREREJECT_MARGIN = 1e-9
 
 def _surely_violated(points, candidate, mults):
     """True only when the separation oracle would surely report a violation:
-    a cheap rank-one test that lets ``fixed_point_scaling`` skip the oracle's
-    eigendecomposition at weights that are still far from certified.
+    a cheap rank-one test that lets ``fixed_point_scaling`` skip the oracle.
 
-    With S = ((k+delta)/M) Sigma_c = L L^T, the downdate S - c^2(x) x x^T is
-    indefinite iff q(x) = c^2(x) ||L^{-1} x||^2 > 1.  At the point of largest
-    q, v = S^{-1} x gives the Rayleigh quotient (v^T S v - c^2(x)(x.v)^2)/v^T v,
-    an upper bound on the downdate's least eigenvalue.  The test fires only
-    when that bound lies below the oracle's slack by PREREJECT_MARGIN of the
-    constraint's scale, far beyond either computation's round-off.  False
-    (including on a failed Cholesky) means "ask the oracle", never "certified".
+    With S = ((k+delta)/M) Sigma_c = L L^T, S - c^2(x) x x^T is indefinite iff
+    q(x) = c^2(x) ||L^{-1} x||^2 > 1.  At the largest q, v = S^{-1} x gives a
+    Rayleigh quotient bounding the least eigenvalue from above; the test fires
+    only when it lies below the oracle's slack by PREREJECT_MARGIN of the
+    constraint's scale.  False (also on a failed Cholesky) means "ask the
+    oracle", never "certified".
     """
     k = points.shape[1]
     c = candidate.c_sq
@@ -224,13 +214,11 @@ def recheck_certificate(points, weights, mults=None, tol_factor=1e-9):
 
 
 def _normalized(c_sq):
-    c = np.asarray(c_sq, dtype=np.float64)
-    return c / c.min()
+    return c_sq / c_sq.min()
 
 
-# Beyond this intrinsic weight range binary64 cannot resolve the constraint
-# slacks (the paper's theoretical weight ceiling n^{poly(b,d)} is far outside
-# floating range); solvers refuse to certify past it.
+# The fixed point's divergence stop: an iterate whose weight range passes
+# this is taken to be running off towards a heavy flat, and the run ends.
 WEIGHT_RANGE_CAP = 1e10
 
 
@@ -240,25 +228,20 @@ def _unit_rows(points):
     return pts / np.sqrt(norms2)[:, None], norms2
 
 
-def fixed_point_scaling(points, delta, max_iters=4000, mults=None, damping=0.0,
+def fixed_point_scaling(points, delta, max_iters=4000, mults=None,
                         snapshot_hook=None):
     """Fixed-point accelerator: c <- 1 / ||Sigma^{-1/2} x||, min-normalized.
 
-    Returns certified ScalingWeights or None; None is the only failure channel
-    (the caller falls back to the ellipsoid solver).  Internally the points
-    are unit-normalized (the problem is invariant under per-point rescaling,
-    with the weights absorbing the norms), which keeps the iteration
-    well-scaled for inputs whose coordinate magnitudes span many octaves.
-    ``snapshot_hook(t, c_sq, sigma_hat)`` is invoked on a sparse schedule so
-    callers can inspect the dynamics (used for heavy-subspace candidates).
-    The iterates do not depend on ``max_iters``, and the hook always fires at
-    t == max_iters, so a caller can tell a run that used its budget up (the
-    only kind a larger budget can change) from one that stopped earlier.
-    Candidates that ``_surely_violated`` rejects skip the oracle; every
-    certificate still comes from ``separation_oracle``.
+    Returns certified ScalingWeights or None.  The points are unit-normalized
+    internally (the weights absorb the norms), which keeps the iteration
+    well-scaled when coordinate magnitudes span many octaves.
+    ``snapshot_hook(t, c_sq, sigma_hat)`` fires on a sparse schedule and
+    always at t == max_iters; the iterates do not depend on ``max_iters``, so
+    a caller can tell a run that used its budget up (the only kind a larger
+    budget can change) from one that stopped earlier.  Candidates that
+    ``_surely_violated`` rejects skip the oracle.
     """
-    raw = np.asarray(points, dtype=np.float64)
-    unit, norms2 = _unit_rows(raw)
+    unit, norms2 = _unit_rows(points)
     n, k = unit.shape
     m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
     M = m.sum()
@@ -282,9 +265,6 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None, damping=0.0,
             return None
         c_new = 1.0 / quads
         c_new = c_new / c_new.min()
-        if damping > 0:
-            c_new = np.exp((1 - damping) * np.log(c_new) + damping * np.log(c))
-            c_new = c_new / c_new.min()
         rel = np.max(np.abs(c_new - c) / np.maximum(c, 1e-300))
         c = c_new
         if snapshot_hook is not None and (t in snapshots_at or t == max_iters):
@@ -303,152 +283,91 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None, damping=0.0,
     return None
 
 
-def central_cut(cut, center, r0, lo, hi, side, budget):
-    """Central-cut ellipsoid method over the box [lo, hi]^n.
+NEWTON_ITERS = 100
 
-    Starts from the ball of radius r0 around ``center``.  Each step cuts on a
-    violated box face, else on ``cut(center)``: a normal a of a constraint the
-    center violates (the feasible set lies in a . x <= a . center), or None to
-    accept the center, which is then returned.  When the feasible set is
-    nonempty it contains a box of side ``side``, so the ellipsoid's volume
-    dropping below that box's, or its half-width along a cut normal or its
-    shortest semi-axis dropping to side/2, is an infeasibility verdict:
-    returns None.  Raises
-    IterationBudgetExceeded on numerical failure or after ``budget`` steps.
+
+def _newton_scaling(points, delta, m):
+    """Damped Newton on Barthe's potential over log-weights t of unit rows u,
+    Phi(t) = log det(sum_i m_i e^{t_i} u_i u_i^T) - (k/M) sum_i m_i t_i: convex,
+    and bounded below exactly when no strictly heavy flat exists (Barthe 1998).
+
+    With Sigma = L L^T and b_i = L^{-1} u_i, the gradient is m_i (l_i - k/M)
+    for the leverages l_i = e^{t_i} ||b_i||^2, and the Hessian is
+    diag(m l) - K K^T with K_i = m_i e^{t_i} (b_i kron b_i).  H 1 = 0 and
+    sum g = 0, so the step solves (H + a 1 1^T) s = -g by Woodbury through a
+    (k^2 + 1)-dimensional capacitance; no nu x nu array is formed.  Armijo
+    backtracking also shortens steps that leave binary64 or break the Cholesky.
+    Returns certified weights at the first iterate whose leverages all lie
+    within delta/4 of k/M (in units of 1/M) and that ``separation_oracle``
+    accepts; None once the leverages converge uncertified, the first Cholesky
+    or a solve fails, the step underflows, or NEWTON_ITERS steps pass.
     """
-    n = center.size
-    P = np.eye(n) * (r0 * r0)
-    log_det = 2.0 * n * math.log(r0)
-    log_ball = 0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0)
-    log_vol_min = n * math.log(side)
-    half2 = (0.5 * side) ** 2
-    for it in range(budget):
-        if log_ball + 0.5 * log_det <= log_vol_min:
-            return None
-        low = int(np.argmin(center))
-        high = int(np.argmax(center))
-        if center[low] < lo:
-            a = np.zeros(n)
-            a[low] = -1.0
-        elif center[high] > hi:
-            a = np.zeros(n)
-            a[high] = 1.0
-        else:
-            a = cut(center)
-            if a is None:
-                return center
-        Pa = P @ a
-        aPa = float(a @ Pa)
-        if not math.isfinite(aPa):
-            raise IterationBudgetExceeded("ellipsoid lost definiteness")
-        slab2 = half2 * float(a @ a)
-        if aPa <= slab2:
-            if aPa < -16.0 * slab2:
-                raise IterationBudgetExceeded("ellipsoid lost definiteness")
-            return None
-        ga = Pa / math.sqrt(aPa)
-        center = center - ga / (n + 1.0)
-        P = (n * n / (n * n - 1.0)) * (P - (2.0 / (n + 1.0)) * np.outer(ga, ga))
-        # Symmetrize and pad: keeps P positive definite under round-off; the
-        # pad only inflates the volume, so the infeasible verdict stays sound.
-        P = 0.5 * (P + P.T)
-        P *= 1.0 + 1e-12
-        log_det += (
-            n * math.log(n * n / (n * n - 1.0))
-            + math.log(max(1.0 - 2.0 / (n + 1.0), 1e-12))
-            + n * 1e-12
-        )
-        if it % 32 == 31:
-            # The eigenfloor also repairs round-off drift in P and log_det.
-            eigs = np.linalg.eigvalsh(P)
-            if eigs[0] <= half2:
-                return None
-            log_det = float(np.sum(np.log(eigs)))
-    raise IterationBudgetExceeded("ellipsoid budget exhausted without a verdict")
-
-
-def _ellipsoid_scaling(points, delta, mults, radius, budget):
-    """Central-cut ellipsoid over the c^2 variables inside [1, radius]^n.
-
-    Expects unit-norm rows.  Returns certified weights, or raises Infeasible
-    when the ellipsoid collapses below the box of side ~ delta/(4k) that a
-    feasible region contains around a scaled solution, or
-    IterationBudgetExceeded.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    n, k = pts.shape
-    m = np.asarray(mults, dtype=np.float64)
+    unit, norms2 = _unit_rows(points)
+    n, k = unit.shape
     M = m.sum()
-    last_violation = None
+    inv_c = np.diag(np.r_[-np.ones(k * k), n * n / k])   # 1/a for a = k/n^2
+    # Keeps both e^{t - min t} and the returned weights finite.
+    range_cap = np.log(np.finfo(np.float64).max) - np.ptp(np.log(norms2))
 
-    def cut(center):
-        nonlocal last_violation
-        viol = separation_oracle(pts, ScalingWeights(center.copy(), delta), mults=m)
-        if viol is None:
-            return None
-        last_violation = viol
-        proj = pts @ viol.witness
-        a = -((k + delta) / M) * m * proj * proj
-        a[viol.point_index] += proj[viol.point_index] ** 2
-        return a
+    def potential(t):
+        e = np.exp(t - t.max())
+        L = np.linalg.cholesky(weighted_second_moment(unit, e, m))
+        return 2.0 * np.log(np.diag(L)).sum() + k * t.max() - (k / M) * (m @ t), L, e
 
-    center = central_cut(cut, np.full(n, 0.5 * (1.0 + radius)),
-                         0.5 * (radius - 1.0) * math.sqrt(n) + 1.0, 1.0, radius,
-                         max(delta, 1e-12) / (4.0 * k), budget)
-    if center is None:
-        raise Infeasible("ellipsoid volume exhausted", violation=last_violation)
-    return ScalingWeights(_normalized(center), delta)
+    t = np.zeros(n)
+    try:
+        phi, L, e = potential(t)
+        for _ in range(NEWTON_ITERS):
+            b = np.linalg.solve(L, unit.T).T
+            lev = e * np.einsum("ni,ni->n", b, b)
+            err = np.abs(M * lev - k).max()
+            if err <= delta / 4.0:
+                c = np.exp(t - t.min())
+                if separation_oracle(unit, ScalingWeights(c, delta), mults=m) is None:
+                    return ScalingWeights(_normalized(c / norms2), delta)
+            g = m * (lev - k / M)
+            d_inv = 1.0 / (m * lev)
+            U = np.c_[np.einsum("n,ni,nj->nij", m * e, b, b).reshape(n, -1), np.ones(n)]
+            s = d_inv * (U @ np.linalg.solve(inv_c + (U.T * d_inv) @ U, U.T @ (g * d_inv)) - g)
+            slope = float(g @ s)
+            if err < 1e-13 * k or not slope < 0:
+                return None
+            for j in range(41):
+                trial = t + 0.5 ** j * s
+                if np.ptp(trial) < range_cap:
+                    try:
+                        new = potential(trial)
+                    except np.linalg.LinAlgError:
+                        continue
+                    if new[0] <= phi + 1e-4 * 0.5 ** j * slope:
+                        break
+            else:
+                return None
+            t, (phi, L, e) = trial, new
+    except np.linalg.LinAlgError:
+        pass
+    return None
 
 
 def solve_scaling_sdp(points, delta, mults=None, fp_budget=4000):
     """Certified scaling weights for points (coordinates in V) at relaxation delta.
 
-    Tries the fixed-point accelerator first, then the ellipsoid method for
-    small instances.  The returned weights always pass a final separation
-    oracle at the tightened slack; failure raises Infeasible carrying the last
-    violated constraint (a heavy subspace exists, or numerics failed).
+    Tries the fixed point, then Newton; failure raises Infeasible carrying the
+    violated constraint at unit weights (a heavy subspace, or numerics).
     """
     raw = np.asarray(points, dtype=np.float64)
     n, k = raw.shape
     m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
-    unit, norms2 = _unit_rows(raw)
+    unit, _ = _unit_rows(raw)
     if k == 1 or n == 1:
         w = ScalingWeights(np.ones(n), delta)
         if separation_oracle(unit, w, mults=m) is None:
             return w
         raise Infeasible("degenerate instance fails the 1-d constraint")
-    for budget, damping in ((fp_budget, 0.0), (4 * fp_budget, 0.5)):
-        w = fixed_point_scaling(raw, delta, max_iters=budget, mults=m, damping=damping)
-        if w is not None:
-            return w
-    if n <= ELLIPSOID_N_CAP:
-        # Volume-based Infeasible is only conclusive once the search radius is
-        # maxed out: a verdict at a small radius merely rules out solutions
-        # inside it, so both failure modes escalate the radius (capped at the
-        # certifiable weight range).
-        last = None
-        radius = max(64.0, float(n * k) ** 2)
-        radii = []
-        while True:
-            radii.append(radius)
-            if radius >= WEIGHT_RANGE_CAP:
-                break
-            radius = min(radius * radius, WEIGHT_RANGE_CAP)
-        for i, rad in enumerate(radii):
-            budget = int(
-                8 * n * (n + 1) * (n * (math.log(rad) + math.log(4 * k / max(delta, 1e-12))) + 10)
-            )
-            try:
-                w = _ellipsoid_scaling(unit, delta, m, rad, budget)
-                return ScalingWeights(_normalized(w.c_sq / norms2), delta)
-            except (Infeasible, IterationBudgetExceeded) as exc:
-                last = exc
-                if i == len(radii) - 1 and isinstance(exc, Infeasible):
-                    raise
-        if isinstance(last, Infeasible):
-            raise last
-    viol = separation_oracle(unit, ScalingWeights(np.ones(n), delta), mults=m)
+    w = (fixed_point_scaling(raw, delta, max_iters=fp_budget, mults=m)
+         or _newton_scaling(raw, delta, m))
+    if w is not None:
+        return w
     raise Infeasible(
         "scaling solvers failed to certify (heavy subspace or numerical failure)",
-        violation=viol,
-    )
+        violation=separation_oracle(unit, ScalingWeights(np.ones(n), delta), mults=m))

@@ -21,14 +21,14 @@ import numpy as np
 
 from . import exact
 from .dataset import PointSet, as_point_array
-from .errors import (
-    Infeasible,
-    InternalInvariantViolated,
-    IterationBudgetExceeded,
-    SingularTransform,
-    ZeroPoint,
+from .errors import InternalInvariantViolated, SingularTransform
+from .heavy import (
+    ENUM_COMBO_CAP,
+    HeavySubspaceResult,
+    _enum_combo_count,
+    find_heavy_subspace,
+    hunt_heavy_subspace,
 )
-from .heavy import HeavySubspaceResult, find_heavy_subspace, hunt_heavy_subspace
 from .linalg import Subspace, inv_sqrt_psd, jacobi_eigh, span_of
 from .scaling import (
     ScalingWeights,
@@ -77,18 +77,6 @@ class PieceReport:
     passed: bool
 
 
-def radial_map(A, x):
-    """Ax / ||Ax||: the unit-normalized image of x under A."""
-    x = np.asarray(x, dtype=np.float64)
-    if not np.any(x):
-        raise ZeroPoint("cannot map the zero vector")
-    y = np.asarray(A, dtype=np.float64) @ x
-    norm = np.linalg.norm(y)
-    if norm <= 1e-300 * max(np.linalg.norm(x), 1.0):
-        raise SingularTransform("transform annihilates the input direction")
-    return y / norm
-
-
 def mapped_unit_rows(A, coords):
     """Row-wise f_A for coordinate rows; raises SingularTransform on collapse."""
     imgs = coords @ np.asarray(A, dtype=np.float64).T
@@ -131,7 +119,8 @@ def _chain_to_solvable(dirs, mult, delta):
     weight the chain turns scale-first: it tries to certify scaling weights
     directly and hunts for a heavy subspace only when certification fails
     (exact equality-threshold detection at that scale is outside binary64
-    certification power and is benign for every downstream contract).
+    certification power and is benign for every downstream contract).  A
+    step whose flats are few enough to enumerate is decided exactly instead.
     """
     nu = dirs.shape[0]
     members = np.arange(nu)
@@ -140,7 +129,7 @@ def _chain_to_solvable(dirs, mult, delta):
     while True:
         sub = dirs[members]
         sub_mult = mult[members]
-        if heavy_first or sub.shape[0] <= 2 * V.dim:
+        if heavy_first or _enum_combo_count(sub.shape[0], V.dim) <= ENUM_COMBO_CAP:
             hs = find_heavy_subspace(sub, V, mults=sub_mult)
         else:
             kind, payload = _scale_first_step(
@@ -182,25 +171,15 @@ def forster_transform(point_set, delta, counts=None):
     subspace remains, solves the scaling problem there, and builds
     A = Sigma_c^{-1/2}.  The returned piece satisfies the spectral certificate
     || (1/m) sum f_A(x) f_A(x)^T - I/k ||_2 <= delta and the exact fraction
-    bound |members| * dim(span(S)) >= dim(V) * |S|.  Solver failures are
-    retried once with delta/2 and doubled budgets before surfacing.
+    bound |members| * dim(span(S)) >= dim(V) * |S|.
 
     ``counts`` treats row i as appearing counts[i] times (a compressed
     multiset); all fractions and second moments are weighted accordingly.
     """
-    pts = as_point_array(point_set)
-    last_err = None
-    for attempt, (d_eff, scale) in enumerate(((delta, 1), (delta / 2.0, 2))):
-        try:
-            return _forster_transform_once(pts, delta, d_eff, budget_scale=scale,
-                                           counts=counts)
-        except (Infeasible, IterationBudgetExceeded, InternalInvariantViolated) as e:
-            last_err = e
-    raise last_err
+    return _forster_transform_once(as_point_array(point_set), delta, counts=counts)
 
 
-def _forster_transform_once(pts, delta_report, delta_solve, budget_scale=1,
-                            counts=None):
+def _forster_transform_once(pts, delta, counts=None):
     n = pts.shape[0]
     ambient_rank = span_of(pts).dim
     dirs, mult, inverse = exact.directions(pts)
@@ -208,20 +187,19 @@ def _forster_transform_once(pts, delta_report, delta_solve, budget_scale=1,
         weighted = np.zeros(dirs.shape[0], dtype=np.int64)
         np.add.at(weighted, inverse, np.asarray(counts, dtype=np.int64))
         mult = weighted
-    dir_members, V = _chain_to_solvable(dirs, mult, delta_solve)
+    dir_members, V = _chain_to_solvable(dirs, mult, delta)
     k = V.dim
     sel_dirs = dirs[dir_members]
     sel_mult = mult[dir_members]
     coords = sel_dirs.astype(np.float64) @ V.basis
-    pooled = solve_scaling_sdp(coords, delta_solve, mults=sel_mult,
-                               fp_budget=4000 * budget_scale)
+    pooled = solve_scaling_sdp(coords, delta, mults=sel_mult)
 
     sigma = weighted_second_moment(coords, pooled.c_sq, sel_mult) / sel_mult.sum()
     A = inv_sqrt_psd(sigma, floor=1e-250 * max(np.trace(sigma), 1e-250))
     moment = _mapped_moment(A, coords, sel_mult)
     eigvals, _ = jacobi_eigh(moment)
     lam_max, lam_min = float(eigvals[0]), float(eigvals[-1])
-    if not _certificate_window_ok(lam_min, lam_max, k, delta_solve):
+    if not _certificate_window_ok(lam_min, lam_max, k, delta):
         raise InternalInvariantViolated(
             f"certificate window violated: [{lam_min:.3e}, {lam_max:.3e}] at k={k}"
         )
@@ -242,14 +220,14 @@ def _forster_transform_once(pts, delta_report, delta_solve, budget_scale=1,
 
     weights = ScalingWeights(
         _expand_weights(pts[members], dir_pos[inverse[members]], pooled.c_sq),
-        delta_solve,
+        delta,
     )
     return ForsterPiece(
         member_indices=[int(i) for i in members],
         subspace=V,
         transform=A,
         weights=weights,
-        certificate=(lam_min, lam_max, float(delta_solve)),
+        certificate=(lam_min, lam_max, float(delta)),
     )
 
 

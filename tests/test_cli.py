@@ -224,6 +224,56 @@ class TestLearnEval:
         assert not out.exists()
 
 
+def _plane_model(**stage):
+    """A one-stage model on all of R^2 that claims x1 > 0 as +1."""
+    doc = {"default_label": 1, "stages": [{
+        "subspace_basis": [[1.0, 0.0], [0.0, 1.0]], "subspace_int_rows": [],
+        "transform": [[1.0, 0.0], [0.0, 1.0]], "w": [1.0, 0.0], "threshold": 0.1}]}
+    doc["stages"][0].update(stage)
+    for key in [k for k, v in stage.items() if v is None]:
+        del doc["stages"][0][key]
+    return doc
+
+
+class TestEvalRejectsBadModels:
+    """``fdc eval`` ends a model it cannot score in a typed error, exit 2."""
+
+    @staticmethod
+    def _eval(tmp_path, capsys, doc, rows=("3,1,1", "-2,5,-1", "4,-1,1")):
+        model, test = tmp_path / "model.json", tmp_path / "test.csv"
+        model.write_text(json.dumps(doc))
+        test.write_text("\n".join(rows) + "\n")
+        code = run(["eval", "--model", str(model), "--test", str(test)])
+        return code, capsys.readouterr()
+
+    def test_well_formed_model_is_scored(self, tmp_path, capsys):
+        code, out = self._eval(tmp_path, capsys, _plane_model())
+        assert code == 0
+        assert json.loads(out.out)["total_error"] == 0.0
+
+    @pytest.mark.parametrize("doc, message", [
+        (_plane_model(threshold="x"), "threshold"),
+        (_plane_model(w=None), "'w'"),
+        (_plane_model(w=[1.0]), "'w'"),
+        (_plane_model(transform=[[0.0, 0.0], [0.0, 0.0]]), "not invertible"),
+        (_plane_model(transform=[[1.0, float("nan")], [0.0, 1.0]]), "transform"),
+        (_plane_model(subspace_basis=[[1.0, 0.0]]), "subspace"),
+        (_plane_model(subspace_basis=[[1.0], [0.0]]), "subspace"),
+        ({"default_label": 1, "stages": 5}, "malformed model"),
+        ({**_plane_model(), "default_label": 0}, "default_label"),
+    ])
+    def test_malformed_model_exits_2(self, tmp_path, capsys, doc, message):
+        code, out = self._eval(tmp_path, capsys, doc)
+        assert code == 2
+        assert message in out.err and "Traceback" not in out.err
+
+    def test_test_file_of_another_dimension_exits_2(self, tmp_path, capsys):
+        code, out = self._eval(tmp_path, capsys, _plane_model(),
+                               rows=("3,1,2,1", "-2,5,0,-1"))
+        assert code == 2
+        assert "dimension 2" in out.err and "Traceback" not in out.err
+
+
 def test_json_floats_roundtrip_17g(tmp_path):
     from fdc.cli import dump_json
 

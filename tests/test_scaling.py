@@ -3,12 +3,12 @@ import pytest
 
 from fdc import scaling
 from fdc.errors import Infeasible, IterationBudgetExceeded
+from fdc.harness import central_cut
 from fdc.linalg import jacobi_eigh
 from fdc.scaling import (
     ScalingWeights,
     _secular_min,
     _surely_violated,
-    central_cut,
     fixed_point_scaling,
     recheck_certificate,
     separation_oracle,
@@ -255,8 +255,8 @@ class TestSolve:
             solve_scaling_sdp(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1e-3,
                               fp_budget=200)
 
-    def test_ellipsoid_fallback_certifies(self):
-        # fp_budget=0 silences the accelerator so the ellipsoid path runs
+    def test_newton_fallback_certifies(self):
+        # fp_budget=0 silences the accelerator so the Newton path runs
         w = solve_scaling_sdp(FOUR_POINTS, 0.05, fp_budget=0)
         ok, worst, thr = recheck_certificate(FOUR_POINTS, w)
         assert ok
@@ -291,9 +291,9 @@ class TestSolve:
         A2 = inv_sqrt_psd(s2, 1e-12)
         np.testing.assert_allclose(A2, 0.5 * A1, rtol=1e-8)
 
-    def test_ellipsoid_certifies_when_no_heavy_subspace(self):
+    def test_newton_certifies_when_no_heavy_subspace(self):
         # d <= 3, n <= 8: whenever the brute-force oracle says no heavy
-        # subspace exists, the ellipsoid path must certify within budget
+        # subspace exists, the Newton path must certify within budget
         from fdc.harness import brute_force_heavy_subspace
 
         certified = 0
@@ -308,6 +308,16 @@ class TestSolve:
             if certified >= 6:
                 break
         assert certified >= 4
+
+    def test_newton_certifies_fifty_thousand_rows(self):
+        # The fallback never forms a nu x nu array, so it runs at any nu.
+        X = np.random.default_rng(1).standard_normal((50_000, 3))
+        w = solve_scaling_sdp(X, 1e-3, fp_budget=0)
+        assert recheck_certificate(X, w)[0]
+
+    def test_newton_gives_up_on_heavy_input(self):
+        pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+        assert scaling._newton_scaling(pts, 1e-3, np.ones(4)) is None
 
     def test_weights_magnitude_bound(self):
         for seed in range(8):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fdc.dataset import PointSet
-from fdc.errors import SingularTransform, ZeroPoint
+from fdc.errors import FdcError, SingularTransform
 from fdc.linalg import span_of
 from fdc.transform import (
     ForsterPiece,
@@ -12,7 +12,6 @@ from fdc.transform import (
     mapped_unit_rows,
     piece_from_dict,
     piece_to_dict,
-    radial_map,
     verify_piece,
 )
 from tests.conftest import seeded_point_set, seeded_points
@@ -21,26 +20,32 @@ FOUR = PointSet(2, np.array([[1, 0], [0, 1], [1, 1], [1, -1]]))
 
 
 class TestRadialMap:
+    """f_A(x) = Ax / ||Ax|| row by row, as ``mapped_unit_rows`` computes it."""
+
     def test_identity(self):
-        np.testing.assert_allclose(radial_map(np.eye(2), [3.0, 4.0]), [0.6, 0.8])
+        np.testing.assert_allclose(mapped_unit_rows(np.eye(2), np.array([[3.0, 4.0]])),
+                                   [[0.6, 0.8]])
 
     def test_diagonal(self):
-        got = radial_map(np.diag([1.0, 2.0]), [1.0, 1.0])
-        np.testing.assert_allclose(got, np.array([1.0, 2.0]) / np.sqrt(5.0))
+        got = mapped_unit_rows(np.diag([1.0, 2.0]), np.array([[1.0, 1.0]]))
+        np.testing.assert_allclose(got, [np.array([1.0, 2.0]) / np.sqrt(5.0)])
 
     def test_positive_scale_invariance(self, rng_np):
         A = rng_np.randn(3, 3) + 3 * np.eye(3)
-        x = rng_np.randn(3)
-        np.testing.assert_allclose(radial_map(A, 7.0 * x), radial_map(A, x), atol=1e-12)
-        assert np.linalg.norm(radial_map(A, x)) == pytest.approx(1.0, abs=1e-12)
+        X = rng_np.randn(4, 3)
+        np.testing.assert_allclose(mapped_unit_rows(A, 7.0 * X), mapped_unit_rows(A, X),
+                                   atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(mapped_unit_rows(A, X), axis=1), 1.0,
+                                   atol=1e-12)
 
     def test_zero_point(self):
-        with pytest.raises(ZeroPoint):
-            radial_map(np.eye(2), [0.0, 0.0])
+        # A zero row has no image direction.
+        with pytest.raises(SingularTransform):
+            mapped_unit_rows(np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_singular_transform(self):
         with pytest.raises(SingularTransform):
-            radial_map(np.zeros((2, 2)), [1.0, 0.0])
+            mapped_unit_rows(np.zeros((2, 2)), np.array([[1.0, 0.0]]))
 
 
 class TestForsterTransform:
@@ -76,6 +81,57 @@ class TestForsterTransform:
         pts = S.points[piece.member_indices].astype(np.float64)
         ok, worst, thr = recheck_certificate(pts, piece.weights)
         assert ok
+
+
+def _near_line_set(bits):
+    """Six points within a few units of the line through v at scale 2^bits,
+    six small random points; no heavy flat exists at any ``bits``."""
+    g = np.random.default_rng(0)
+    v = g.integers(1, 9, 4)
+    near = [2 ** bits * (i + 1) * v + g.integers(-3, 4, 4) for i in range(6)]
+    rest = g.integers(-9, 10, (6, 4))
+    rest[~rest.any(axis=1)] = [1, 0, 0, 0]
+    return PointSet(4, np.vstack([np.array(near, dtype=np.int64), rest]))
+
+
+class TestNearLine:
+    """Newton on Barthe's potential reaches weight ranges the fixed point
+    cannot; past binary64's reach the transform ends in a typed error."""
+
+    @pytest.mark.parametrize("bits", [8, 12, 16, 24])
+    def test_decomposes_and_every_piece_verifies(self, bits):
+        S = _near_line_set(bits)
+        dec = forster_decompose(S, 0.25)
+        assert all(verify_piece(p, S).passed for p in dec.pieces)
+
+    @pytest.mark.parametrize("bits", [32, 40])
+    def test_beyond_binary64_raises_typed_error(self, bits):
+        with pytest.raises(FdcError):
+            forster_decompose(_near_line_set(bits), 0.25)
+
+
+def test_enumerable_scale_first_step_is_decided_exactly():
+    # 15 lines with 1,473,655 hits in d = 10, from a learner stage: too much
+    # weight for the heavy-first chain, yet few enough flats to enumerate
+    # (none is heavy).  The hunt used to end it in IterationBudgetExceeded.
+    rows = np.array([
+        [5, 1, 7, 3, -1, -8, 7, 2, -1, -6], [7, -8, 6, 1, -5, 4, -2, 8, 4, 1],
+        [35, -48, 25, 24, -13, 48, 37, 23, 11, 1],
+        [23, -5, -27, -43, -17, -37, -13, -12, 25, -35],
+        [59, -73, 16, -1, -35, 41, 36, 16, 19, -8], [8, -4, -3, -6, 1, 4, -3, 8, -4, 1],
+        [24, -33, 17, 17, -9, 33, 25, 16, 7, 0], [3, 1, 2, -2, -4, 3, -2, -2, -3, -4],
+        [7, -3, 0, -5, 5, 8, 2, -4, 3, -3], [1, -1, 2, 7, 8, 5, 6, 8, 3, 1],
+        [3, 0, 5, 0, -4, -5, -3, -2, -4, -4], [5, -6, 8, 5, 4, -8, -6, -8, -4, -8],
+        [1, -3, 2, 4, -5, -7, 5, -1, -2, -3], [2, 7, 8, 6, 2, 0, -2, 6, -6, -6],
+        [8, -4, -4, -7, 6, 4, 0, -4, -5, -3],
+    ])
+    counts = [104693, 99018, 94534, 103023, 93556, 103602, 91756, 100021, 99243,
+              101776, 97724, 98774, 86701, 87367, 111867]
+    piece = forster_transform(PointSet(10, rows), 0.25, counts=counts)
+    assert piece.subspace.dim == 10
+    assert piece.member_indices == list(range(15))
+    lam_min, lam_max, delta = piece.certificate
+    assert 1.0 / 10.25 - 1e-8 <= lam_min <= lam_max <= 1.25 / 10.25 + 1e-8
 
 
 class TestVerifyPiece:
