@@ -21,14 +21,11 @@ from .learner import (
     PartialClassifier,
     evaluate_classifier,
     learn_halfspace,
-    outlier_bound,
-    weak_partial_learner,
 )
 from .linalg import Subspace, inv_sqrt_psd, span_of, sym_eigen
 from .scaling import (
     ScalingWeights,
     ViolatedConstraint,
-    fixed_point_scaling,
     recheck_certificate,
     separation_oracle,
     solve_scaling_sdp,
@@ -49,9 +46,9 @@ __all__ = [
     "FdcError",
     "HeavySubspaceResult", "find_heavy_subspace",
     "LearnerConfig", "ModelOracle", "PartialClassifier", "evaluate_classifier",
-    "learn_halfspace", "outlier_bound", "weak_partial_learner",
+    "learn_halfspace",
     "Subspace", "inv_sqrt_psd", "span_of", "sym_eigen",
-    "ScalingWeights", "ViolatedConstraint", "fixed_point_scaling",
+    "ScalingWeights", "ViolatedConstraint",
     "recheck_certificate", "separation_oracle", "solve_scaling_sdp",
     "ForsterDecomposition", "ForsterPiece", "forster_decompose",
     "forster_transform", "verify_piece",

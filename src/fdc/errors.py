@@ -61,8 +61,8 @@ class RankDeficient(FdcError):
 
 
 class IterationBudgetExceeded(FdcError):
-    """An iterative search (the heavy-subspace hunt, or the reference LP's
-    central-cut loop) exhausted its budget before a sound verdict; signals
+    """The reference LP's central-cut loop (``harness.central_cut``)
+    exhausted its budget or lost definiteness before a sound verdict; signals
     numerical failure, not infeasibility."""
 
 

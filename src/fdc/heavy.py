@@ -1,32 +1,26 @@
 """Heavy-subspace decision: does a proper subspace W of V hold at least a
 dim(W)/dim(V) fraction of the points, and if so, which one.
 
-The decision is exact over the integer coordinates.  While the number of
-distinct directions is small it enumerates every flat they span.  At scale it
-uses a certified scaling solution: a certificate at relaxation delta <= 1/(2M)
-pins every proper flat's weighted fraction below kappa/k + 1/(kM), so
-integrality rules out strictly heavy flats.  Otherwise it hunts candidates in
-the eigenstructure of the scaling dynamics, and every candidate is verified by
-exact integer membership counts.  The literal feasibility-LP engine that
-decides the same predicate lives in ``fdc.harness`` as a reference.
-
-Counts are multiset counts; proportional points are pooled into one direction
-with a multiplicity (``exact.directions``), which leaves every fraction
-unchanged.
+Exact over the integer coordinates, with no floats.  With the points pooled
+into primitive directions u_i of multiplicity m_i (M in all) and k = dim V,
+W is heavy when k*m(W) >= M*dim W: the question is the least value of
+f(A) = M*r(A) - k*m(A), r the exact rank (Edmonds 1970).  By the matroid
+union theorem, M independent sets can cover each u_i up to k*m_i times with
+kM + min f in all.  ``BasisPacking`` reaches that with integer weights, by
+shortest augmenting paths (Cunningham 1984).  With demand left unmet, the
+directions the last path search reached span the winner; with all demand
+met, the flats of excess 0 are the sets the exchange graph cannot leave.
+``harness.lp_heavy_subspace`` decides the same predicate by the literal LP.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import exact, scaling
+from . import exact
 from .dataset import as_point_array
-from .errors import IterationBudgetExceeded
-from .linalg import Subspace, jacobi_eigh, span_of
-
-ENUM_COMBO_CAP = 4096    # flat enumeration runs while sum C(nu, <=k-1) stays below this
-CERT_BUDGETS = (800, 3200, 12800)
+from .errors import InternalInvariantViolated
+from .linalg import Subspace, span_of
 
 
 @dataclass
@@ -36,192 +30,164 @@ class HeavySubspaceResult:
     member_indices: list = None
 
 
-# ---------------------------------------------------------------------------
-# Exact flat enumeration (canonical witness selection + equality stage)
-# ---------------------------------------------------------------------------
-
-def _enum_combo_count(nu, k):
-    total = 0
-    for j in range(1, min(k - 1, nu) + 1):
-        total += math.comb(nu, j)
-        if total > ENUM_COMBO_CAP:
-            return total
-    return total
-
-
-def _enumerate_flats(dirs, mult, k):
-    """All proper flats spanned by direction subsets, each exactly once, as
-    (excess, dim, member_mask) with excess = k*count - M*dim.
-
-    Subsets grow depth first in index order, one direction at a time, each
-    extending its prefix's complement basis by one elimination step; a
-    direction already in the prefix's flat is skipped.  A flat is reached
-    only through its greedy basis (each element the least index of the flat
-    outside the span of the elements before it): a child whose flat holds a
-    lower index than the new direction that its prefix's flat lacks is not a
-    greedy basis, and neither is any extension of it, so its subtree is
-    pruned."""
-    nu = dirs.shape[0]
-    M = int(mult.sum())
-    rows = exact.as_int_rows(dirs)
-    out = []
-    # One (prefix complement, prefix flat's mask, next direction to try)
-    # entry per subset size.
-    stack = [(exact.IntSpan(dirs.shape[1]).perp, np.zeros(nu, dtype=bool), 0)]
-    while stack:
-        perp, prefix_mask, i = stack[-1]
-        if i == nu:
-            stack.pop()
+def _pivot_inverse(rows):
+    """Pivot columns P and an integer r x r matrix E with E . B[:, P] = t I,
+    t != 0, for r independent integer rows B (lists of Python ints), by
+    fraction-free (Bareiss) Gauss-Jordan elimination on [B | I]: every entry
+    stays a minor of [B | I], so each division is exact."""
+    r = len(rows)
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
+    cols, prev = [], 1
+    for c in range(len(rows[0])):
+        p = next((i for i in range(len(cols), r) if a[i][c]), None)
+        if p is None:
             continue
-        stack[-1] = (perp, prefix_mask, i + 1)
-        if prefix_mask[i]:
-            continue
-        sub = exact.extend_perp(perp, rows[i])
-        mask = exact.annihilated(sub, dirs)
-        if (mask[:i] & ~prefix_mask[:i]).any():
-            continue
-        size = len(stack)
-        out.append((k * int(mult[mask].sum()) - M * size, size, mask))
-        if size < k - 1:
-            stack.append((sub, mask, i + 1))
-    return out
+        j = len(cols)
+        a[j], a[p] = a[p], a[j]
+        piv = a[j]
+        for i in range(r):
+            if i != j:
+                f = a[i][c]
+                a[i] = [(piv[c] * x - f * y) // prev for x, y in zip(a[i], piv)]
+        prev = piv[c]
+        cols.append(c)
+        if len(cols) == r:
+            return cols, [row[-r:] for row in a]
+    raise InternalInvariantViolated("a packed set is not independent")
 
 
-def _best_flat(dirs, flats, inverse, threshold):
-    """The flat reaching the excess threshold with max excess, then min dim,
-    then lexicographically smallest original member tuple; None if none."""
-    best_key = None
-    for excess, dim, mask in flats:
-        if excess < threshold:
-            continue
-        key = (-excess, dim, tuple(int(i) for i in np.nonzero(mask[inverse])[0]))
-        if best_key is None or key < best_key:
-            best_key, best_mask = key, mask
-    if best_key is None:
+class BasisPacking:
+    """Integer-weighted independent sets of the directions: ``sets`` maps an
+    independent set (a sorted index tuple) to its weight, the weights sum to
+    at most M, and ``cover[i]``, the weight of the sets holding direction i,
+    never exceeds its demand k*mult[i]."""
+
+    def __init__(self, dirs, mult, k):
+        self.dirs, self.k = dirs, k
+        self.demand = k * np.asarray(mult, dtype=np.int64)
+        self.cover = np.zeros(dirs.shape[0], dtype=np.int64)
+        self.sets = {}
+        self._exchanges = {}
+        # Each set takes the directions of largest remaining demand that
+        # extend its span.  Every round fills the slots or meets a demand, so
+        # slots are left over only once every demand is met.
+        free = int(np.sum(mult))
+        while free:
+            left = self.demand - self.cover
+            order = np.argsort(-left, kind="stable")
+            rest = order[left[order] > 0]
+            if not rest.size:
+                break
+            span, members = exact.IntSpan(dirs.shape[1]), []
+            while rest.size and span.rank < k:
+                members.append(int(rest[0]))
+                span.add(dirs[rest[0]])
+                rest = rest[~span.members(dirs[rest])]
+            eps = min(free, int(left[members].min()))
+            self._change(tuple(sorted(members)), eps)
+            free -= eps
+
+    def _exchange(self, B):
+        """(arcs, outside) for set B: arcs[u, a] when u is not in B, lies in
+        span B and needs B[a] in its expansion over B (so B - B[a] + u is
+        independent); outside[u] when u is not in span B."""
+        if B not in self._exchanges:
+            rows = exact.as_int_rows(self.dirs[list(B)])
+            cols, E = _pivot_inverse(rows)
+            # u's coefficient on B[a] is u[P] . E[:, a] / t.
+            arcs = np.stack([~exact.annihilated([list(col)], self.dirs[:, cols])
+                             for col in zip(*E)], axis=1)
+            outside = np.zeros(self.dirs.shape[0], dtype=bool)
+            if len(B) < self.k:
+                outside = ~exact.membership_mask(rows, self.dirs)
+            arcs[outside] = False
+            arcs[list(B)] = False
+            self._exchanges[B] = arcs, outside
+        return self._exchanges[B]
+
+    def _change(self, B, eps):
+        weight = self.sets.pop(B, 0) + eps
+        if weight:
+            self.sets[B] = weight
+        self.cover[list(B)] += eps
+
+    def _heaviest(self, fits):
+        return max((B for B in self.sets if fits(B)), key=self.sets.get)
+
+    def arcs(self):
+        """The exchange graph, (adj, sinks): adj[u, v] when some set B holds
+        v and not u and B - v + u is independent; sinks[u] when u lies
+        outside the span of some set."""
+        nu = self.dirs.shape[0]
+        adj, sinks = np.zeros((nu, nu), dtype=bool), np.zeros(nu, dtype=bool)
+        for B in self.sets:
+            arcs, outside = self._exchange(B)
+            adj[:, list(B)] |= arcs
+            sinks |= outside
+        return adj, sinks
+
+    def maximize(self):
+        """Augment along shortest paths until none is left; return None if
+        every demand is met, else the mask of directions reachable from unmet
+        demand.  On a path from unmet demand to a sink (slots are full while
+        demand is unmet) each direction replaces the next in a set and the
+        last joins a set it lies outside the span of; on a shortest path all
+        new sets are independent (Schrijver 2003, Thm 39.13)."""
+        while (self.cover < self.demand).any():
+            adj, sinks = self.arcs()
+            frontier = np.nonzero(self.cover < self.demand)[0]
+            seen = np.zeros(adj.shape[0], dtype=bool)
+            seen[frontier] = True
+            parent = np.full(adj.shape[0], -1)
+            while frontier.size and not sinks[frontier].any():
+                step = adj[frontier] & ~seen
+                frontier, prev = np.nonzero(step.any(axis=0))[0], frontier
+                parent[frontier] = prev[np.argmax(step[:, frontier], axis=0)]
+                seen[frontier] = True
+            if not frontier.size:
+                return seen
+            path = [int(frontier[sinks[frontier]][0])]
+            while parent[path[-1]] >= 0:
+                path.append(int(parent[path[-1]]))
+            path.reverse()
+            swaps = {}
+            for u, v in zip(path, path[1:]):
+                B = self._heaviest(lambda B: v in B and self._exchange(B)[0][u, B.index(v)])
+                new = swaps.setdefault(B, set(B))
+                new.discard(v)
+                new.add(u)
+            B = self._heaviest(lambda B: self._exchange(B)[1][path[-1]])
+            swaps.setdefault(B, set(B)).add(path[-1])
+            eps = min([int(self.demand[path[0]] - self.cover[path[0]])]
+                      + [self.sets[B] for B in swaps])
+            for B, new in swaps.items():
+                self._change(B, -eps)
+                self._change(tuple(sorted(new)), eps)
         return None
-    return HeavySubspaceResult(True, span_of(dirs[best_mask]), list(best_key[2]))
 
 
-# ---------------------------------------------------------------------------
-# Certificate + dynamics hunt (production scale)
-# ---------------------------------------------------------------------------
+def _reach(adj, start):
+    """Rows ``start`` of the reflexive transitive closure of a boolean
+    adjacency matrix."""
+    A = adj.astype(np.float32)
+    R = np.eye(adj.shape[0], dtype=bool)[start]
+    while True:
+        grown = R | ((R.astype(np.float32) @ A) > 0)
+        if (grown == R).all():
+            return R
+        R = grown
 
-def _certify_no_strict(coords, mult, k):
-    """Prove no strictly heavy flat exists via a certified scaling solution.
-
-    A certificate of the scaling inequality at relaxation delta* with PSD
-    slack tau <= lambda_min(Sigma_c)/(8 M^2) bounds every proper flat's
-    weighted fraction by (kappa + delta_eff)/(k + delta_eff) with
-    delta_eff <= 1/(4M) < 1/M, and integer counts then forbid
-    k*count >= M*kappa + 1.  Returns (proven, snapshots).
-
-    The fixed point runs under CERT_BUDGETS in turn, escalating to the next
-    budget only when a run used its budget up (its snapshot hook fired at
-    t == budget); any other run ends the loop.
-    """
-    M = float(mult.sum())
-    delta_star = 1.0 / (8.0 * M)
-    snapshots = []
-    for budget in CERT_BUDGETS:
-        w = scaling.fixed_point_scaling(
-            coords, delta_star, max_iters=budget, mults=mult,
-            snapshot_hook=lambda *snap: snapshots.append(snap),
-        )
-        if w is not None:
-            sigma = scaling.weighted_second_moment(coords, w.c_sq, mult)
-            eigvals, _ = jacobi_eigh(sigma)
-            lam_min = float(eigvals[-1])
-            if lam_min > 0:
-                tau_proof = lam_min / (8.0 * M * M)
-                if scaling.separation_oracle(coords, w, mults=mult, tau=tau_proof) is None:
-                    return True, snapshots
-        # The iterates do not depend on the budget, so a run that stopped
-        # before using it up would stop at the same step under a larger one.
-        if not snapshots or snapshots[-1][0] != budget:
-            break
-    return False, snapshots
-
-
-def _verified_candidates(dirs, mult, k, coords, snapshots, threshold):
-    """Exact-verified heavy-flat candidates harvested from the scaling
-    dynamics' eigenstructure plus per-direction multiplicity rays."""
-    nu = dirs.shape[0]
-    M = int(mult.sum())
-    norms = np.linalg.norm(coords, axis=1)
-    unit = coords / norms[:, None]
-    seen = set()
-    flats = []
-
-    def consider(sel_idx):
-        span = exact.IntSpan(dirs.shape[1])
-        rest = dirs[sel_idx]
-        while rest.shape[0]:
-            # The first selected direction outside the span so far.
-            span.add(rest[0])
-            if span.rank == k:
-                return
-            rest = rest[~span.members(rest)]
-        mask = span.members(dirs)
-        key = mask.tobytes()
-        if key in seen:
-            return
-        seen.add(key)
-        cnt = int(mult[mask].sum())
-        excess = k * cnt - M * span.rank
-        if excess >= threshold:
-            flats.append((excess, span.rank, mask))
-
-    # Rays: a proportional cluster is itself a candidate line.
-    for i in range(nu):
-        if k * int(mult[i]) - M >= threshold:
-            consider([i])
-    # One batched eigendecomposition for the snapshots' moment matrices.
-    recent = snapshots[-12:]
-    if recent:
-        _, frames = jacobi_eigh(np.array([sigma for _, _, sigma in recent]))
-        for eigvecs in frames:
-            for j in range(1, k):
-                U = eigvecs[:, :j]
-                resid = np.linalg.norm(unit - (unit @ U) @ U.T, axis=1)
-                for theta in (1e-9, 1e-6, 1e-3, 3e-2):
-                    sel = np.nonzero(resid <= theta)[0]
-                    if 1 <= sel.size <= max(4 * M, 64):
-                        consider(sel)
-    return flats
-
-
-def hunt_heavy_subspace(dirs, mult, k, coords, snapshots, threshold, inverse):
-    """Best exact-verified flat with excess k*count - M*dim >= threshold among
-    candidates read off the scaling snapshots (t, c_sq, sigma) of ``coords``
-    and the per-direction rays; None if no candidate reaches it.
-
-    ``dirs`` are the pooled directions with multiplicities ``mult``; members
-    are reported as the indices i with dirs[inverse[i]] in the flat.
-    """
-    flats = _verified_candidates(dirs, mult, k, coords, snapshots, threshold)
-    return _best_flat(dirs, flats, inverse, threshold)
-
-
-# ---------------------------------------------------------------------------
-# Full decision
-# ---------------------------------------------------------------------------
 
 def find_heavy_subspace(point_set, V=None, mults=None):
     """Decide whether a proper subspace W of V holds at least a
     dim(W)/dim(V) fraction of the points; return one if so.
 
-    The returned subspace always satisfies the exact integer inequality
-    |members| * dim(V) >= dim(W) * |S| (counts weighted by ``mults`` when
-    given), with members computed by exact membership, and the winning flat is
-    selected by a rule invariant under per-point positive rescaling and global
-    invertible maps (max count excess, then min dimension, then lexicographic
-    member indices).
-
-    Decides by exact flat enumeration while the subset count is small and by
-    the certificate/hunt route at scale.  ``harness.lp_heavy_subspace`` decides
-    the same predicate with the literal cutting-plane LP (the feasibility proof
-    of the basis-threshold LP is exactly the existence of a heavy flat); the
-    two are cross-checked in the test suite.
+    The returned subspace satisfies |members| * dim(V) >= dim(W) * |S|
+    exactly (counts weighted by ``mults`` when given); members come from
+    exact membership, so a zero-count row in W is one.  The winner has the
+    largest count excess, then the least dimension, then the least member
+    list: a rule invariant under per-point positive rescaling and global
+    invertible maps.  Decided from a maximum ``BasisPacking``.
     """
     pts = as_point_array(point_set)
     n = pts.shape[0]
@@ -238,25 +204,38 @@ def find_heavy_subspace(point_set, V=None, mults=None):
     if mults is not None:
         mult = np.zeros(dirs.shape[0], dtype=np.int64)
         np.add.at(mult, inverse, np.asarray(mults, dtype=np.int64))
-    if _enum_combo_count(dirs.shape[0], k) <= ENUM_COMBO_CAP:
-        best = _best_flat(dirs, _enumerate_flats(dirs, mult, k), inverse, 0)
-        return best or HeavySubspaceResult(False)
-
-    # Production scale: strict stage by certificate or verified candidates.
-    coords = dirs.astype(np.float64) @ span_S.basis
-    proven, snapshots = _certify_no_strict(coords, mult, k)
-    if not proven:
-        best = hunt_heavy_subspace(dirs, mult, k, coords, snapshots, 1, inverse)
-        if best is None:
-            raise IterationBudgetExceeded(
-                "could not certify absence of a strictly heavy subspace nor extract one"
-            )
-        return best
-    # Equality stage (exact-threshold flats), best effort at scale: the
-    # certificate already pins every flat at excess <= 0, so only excess == 0
-    # flats remain; harvest rays and dynamics-tight candidates.
     M = int(mult.sum())
-    if not any((M * kappa) % k == 0 for kappa in range(1, k)):
+    packing = BasisPacking(dirs, mult, k)
+    reached = packing.maximize()
+    if reached is not None:
+        # The smallest minimiser of f spans the unique winner.
+        cands, excess = [reached], int((packing.demand - packing.cover).sum())
+    elif not M or not any((M * kappa) % k == 0 for kappa in range(1, k)):
         return HeavySubspaceResult(False)
-    best = hunt_heavy_subspace(dirs, mult, k, coords, snapshots, 0, inverse)
-    return best or HeavySubspaceResult(False)
+    else:
+        # Flats of excess 0 hold positive mass, and no arc enters a zero-mass
+        # direction (no set holds one), so the candidates are the sets
+        # reachable from positive-mass directions: none is proper when those
+        # are strongly connected, and the least mass gives the least rank.
+        live = np.nonzero(mult > 0)[0]
+        adj = packing.arcs()[0][np.ix_(live, live)]
+        if _reach(adj, [0]).all() and _reach(adj.T, [0]).all():
+            return HeavySubspaceResult(False)
+        reach = _reach(adj, slice(None))
+        mass = reach.astype(np.int64) @ mult[live]
+        if mass.min() == M:
+            return HeavySubspaceResult(False)
+        cands = [np.isin(np.arange(dirs.shape[0]), live[row])
+                 for row in np.unique(reach[mass == mass.min()], axis=0)]
+        excess = 0
+    # Every packed set meets each candidate in a basis of it.
+    first, best = next(iter(packing.sets)), None
+    for sel in cands:
+        basis = [i for i in first if sel[i]]
+        mask = exact.membership_mask(exact.as_int_rows(dirs[basis]), dirs)
+        if k * int(mult[mask].sum()) - M * len(basis) != excess:
+            raise InternalInvariantViolated("heavy flat and packing disagree on the excess")
+        members = np.nonzero(mask[inverse])[0].tolist()
+        if best is None or members < best[0]:
+            best = members, mask
+    return HeavySubspaceResult(True, span_of(dirs[best[1]]), best[0])

@@ -228,26 +228,19 @@ def _unit_rows(points):
     return pts / np.sqrt(norms2)[:, None], norms2
 
 
-def fixed_point_scaling(points, delta, max_iters=4000, mults=None,
-                        snapshot_hook=None):
+def fixed_point_scaling(points, delta, max_iters=4000, mults=None):
     """Fixed-point accelerator: c <- 1 / ||Sigma^{-1/2} x||, min-normalized.
 
     Returns certified ScalingWeights or None.  The points are unit-normalized
     internally (the weights absorb the norms), which keeps the iteration
-    well-scaled when coordinate magnitudes span many octaves.
-    ``snapshot_hook(t, c_sq, sigma_hat)`` fires on a sparse schedule and
-    always at t == max_iters; the iterates do not depend on ``max_iters``, so
-    a caller can tell a run that used its budget up (the only kind a larger
-    budget can change) from one that stopped earlier.  Candidates that
-    ``_surely_violated`` rejects skip the oracle.
+    well-scaled when coordinate magnitudes span many octaves.  Candidates
+    that ``_surely_violated`` rejects skip the oracle.
     """
     unit, norms2 = _unit_rows(points)
     n, k = unit.shape
     m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
     M = m.sum()
     c = np.ones(n)
-    snapshots_at = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987,
-                    1597, 2584}
     check_gap = 10
     last_check = -check_gap
     for t in range(1, max_iters + 1):
@@ -256,8 +249,6 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None,
         try:
             L = np.linalg.cholesky(sigma + jitter * np.eye(k))
         except np.linalg.LinAlgError:
-            if snapshot_hook is not None:
-                snapshot_hook(t, c.copy(), sigma)
             return None
         sol = np.linalg.solve(L, unit.T)
         quads = np.einsum("kn,kn->n", sol, sol)
@@ -267,8 +258,6 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None,
         c_new = c_new / c_new.min()
         rel = np.max(np.abs(c_new - c) / np.maximum(c, 1e-300))
         c = c_new
-        if snapshot_hook is not None and (t in snapshots_at or t == max_iters):
-            snapshot_hook(t, c.copy(), weighted_second_moment(unit, c, m) / M)
         if c.max() > WEIGHT_RANGE_CAP:
             return None
         if rel < 1e-7 or t - last_check >= check_gap or t == max_iters:

@@ -22,13 +22,7 @@ import numpy as np
 from . import exact
 from .dataset import PointSet, as_point_array
 from .errors import InternalInvariantViolated, SingularTransform
-from .heavy import (
-    ENUM_COMBO_CAP,
-    HeavySubspaceResult,
-    _enum_combo_count,
-    find_heavy_subspace,
-    hunt_heavy_subspace,
-)
+from .heavy import HeavySubspaceResult, find_heavy_subspace
 from .linalg import Subspace, inv_sqrt_psd, jacobi_eigh, span_of
 from .scaling import (
     ScalingWeights,
@@ -39,9 +33,13 @@ from .scaling import (
 
 CERT_EPS = 1e-8
 TRACE_EPS = 1e-10
-# Above this multiset size the exact heavy-first chain switches to
-# scale-first: solve, and hunt for a heavy subspace only if solving fails.
+# The size rule for deciding a heavy-chain step exactly first: total weight
+# at most HEAVY_FIRST_CAP, or at most ENUM_COMBO_CAP direction subsets of
+# size below dim V.  Larger steps (a learner's 1.47M draws on 400 lines) try
+# the fixed point first, which takes milliseconds where the exact decision
+# takes up to a second.
 HEAVY_FIRST_CAP = 50_000
+ENUM_COMBO_CAP = 4096
 
 
 @dataclass
@@ -97,30 +95,15 @@ def _certificate_window_ok(lam_min, lam_max, k, delta):
     return lo <= lam_min and lam_max <= hi
 
 
-def _scale_first_step(dirs, mult, k, coords, delta, budget):
-    """Try to certify scaling weights; on failure hunt for a verified heavy
-    subspace in the iteration's eigenstructure.  Returns ("weights", w) or
-    ("heavy", HeavySubspaceResult) or ("stuck", None)."""
-    snapshots = []
-    w = fixed_point_scaling(coords, delta, max_iters=budget, mults=mult,
-                            snapshot_hook=lambda *snap: snapshots.append(snap))
-    if w is not None:
-        return "weights", w
-    hs = hunt_heavy_subspace(dirs, mult, k, coords, snapshots, 1,
-                             np.arange(dirs.shape[0]))
-    return ("stuck", None) if hs is None else ("heavy", hs)
-
-
 def _chain_to_solvable(dirs, mult, delta):
     """Heavy chain at direction level: returns (dir_members, V) such that the
     surviving directions have no detected heavy proper subspace of V.
 
-    Counts are multiplicity-weighted throughout.  Above HEAVY_FIRST_CAP total
-    weight the chain turns scale-first: it tries to certify scaling weights
-    directly and hunts for a heavy subspace only when certification fails
-    (exact equality-threshold detection at that scale is outside binary64
-    certification power and is benign for every downstream contract).  A
-    step whose flats are few enough to enumerate is decided exactly instead.
+    Counts are multiplicity-weighted throughout.  A step inside the size rule
+    above is decided exactly by ``find_heavy_subspace``.  A larger step is
+    scale-first: a fixed point that certifies scaling weights ends the chain
+    (a flat of excess exactly 0 may then go undetected, which no downstream
+    contract needs), and only a failed one asks ``find_heavy_subspace``.
     """
     nu = dirs.shape[0]
     members = np.arange(nu)
@@ -129,18 +112,13 @@ def _chain_to_solvable(dirs, mult, delta):
     while True:
         sub = dirs[members]
         sub_mult = mult[members]
-        if heavy_first or _enum_combo_count(sub.shape[0], V.dim) <= ENUM_COMBO_CAP:
+        if (heavy_first
+                or sum(math.comb(sub.shape[0], j) for j in range(1, V.dim)) <= ENUM_COMBO_CAP
+                or fixed_point_scaling(sub.astype(np.float64) @ V.basis, delta,
+                                       max_iters=3000, mults=sub_mult) is None):
             hs = find_heavy_subspace(sub, V, mults=sub_mult)
         else:
-            kind, payload = _scale_first_step(
-                sub, sub_mult, V.dim, sub.astype(np.float64) @ V.basis, delta, 3000
-            )
-            if kind == "weights":
-                hs = HeavySubspaceResult(False)
-            elif kind == "heavy":
-                hs = payload
-            else:
-                hs = find_heavy_subspace(sub, V, mults=sub_mult)
+            hs = HeavySubspaceResult(False)
         if not hs.found:
             return members, V
         new_members = members[np.asarray(hs.member_indices, dtype=np.int64)]

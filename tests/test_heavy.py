@@ -4,19 +4,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fdc.errors import RankDeficient
-from fdc.exact import directions, exact_rank
+from fdc.dataset import PointSet
+from fdc.errors import FdcError, RankDeficient
+from fdc.exact import directions, exact_pivot_indices, exact_rank, membership_mask
 from fdc.harness import (
     brute_force_heavy_subspace,
     extract_subspace,
+    general_position_model,
     lp_feasible,
     lp_heavy_subspace,
     max_weight_basis,
     pair_swap_search,
 )
-from fdc import heavy, scaling
-from fdc.heavy import _certify_no_strict, _enumerate_flats, find_heavy_subspace
-from fdc.linalg import jacobi_eigh, span_of
+from fdc.heavy import BasisPacking, find_heavy_subspace
+from fdc.transform import forster_decompose, verify_piece
 from tests.conftest import seeded_points
 
 
@@ -207,21 +208,6 @@ def fraction_rank(rows):
     return rank
 
 
-def brute_force_flats(dirs, mult, k):
-    """{(excess, dim, mask bytes)} over the flats of all independent
-    subsets of at most k - 1 directions."""
-    M = int(mult.sum())
-    out = set()
-    for size in range(1, k):
-        for comb in combinations(range(len(dirs)), size):
-            sub = [dirs[i] for i in comb]
-            if fraction_rank(sub) < size:
-                continue
-            mask = np.array([fraction_rank(sub + [x]) == size for x in dirs])
-            out.add((k * int(mult[mask].sum()) - M * size, size, mask.tobytes()))
-    return out
-
-
 def general_points(gen, d, n):
     X = gen.integers(-9, 10, size=(n, d))
     X[~X.any(axis=1), 0] = 1
@@ -257,81 +243,128 @@ def planted_points(gen, d, n):
     return X
 
 
-class TestEnumerateFlats:
-    @pytest.mark.parametrize("family", [nested_points, cluster_points, planted_points])
-    def test_each_flat_once_and_all_of_them(self, family):
-        gen = np.random.default_rng(7)
-        for d, n in ((3, 9), (4, 12), (4, 14)):
-            X = family(gen, d, n)
-            dirs, mult, _ = directions(X)
-            k = fraction_rank(dirs)
-            flats = _enumerate_flats(dirs, mult, k)
-            keys = [(e, dim, mask.tobytes()) for e, dim, mask in flats]
-            assert len({key[2] for key in keys}) == len(keys)
-            assert set(keys) == brute_force_flats(dirs, mult, k)
+FAMILIES = [general_points, planted_points, cluster_points, nested_points]
 
 
-def replayed_certify(coords, mult, budgets):
-    """The certificate loop run under every budget in turn, whatever the
-    previous run did: (proven, snapshots)."""
-    M = float(mult.sum())
-    snapshots = []
-    for budget in budgets:
-        w = scaling.fixed_point_scaling(
-            coords, 1.0 / (8.0 * M), max_iters=budget, mults=mult,
-            snapshot_hook=lambda *snap: snapshots.append(snap))
-        if w is None:
-            continue
-        lam_min = float(jacobi_eigh(scaling.weighted_second_moment(coords, w.c_sq, mult))[0][-1])
-        if lam_min > 0 and scaling.separation_oracle(
-                coords, w, mults=mult, tau=lam_min / (8.0 * M * M)) is None:
-            return True, snapshots
-    return False, snapshots
+def fraction_basis(rows):
+    """Indices of a maximal independent subset of the rows, in order."""
+    basis = []
+    for i, row in enumerate(rows):
+        if fraction_rank([rows[j] for j in basis] + [row]) > len(basis):
+            basis.append(i)
+    return basis
 
 
-def frames(snapshots):
-    return {(t, c.tobytes(), sigma.tobytes()) for t, c, sigma in snapshots}
+def check_packing(dirs, mult, k):
+    """Re-check a maximum BasisPacking with Fraction ranks: independent sets,
+    weights within M, coverage as reported and within demand; bases only
+    when every demand is met, else a flat whose excess k*m - M*dim is the
+    unmet demand spanned by the reached directions.  Returns the reached
+    mask."""
+    packing = BasisPacking(dirs, mult, k)
+    reached = packing.maximize()
+    M = int(mult.sum())
+    assert sum(packing.sets.values()) <= M
+    cover = np.zeros(len(dirs), dtype=np.int64)
+    for B, weight in packing.sets.items():
+        assert weight > 0 and fraction_rank([dirs[i] for i in B]) == len(B)
+        cover[list(B)] += weight
+    assert (cover == packing.cover).all() and (cover <= k * mult).all()
+    if cover.sum() == k * M:
+        assert reached is None
+        assert all(len(B) == k for B in packing.sets)
+    else:
+        basis = [dirs[i] for i in np.nonzero(reached)[0][fraction_basis(dirs[reached])]]
+        in_flat = np.array([fraction_rank(basis + [x]) == len(basis) for x in dirs])
+        assert k * int(mult[in_flat].sum()) - M * len(basis) == k * M - cover.sum() > 0
+    return reached
 
 
-class TestCertifyBudgets:
-    @staticmethod
-    def _instance(X):
-        dirs, mult, _ = directions(X)
-        return dirs.astype(np.float64) @ span_of(X).basis, mult, span_of(X).dim
+class TestBasisPacking:
+    def test_certificate_on_families(self):
+        gen = np.random.default_rng(3)
+        met = []
+        for family in FAMILIES:
+            for d, n in ((4, 12), (5, 40), (6, 60)):
+                dirs, mult, _ = directions(family(gen, d, n))
+                for m in (mult, mult * gen.integers(1, 5, size=mult.size)):
+                    met.append(check_packing(dirs, m, fraction_rank(dirs)) is None)
+        assert 0 < sum(met) < len(met)   # both outcomes are re-checked
 
-    @staticmethod
-    def _counted(monkeypatch):
-        calls = []
-        inner = scaling.fixed_point_scaling
+    def test_certificate_at_learner_scale(self):
+        # A learner stage's shape: 400 lines in d = 10, 1.47M hits.
+        X = general_position_model(10, 400, 0.2, seed=3).marginal.support.points
+        dirs, _, _ = directions(X)
+        mult = np.random.default_rng(4).integers(2, 7350, size=dirs.shape[0])
+        assert 1.4e6 < mult.sum() < 1.55e6
+        assert check_packing(dirs, mult, 10) is None
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs["max_iters"])
-            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(scaling, "fixed_point_scaling", counting)
-        return calls
+class TestMultiplicities:
+    def test_weights_match_repeated_rows(self):
+        gen = np.random.default_rng(5)
+        stages = {"strict": 0, "equality": 0, "none": 0}
+        for family in FAMILIES * 10:
+            d = int(gen.integers(2, 5))
+            X = family(gen, d, int(gen.integers(d + 2, 14)))
+            m = gen.integers(0, 4, size=X.shape[0])
+            basis = exact_pivot_indices(X)   # keeps span(X) among counted rows
+            m[basis] = np.maximum(m[basis], 1)
+            weighted = find_heavy_subspace(X, mults=m)
+            repeated = find_heavy_subspace(np.repeat(X, m, axis=0))
+            assert weighted.found == repeated.found
+            if not weighted.found:
+                stages["none"] += 1
+                continue
+            in_w = in_span(weighted.subspace, X)
+            assert (in_w == in_span(repeated.subspace, X)).all()
+            assert weighted.member_indices == np.nonzero(in_w)[0].tolist()
+            origin = np.repeat(np.arange(X.shape[0]), m)
+            assert sorted(set(origin[repeated.member_indices])) == \
+                [i for i in weighted.member_indices if m[i] > 0]
+            k, M = exact_rank([tuple(x) for x in X]), int(m.sum())
+            excess = k * int(m[in_w].sum()) - M * weighted.subspace.dim
+            stages["strict" if excess > 0 else "equality"] += 1
+        assert min(stages.values()) > 0, stages
 
-    @pytest.mark.parametrize("family", [general_points, planted_points, cluster_points,
-                                        nested_points])
-    def test_run_ending_early_is_not_replayed(self, monkeypatch, family):
-        X = family(np.random.default_rng(3), 5, 40)
-        coords, mult, k = self._instance(X)
-        want = replayed_certify(coords, mult, heavy.CERT_BUDGETS)
-        calls = self._counted(monkeypatch)
-        proven, snaps = _certify_no_strict(coords, mult, k)
-        assert calls == [heavy.CERT_BUDGETS[0]]
-        assert snaps[-1][0] < heavy.CERT_BUDGETS[0]
-        assert proven == want[0]
-        assert frames(snaps) == frames(want[1])
 
-    def test_exhausted_run_escalates(self, monkeypatch):
-        X = general_points(np.random.default_rng(3), 5, 30)
-        coords, mult, k = self._instance(X)
-        budgets = (2, 4, 8)
-        monkeypatch.setattr(heavy, "CERT_BUDGETS", budgets)
-        want = replayed_certify(coords, mult, budgets)
-        calls = self._counted(monkeypatch)
-        proven, snaps = _certify_no_strict(coords, mult, k)
-        assert calls == list(budgets)
-        assert proven == want[0]
-        assert frames(snaps) == frames(want[1])
+def in_span(subspace, X):
+    return membership_mask(list(subspace.int_rows), X)
+
+
+def near_plane_probe(bits):
+    """d = 6: 30 rows within a few units of a 2-flat scaled by 2^bits, and
+    30 small random rows.  No flat is heavy."""
+    g = np.random.default_rng(0)
+    frame = g.integers(-5, 6, (2, 6))
+    combo = g.integers(-5, 6, (30, 2))
+    near = (2 ** bits) * (combo @ frame) + g.integers(-3, 4, (30, 6))
+    X = np.vstack([near, g.integers(-9, 10, (30, 6))])
+    X[~X.any(axis=1)] = np.eye(6, dtype=np.int64)[0]
+    return X
+
+
+class TestNearHeavyProbe:
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32, 40, 52])
+    def test_decided_at_every_bit_size(self, bits):
+        assert not find_heavy_subspace(near_plane_probe(bits)).found
+
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_decomposes(self, bits):
+        S = PointSet(6, near_plane_probe(bits))
+        dec = forster_decompose(S, 1e-3)
+        assert all(verify_piece(p, S).passed for p in dec.pieces)
+
+    @pytest.mark.parametrize("bits", [24, 32, 40, 52])
+    def test_beyond_binary64_raises_typed_error(self, bits):
+        with pytest.raises(FdcError):
+            forster_decompose(PointSet(6, near_plane_probe(bits)), 1e-3)
+
+
+def test_coordinates_near_2_62_take_python_ints():
+    # Rank 2 rows past 2^53: exchange coefficients and memberships overflow
+    # int64 and are settled in Python ints.
+    rows = [(2 ** 62 - i, 2 ** 61 + 3 * i, i + 1) for i in range(10)]
+    rows += [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    r = find_heavy_subspace(np.array(rows, dtype=np.int64))
+    assert r.found and r.subspace.dim == 2 and r.member_indices == list(range(10))

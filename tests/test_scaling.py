@@ -170,10 +170,48 @@ class TestFixedPoint:
         assert fixed_point_scaling(pts, 1e-3, max_iters=800) is None
 
 
+FIBONACCI = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377}
+
+
+def fixed_point_iterates(points, delta, max_iters, m):
+    """The weights ``fixed_point_scaling`` holds after steps 1, 2, 3, 5, 8, ...
+    and after step ``max_iters``: a copy of its loop that stops where it
+    stops (the weights before a failed Cholesky are yielded too)."""
+    unit, _ = scaling._unit_rows(points)
+    n, k = unit.shape
+    c = np.ones(n)
+    last_check = -10
+    for t in range(1, max_iters + 1):
+        sigma = weighted_second_moment(unit, c, m) / m.sum()
+        try:
+            L = np.linalg.cholesky(sigma + 1e-30 * max(np.trace(sigma), 1e-300) * np.eye(k))
+        except np.linalg.LinAlgError:
+            yield c.copy()
+            return
+        sol = np.linalg.solve(L, unit.T)
+        quads = np.einsum("kn,kn->n", sol, sol)
+        if not np.all(quads > 0):
+            return
+        c_new = 1.0 / quads
+        c_new = c_new / c_new.min()
+        rel = np.max(np.abs(c_new - c) / np.maximum(c, 1e-300))
+        c = c_new
+        if t in FIBONACCI or t == max_iters:
+            yield c.copy()
+        if c.max() > scaling.WEIGHT_RANGE_CAP:
+            return
+        if rel < 1e-7 or t - last_check >= 10 or t == max_iters:
+            last_check = t
+            cand = ScalingWeights(c / c.min(), delta)
+            if rel < 1e-13 or (not _surely_violated(unit, cand, m)
+                               and separation_oracle(unit, cand, mults=m) is None):
+                return
+
+
 class TestPreRejection:
     """``_surely_violated`` may only claim a violation the oracle reports too.
 
-    Near-feasible candidates stress it: fixed-point snapshots, certified
+    Near-feasible candidates stress it: fixed-point iterates, certified
     weights scaled pointwise by 1 +- eps, and certified weights with one
     point's weight raised to the oracle's own decision boundary, where only
     the pre-rejection's margin keeps the two from disagreeing.
@@ -204,11 +242,9 @@ class TestPreRejection:
             pts /= np.linalg.norm(pts, axis=1)[:, None]
             m = gen.integers(1, 4, size=n).astype(np.float64)
             delta = float(gen.choice([0.0, 1e-9, 1e-3]))
-            snaps = []
-            w = fixed_point_scaling(pts, delta, max_iters=400, mults=m,
-                                    snapshot_hook=lambda t, c, sigma: snaps.append(c))
-            for c in snaps:
+            for c in fixed_point_iterates(pts, delta, 400, m):
                 yield pts, m, ScalingWeights(c, delta)
+            w = fixed_point_scaling(pts, delta, max_iters=400, mults=m)
             if w is None:
                 continue
             for eps in (1e-9, 1e-12):
