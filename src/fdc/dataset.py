@@ -253,6 +253,28 @@ def massart_draw(model, n, seed, start_index=0):
     return LabeledDataset(PointSet(model.dim, X), y)
 
 
+def massart_draw_rows(model, seed, indices, rows=None, labeled=True):
+    """The Massart draws ``indices`` of a uniform-support model, by support
+    row: (rows, y), where draw indices[i] is support row rows[i] with label
+    y[i].  (support[rows], y) equals ``massart_draw``'s (X, y) for the same
+    draws bit for bit: the row comes from the marginal's stream, the clean
+    label and the flip rate are fixed per support row, and only the flip
+    uniform is drawn per draw.
+
+    ``rows`` given (this function's rows for the same indices) labels draws
+    already made; ``labeled=False`` draws the rows alone and returns y None.
+    """
+    S = model.marginal.support.points
+    idx = np.asarray(indices, dtype=np.uint64)
+    if rows is None:
+        rows = rng.integers(seed, TAG_MARGINAL, idx, S.shape[0])
+    if not labeled:
+        return rows, None
+    clean = sign_pm1(S.astype(np.float64) @ model.w_star)[rows]
+    flips = rng.uniform01(seed, TAG_FLIP, idx) < eta_values(model, S)[rows]
+    return rows, np.where(flips, -clean, clean)
+
+
 def _hard_directions(dim, n, bits, seed):
     """Integer direction vectors, independent of ``bits`` once bits >= 8.
 

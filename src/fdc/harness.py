@@ -31,6 +31,7 @@ from .dataset import (
     as_point_array,
     gen_hard_instance,
     massart_draw,
+    massart_draw_rows,
 )
 from .errors import (
     InternalInvariantViolated,
@@ -39,7 +40,13 @@ from .errors import (
     SizeLimit,
 )
 from .heavy import HeavySubspaceResult
-from .learner import LearnerConfig, ModelOracle, evaluate_classifier, learn_halfspace
+from .learner import (
+    LearnerConfig,
+    ModelOracle,
+    evaluate_classifier,
+    learn_halfspace,
+    score_partial,
+)
 from .linalg import span_of
 
 BRUTE_MAX_DIM = 4
@@ -499,8 +506,14 @@ def run_learning_trial(model, config, seed, test_n=100_000):
 
     The draw count is double-entry audited: the inner oracle advances its own
     counter per example and the wrapper counts independently; the two must
-    agree exactly.
+    agree exactly.  The test_n held-out draws are not learning draws and are
+    not counted.  On a finite-support marginal they are scored per support
+    row: the classifier evaluates each support row once, and each draw takes
+    its row's label, the same (x, y) stream and report as scoring
+    ``massart_draw``'s points one by one.
     """
+    if test_n < 1:
+        raise ValueError("test_n must be >= 1")
     inner = ModelOracle(model, rng.derive_seed(seed, 1))
     oracle = CountingOracle(inner)
     t0 = time.perf_counter()
@@ -510,8 +523,13 @@ def run_learning_trial(model, config, seed, test_n=100_000):
         raise AssertionError(
             f"draw audit mismatch: oracle consumed {inner.count}, wrapper saw {oracle.count}"
         )
-    test = massart_draw(model, test_n, rng.derive_seed(seed, 2))
-    report = evaluate_classifier(classifier, test)
+    test_seed = rng.derive_seed(seed, 2)
+    if model.marginal.kind == "uniform":
+        rows, y = massart_draw_rows(model, test_seed, np.arange(test_n, dtype=np.uint64))
+        partial = classifier.evaluate(model.marginal.support.points)[rows]
+        report = score_partial(partial, y, classifier.default_label)
+    else:
+        report = evaluate_classifier(classifier, massart_draw(model, test_n, test_seed))
     cfg = {
         "eta": config.eta, "eps": config.eps, "delta": config.delta, "C": config.C,
         "transform_delta": config.transform_delta,

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, rng
-from .dataset import PointSet, sign_pm1
+from .dataset import PointSet, massart_draw, massart_draw_rows, sign_pm1
 from .errors import (
     CoverageFailure,
     DegenerateSecondMoment,
@@ -350,7 +350,9 @@ class ModelOracle:
     reproducible and independent of batching.  For uniform-support marginals
     the indexed interface exposes which support row each draw hit, letting the
     driver evaluate classifiers once per support row instead of once per draw;
-    the realized (x, y) stream is bit-identical to ``draw``.
+    ``draw_indexed`` and ``labels_for`` draw through
+    ``dataset.massart_draw_rows``, whose (x, y) stream is bit-identical to
+    ``draw``'s.
     """
 
     def __init__(self, model, seed):
@@ -365,32 +367,21 @@ class ModelOracle:
         return None
 
     def draw(self, n):
-        from .dataset import massart_draw
-
         ds = massart_draw(self.model, n, self.seed, start_index=self.count)
         self.count += n
         return ds.base.points, ds.labels
 
     def draw_indexed(self, n):
-        from .dataset import TAG_MARGINAL
-
         if self.support is None:
             raise ValueError("indexed draws need a uniform-support marginal")
         gidx = np.arange(self.count, self.count + n, dtype=np.uint64)
         self.count += n
-        rows = rng.integers(self.seed, TAG_MARGINAL, gidx, self.support.shape[0])
+        rows, _ = massart_draw_rows(self.model, self.seed, gidx, labeled=False)
         return rows, gidx
 
     def labels_for(self, rows, gidx):
-        """Labels of the draws ``gidx`` that hit support rows ``rows``: the
-        clean label and flip rate are fixed per support row, the flip
-        uniform is drawn per draw."""
-        from .dataset import TAG_FLIP, eta_values
-
-        S = self.support
-        clean = sign_pm1(S.astype(np.float64) @ self.model.w_star)[rows]
-        flips = rng.uniform01(self.seed, TAG_FLIP, gidx) < eta_values(self.model, S)[rows]
-        return np.where(flips, -clean, clean)
+        """Labels of the draws ``gidx`` that hit support rows ``rows``."""
+        return massart_draw_rows(self.model, self.seed, gidx, rows=rows)[1]
 
 
 class DatasetOracle:
@@ -604,15 +595,20 @@ class EvalReport:
 def evaluate_classifier(classifier, test):
     """Empirical misclassification on claimed points, claimed fraction, and
     total error with * resolved to the classifier's default label."""
-    X, y = test.base.points, test.labels
-    partial = classifier.evaluate(X)
+    partial = classifier.evaluate(test.base.points)
+    return score_partial(partial, test.labels, classifier.default_label)
+
+
+def score_partial(partial, y, default_label):
+    """EvalReport of per-example partial labels (0 for *) against labels y,
+    with * resolved to default_label."""
     claimed = partial != 0
     coverage = float(np.mean(claimed))
     if claimed.any():
         error_claimed = float(np.mean(partial[claimed] != y[claimed]))
     else:
         error_claimed = 0.0
-    resolved = np.where(partial == 0, classifier.default_label, partial)
+    resolved = np.where(partial == 0, default_label, partial)
     total_error = float(np.mean(resolved != y))
     return EvalReport(error_claimed, coverage, total_error)
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import exact
 from .dataset import PointSet, as_point_array
 from .errors import InternalInvariantViolated, SingularTransform
-from .heavy import HeavySubspaceResult, find_heavy_subspace
+from .heavy import find_heavy_subspace
 from .linalg import Subspace, inv_sqrt_psd, jacobi_eigh, span_of
 from .scaling import (
     ScalingWeights,
@@ -96,8 +96,10 @@ def _certificate_window_ok(lam_min, lam_max, k, delta):
 
 
 def _chain_to_solvable(dirs, mult, delta):
-    """Heavy chain at direction level: returns (dir_members, V) such that the
-    surviving directions have no detected heavy proper subspace of V.
+    """Heavy chain at direction level: returns (dir_members, V, weights) such
+    that the surviving directions have no detected heavy proper subspace of
+    V; weights are the scaling weights a scale-first step certified for
+    them, else None.
 
     Counts are multiplicity-weighted throughout.  A step inside the size rule
     above is decided exactly by ``find_heavy_subspace``.  A larger step is
@@ -112,15 +114,16 @@ def _chain_to_solvable(dirs, mult, delta):
     while True:
         sub = dirs[members]
         sub_mult = mult[members]
-        if (heavy_first
-                or sum(math.comb(sub.shape[0], j) for j in range(1, V.dim)) <= ENUM_COMBO_CAP
-                or fixed_point_scaling(sub.astype(np.float64) @ V.basis, delta,
-                                       max_iters=3000, mults=sub_mult) is None):
-            hs = find_heavy_subspace(sub, V, mults=sub_mult)
-        else:
-            hs = HeavySubspaceResult(False)
+        weights = None
+        if (not heavy_first
+                and sum(math.comb(sub.shape[0], j) for j in range(1, V.dim)) > ENUM_COMBO_CAP):
+            weights = fixed_point_scaling(sub.astype(np.float64) @ V.basis, delta,
+                                          max_iters=3000, mults=sub_mult)
+        if weights is not None:
+            return members, V, weights
+        hs = find_heavy_subspace(sub, V, mults=sub_mult)
         if not hs.found:
-            return members, V
+            return members, V, None
         new_members = members[np.asarray(hs.member_indices, dtype=np.int64)]
         if not (
             int(mult[new_members].sum()) * V.dim
@@ -165,12 +168,13 @@ def _forster_transform_once(pts, delta, counts=None):
         weighted = np.zeros(dirs.shape[0], dtype=np.int64)
         np.add.at(weighted, inverse, np.asarray(counts, dtype=np.int64))
         mult = weighted
-    dir_members, V = _chain_to_solvable(dirs, mult, delta)
+    dir_members, V, pooled = _chain_to_solvable(dirs, mult, delta)
     k = V.dim
     sel_dirs = dirs[dir_members]
     sel_mult = mult[dir_members]
     coords = sel_dirs.astype(np.float64) @ V.basis
-    pooled = solve_scaling_sdp(coords, delta, mults=sel_mult)
+    if pooled is None:
+        pooled = solve_scaling_sdp(coords, delta, mults=sel_mult)
 
     sigma = weighted_second_moment(coords, pooled.c_sq, sel_mult) / sel_mult.sum()
     A = inv_sqrt_psd(sigma, floor=1e-250 * max(np.trace(sigma), 1e-250))

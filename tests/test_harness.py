@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from fdc import harness, rng
+from fdc.dataset import (
+    EtaSpec,
+    MarginalSpec,
+    MassartModel,
+    PointSet,
+    gen_hard_instance,
+    massart_draw,
+)
 from fdc.errors import SizeLimit
 from fdc.harness import (
     CountingOracle,
@@ -12,7 +21,13 @@ from fdc.harness import (
     write_study_csv,
     STUDY_COLUMNS,
 )
-from fdc.learner import LearnerConfig, ModelOracle
+from fdc.learner import (
+    LearnerConfig,
+    ModelOracle,
+    PartialClassifier,
+    Stage,
+    learn_halfspace,
+)
 from fdc.linalg import full_space
 
 
@@ -46,6 +61,109 @@ class TestCountingOracle:
         oracle.draw(7)
         assert oracle.count == 17
         assert report.sample_count > 0  # audited: equals the wrapper's count
+
+
+def _gaussian_model(dim, eta, seed):
+    w = rng.normals(seed, 5, np.arange(1, dtype=np.uint64), cols=dim)[0]
+    template = PointSet(dim, np.eye(dim, dtype=np.int64))
+    return MassartModel(w / np.linalg.norm(w), eta, EtaSpec("constant", value=eta),
+                        MarginalSpec("gaussian", support=template, scale=16.0, bits=8))
+
+
+# name -> (model, learner config): criterion 6's setting on a finite
+# support; the gaussian marginal's draws are all distinct points, so it
+# learns in d = 3 with a smaller sample.
+CRITERION_6 = LearnerConfig(eta=0.2, eps=0.05, delta=0.1)
+HELD_OUT_MODELS = {
+    "general_position": lambda: (general_position_model(10, 400, 0.2, seed=17),
+                                 CRITERION_6),
+    "hard_b48": lambda: (gen_hard_instance(10, 400, 48, 0.2, seed=23)[0], CRITERION_6),
+    "margin_inverse": lambda: (general_position_model(10, 400, 0.2, seed=29,
+                                                      eta_kind="margin_inverse"),
+                               CRITERION_6),
+    "gaussian": lambda: (_gaussian_model(3, 0.2, seed=31),
+                         LearnerConfig(eta=0.2, eps=0.15, delta=0.2, C=8)),
+}
+
+
+def _reference_trial(model, config, seed, test_n):
+    """(final_error, coverage, sample_count) as the trial was scored before
+    scoring per support row: every held-out point drawn by massart_draw,
+    evaluated one by one and scored here."""
+    inner = ModelOracle(model, rng.derive_seed(seed, 1))
+    oracle = CountingOracle(inner)
+    clf, _ = harness.learn_halfspace(oracle, config, dim=model.dim)
+    assert inner.count == oracle.count
+    test = massart_draw(model, test_n, rng.derive_seed(seed, 2))
+    partial = clf.evaluate(test.base.points)
+    resolved = np.where(partial == 0, clf.default_label, partial)
+    return (float(np.mean(resolved != test.labels)), float(np.mean(partial != 0)),
+            oracle.count)
+
+
+class TestHeldOutScoring:
+    """run_learning_trial scores a finite support's held-out draws per
+    support row, with the report point-by-point scoring gives."""
+
+    @pytest.fixture
+    def tallied(self, monkeypatch):
+        """Draw requests through harness.ModelOracle, tallied as the bench's
+        draw audit does, and the massart_draw calls made from harness."""
+        tally, held_out = [], []
+
+        class Tallying(ModelOracle):
+            def draw(self, n):
+                tally.append(n)
+                return super().draw(n)
+
+            def draw_indexed(self, n):
+                tally.append(n)
+                return super().draw_indexed(n)
+
+        def recorded(model, n, seed, start_index=0):
+            held_out.append(n)
+            return massart_draw(model, n, seed, start_index=start_index)
+
+        monkeypatch.setattr(harness, "ModelOracle", Tallying)
+        monkeypatch.setattr(harness, "massart_draw", recorded)
+        return tally, held_out
+
+    @pytest.mark.parametrize("name", sorted(HELD_OUT_MODELS))
+    def test_report_equals_point_by_point_scoring(self, name, tallied):
+        model, config = HELD_OUT_MODELS[name]()
+        if name == "hard_b48":
+            assert model.marginal.support.bit_complexity == 48
+        _, report = run_learning_trial(model, config, seed=6, test_n=100_000)
+        tally, held_out = tallied
+        assert sum(tally) == report.sample_count
+        # The held-out draws bypass the learning oracle; only the gaussian
+        # marginal still draws them as points.
+        assert held_out == ([100_000] if name == "gaussian" else [])
+        want = _reference_trial(model, config, 6, 100_000)
+        assert (report.final_error, report.coverage, report.sample_count) == want
+
+    def test_abstentions_resolve_to_the_default_label(self, tallied, monkeypatch):
+        # Raise every learned threshold to its score's median on the support,
+        # so about half the draws are abstained on and resolve to -1.
+        model, config = HELD_OUT_MODELS["hard_b48"]()
+        S = model.marginal.support.points
+
+        def abstaining(oracle, config, dim):
+            clf, telemetry = learn_halfspace(oracle, config, dim)
+            stages = []
+            for st in clf.stages:
+                imgs = S.astype(np.float64) @ st.ambient_map.T
+                ratio = np.abs(imgs @ st.w) / np.linalg.norm(imgs, axis=1)
+                stages.append(Stage(st.subspace, st.transform, st.w,
+                                    float(np.median(ratio))))
+            return PartialClassifier(stages, default_label=-1), telemetry
+
+        monkeypatch.setattr(harness, "learn_halfspace", abstaining)
+        _, report = run_learning_trial(model, config, seed=8, test_n=100_000)
+        assert 0.3 < report.coverage < 0.9
+        assert sum(tallied[0]) == report.sample_count and tallied[1] == []
+        want = _reference_trial(model, config, 8, 100_000)
+        assert (report.final_error, report.coverage, report.sample_count) == want
 
 
 class TestStudy:

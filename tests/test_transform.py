@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from fdc import transform
 from fdc.dataset import PointSet
 from fdc.errors import FdcError, SingularTransform
 from fdc.linalg import span_of
 from fdc.transform import (
+    ENUM_COMBO_CAP,
+    HEAVY_FIRST_CAP,
     ForsterPiece,
     decomposition_to_dict,
     forster_decompose,
@@ -110,10 +115,33 @@ class TestNearLine:
             forster_decompose(_near_line_set(bits), 0.25)
 
 
-def test_enumerable_scale_first_step_is_decided_exactly():
-    # 15 lines with 1,473,655 hits in d = 10, from a learner stage: too much
-    # weight for the heavy-first chain, yet few enough flats to enumerate
-    # (none is heavy).  The hunt used to end it in IterationBudgetExceeded.
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Calls the heavy chain and the transform make to the fixed point, the
+    exact heavy decision and the scaling solver, counted through wrappers
+    on the names ``fdc.transform`` calls them by."""
+    calls = {}
+
+    def counted(name):
+        fn = getattr(transform, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(transform, name, wrapper)
+
+    for name in ("fixed_point_scaling", "find_heavy_subspace", "solve_scaling_sdp"):
+        counted(name)
+        calls[name] = 0
+    return calls
+
+
+def test_seed52_fifteen_line_stage_certified_by_scale_first_fixed_point(chain_calls):
+    # 15 lines with 1,473,655 hits in d = 10, from a learner stage on the
+    # first file of bench learn-cli seed 52: too much weight for the
+    # heavy-first chain and 27,823 direction subsets of size below 10, so
+    # the step is scale-first.  Its fixed point certifies, and the piece
+    # keeps those weights without solving the scaling problem again.
     rows = np.array([
         [5, 1, 7, 3, -1, -8, 7, 2, -1, -6], [7, -8, 6, 1, -5, 4, -2, 8, 4, 1],
         [35, -48, 25, 24, -13, 48, 37, 23, 11, 1],
@@ -128,10 +156,39 @@ def test_enumerable_scale_first_step_is_decided_exactly():
     counts = [104693, 99018, 94534, 103023, 93556, 103602, 91756, 100021, 99243,
               101776, 97724, 98774, 86701, 87367, 111867]
     piece = forster_transform(PointSet(10, rows), 0.25, counts=counts)
+    assert chain_calls == {"fixed_point_scaling": 1, "find_heavy_subspace": 0,
+                           "solve_scaling_sdp": 0}
     assert piece.subspace.dim == 10
     assert piece.member_indices == list(range(15))
     lam_min, lam_max, delta = piece.certificate
     assert 1.0 / 10.25 - 1e-8 <= lam_min <= lam_max <= 1.25 / 10.25 + 1e-8
+
+
+def test_scale_first_step_with_a_heavy_flat_is_decided_exactly(chain_calls):
+    # 30 lines in d = 4 carrying 70,000 hits: over HEAVY_FIRST_CAP, with
+    # more than ENUM_COMBO_CAP direction subsets of size below 4, so the
+    # first step is scale-first.  Ten lines in the plane of the first two
+    # axes carry 50,000 hits, a strictly heavy flat, so the fixed point
+    # cannot certify and the exact decision must find the plane.  Inside
+    # it, 10 lines are few enough to decide exactly without a fixed point.
+    plane = np.array([[1, 0], [0, 1], [1, 1], [1, -1], [1, 2], [2, 1], [1, -2],
+                      [2, -1], [1, 3], [3, 1]])
+    rest = seeded_points(4, 20, 9, seed=5)
+    assert rest[:, 2:].any(axis=1).all()
+    rows = np.vstack([np.c_[plane, np.zeros((10, 2), dtype=np.int64)], rest])
+    counts = [5000] * 10 + [1000] * 20
+    assert sum(counts) > HEAVY_FIRST_CAP
+    assert sum(math.comb(30, j) for j in range(1, 4)) > ENUM_COMBO_CAP
+    piece = forster_transform(PointSet(4, rows), 0.25, counts=counts)
+    # One fixed point for the one scale-first step; the exact decision on
+    # it and on the plane; the scaling problem solved once, on the plane.
+    assert chain_calls == {"fixed_point_scaling": 1, "find_heavy_subspace": 2,
+                           "solve_scaling_sdp": 1}
+    assert piece.member_indices == list(range(10))
+    assert piece.subspace.dim == 2
+    assert sorted(piece.subspace.int_rows) == [(0, 1, 0, 0), (1, 0, 0, 0)]
+    lam_min, lam_max, delta = piece.certificate
+    assert 1.0 / 2.25 - 1e-8 <= lam_min <= lam_max <= 1.25 / 2.25 + 1e-8
 
 
 class TestVerifyPiece:
