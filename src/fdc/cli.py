@@ -109,9 +109,7 @@ def _merge_config(args, actions):
         action = by_dest.get(key)
         if action is None or not hasattr(args, key) or getattr(args, key) != action.default:
             continue
-        if isinstance(action.default, bool):
-            val = val.lower() in ("1", "true", "yes")
-        elif action.type is not None:
+        if action.type is not None:
             try:
                 val = action.type(val)
             except (TypeError, ValueError):
@@ -146,16 +144,9 @@ def _cmd_gen(args):
     return 0
 
 
-def _load_input_points(args):
-    ds_path = args.input
-    if ds_path is None:
-        raise UsageError("--input is required")
-    return load_points(ds_path, format=args.format)
-
-
 def _cmd_transform(args):
     _require(args, ["input", "out"])
-    pts = _load_input_points(args)
+    pts = load_points(args.input, format=args.format)
     piece = forster_transform(pts, args.delta)
     report = verify_piece(piece, pts)
     doc = piece_to_dict(piece)
@@ -174,7 +165,7 @@ def _cmd_transform(args):
 
 def _cmd_decompose(args):
     _require(args, ["input", "out"])
-    pts = _load_input_points(args)
+    pts = load_points(args.input, format=args.format)
     dec = forster_decompose(pts, args.delta)
     doc = decomposition_to_dict(dec)
     doc["timestamp"] = time.time()
@@ -202,7 +193,7 @@ def _cmd_learn(args):
 def _cmd_eval(args):
     if args.verify_decomposition:
         _require(args, ["input"])
-        pts = _load_input_points(args)
+        pts = load_points(args.input, format=args.format)
         with open(args.verify_decomposition) as fh:
             doc = json.load(fh)
         if doc.get("source_digest") not in (None, source_digest(pts)):

@@ -29,7 +29,6 @@ TAG_HARD_FRAME = 6
 TAG_HARD_MIX = 7
 TAG_HARD_COMBO = 8
 TAG_WSTAR = 9
-TAG_MIX_COMP = 10
 
 
 def sign_pm1(t):
@@ -103,18 +102,15 @@ class MarginalSpec:
     kind = "uniform": uniform over ``support`` (a PointSet).
     kind = "gaussian": N(0, scale^2 I) rounded to the integer grid, bounded by
         2^bits; zero roundings are redrawn from the draw's own substream.
-    kind = "mixture": mixture of gaussian components [(weight, scale), ...],
-        discretized the same way.
     """
 
     kind: str
     support: PointSet = None
     scale: float = 64.0
     bits: int = 12
-    components: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian", "mixture"):
+        if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"unknown marginal kind {self.kind!r}")
         if self.kind == "uniform" and self.support is None:
             raise ValueError("uniform marginal needs a support PointSet")
@@ -187,7 +183,7 @@ def eta_values(model, X):
     return np.minimum(vals, model.eta_bound)
 
 
-def _draw_gaussian_grid(seed, indices, dim, scale, bits, tag=TAG_GAUSS):
+def _draw_gaussian_grid(seed, indices, dim, scale, bits):
     """Discretized-gaussian draws: round(scale * N(0, I)) clipped to |c| < 2^bits.
 
     Zero roundings are redrawn deterministically from the same per-index
@@ -200,7 +196,7 @@ def _draw_gaussian_grid(seed, indices, dim, scale, bits, tag=TAG_GAUSS):
     for attempt in range(8):
         if todo.size == 0:
             break
-        z = rng.normals(seed, tag + 16 * attempt, idx[todo], cols=dim)
+        z = rng.normals(seed, TAG_GAUSS + 16 * attempt, idx[todo], cols=dim)
         cand = np.clip(np.rint(z * scale), -lim, lim).astype(np.int64)
         ok = cand.any(axis=1)
         X[todo[ok]] = cand[ok]
@@ -216,25 +212,10 @@ def draw_marginal(marginal, n, seed, start_index=0):
     if marginal.kind == "uniform":
         rows = rng.integers(seed, TAG_MARGINAL, idx, marginal.support.n)
         return marginal.support.points[rows]
-    if marginal.kind == "gaussian":
-        dim = marginal.support.dim if marginal.support is not None else None
-        if dim is None:
-            raise ValueError("gaussian marginal needs dim via a support template")
-        return _draw_gaussian_grid(seed, idx, dim, marginal.scale, marginal.bits)
-    # mixture
-    comps = marginal.components
-    weights = np.array([w for w, _ in comps], dtype=np.float64)
-    weights = np.cumsum(weights / weights.sum())
-    u = rng.uniform01(seed, TAG_MIX_COMP, idx)
-    comp = np.searchsorted(weights, u)
-    dim = marginal.support.dim
-    X = np.zeros((n, dim), dtype=np.int64)
-    for c, (_, scale) in enumerate(comps):
-        sel = comp == c
-        if sel.any():
-            X[sel] = _draw_gaussian_grid(seed, idx[sel], dim, scale, marginal.bits,
-                                         tag=TAG_GAUSS + 256 * (c + 1))
-    return X
+    if marginal.support is None:
+        raise ValueError("gaussian marginal needs dim via a support template")
+    return _draw_gaussian_grid(seed, idx, marginal.support.dim, marginal.scale,
+                               marginal.bits)
 
 
 def massart_draw(model, n, seed, start_index=0):

@@ -71,6 +71,11 @@ class InternalInvariantViolated(FdcError):
     upstream."""
 
 
+class PrecisionLimit(FdcError):
+    """Valid input past the precision of a float route: the message names the
+    bound (for example, a direction coordinate binary64 cannot hold)."""
+
+
 class Infeasible(FdcError):
     """Scaling SDP declared infeasible (a heavy subspace exists, or the solver
     failed numerically).  Carries the last violated constraint for diagnosis."""

@@ -41,6 +41,7 @@ from .errors import (
 )
 from .heavy import HeavySubspaceResult
 from .learner import (
+    TRANSFORM_DELTA,
     LearnerConfig,
     ModelOracle,
     evaluate_classifier,
@@ -134,60 +135,18 @@ def brute_force_heavy_subspace(point_set, V=None):
 # Literal feasibility-LP engine (greedy matroid oracle + cutting plane)
 # ---------------------------------------------------------------------------
 
-def _greedy_positions_int64(pts_ordered, k):
-    """Positions (ascending) of the greedy basis within an already-ordered
-    point list, via vectorized fraction-free elimination over int64.
-
-    Returns None when entries risk overflowing int64, in which case the caller
-    uses the arbitrary-precision fallback.
-    """
-    E = pts_ordered.astype(np.int64, copy=True)
-    if E.size == 0:
-        return []
-    if float(np.abs(E).max()) > 2.0 ** 40:
-        return None
+def _greedy_positions(pts, order, k):
+    """Positions (ascending) within ``order`` of the greedy basis of the
+    points taken in that order: each point joins when it is independent of
+    those already chosen (exact, ``exact.IntSpan``)."""
+    span = exact.IntSpan(pts.shape[1])
     chosen = []
-    excluded = np.zeros(E.shape[0], dtype=bool)
-    for _ in range(k):
-        nz = E.any(axis=1) & ~excluded
-        idxs = np.nonzero(nz)[0]
-        if idxs.size == 0:
-            break
-        p0 = int(idxs[0])
-        chosen.append(p0)
-        excluded[p0] = True
-        row = E[p0]
-        pc = int(np.nonzero(row)[0][0])
-        piv = row[pc]
-        col = E[:, pc].copy()
-        mask = (col != 0) & ~excluded
-        if mask.any():
-            if float(np.abs(E[mask]).max()) * float(np.abs(row).max()) * 2.0 > 2.0 ** 62:
-                return None
-            E[mask] = E[mask] * piv - col[mask, None] * row[None, :]
-            g = np.gcd.reduce(np.abs(E[mask]), axis=1)
-            np.maximum(g, 1, out=g)
-            E[mask] //= g[:, None]
-    return chosen
-
-
-def _greedy_positions_exact(pts_ordered, k):
-    span = exact.IntSpan(pts_ordered.shape[1])
-    chosen = []
-    for pos, row in enumerate(exact.as_int_rows(pts_ordered)):
-        if span.add(row):
+    for pos, i in enumerate(order):
+        if span.add(pts[i]):
             chosen.append(pos)
             if len(chosen) == k:
                 break
     return chosen
-
-
-def _greedy_positions(pts, order, k):
-    ordered = pts[order]
-    res = _greedy_positions_int64(ordered, k)
-    if res is None:
-        res = _greedy_positions_exact(ordered, k)
-    return res
 
 
 def _weight_order(weights):
@@ -279,7 +238,7 @@ def central_cut(cut, center, r0, lo, hi, side, budget):
     raise IterationBudgetExceeded("ellipsoid budget exhausted without a verdict")
 
 
-def lp_feasible(points, subspace_dim, margin=None, budget=None):
+def lp_feasible(points, subspace_dim):
     """Feasible vector for the basis-threshold LP, or None if infeasible.
 
     The LP over [0,1]^N has one constraint per basis B of the points,
@@ -301,10 +260,8 @@ def lp_feasible(points, subspace_dim, margin=None, budget=None):
     k = subspace_dim
     if N % k != 0:
         raise ValueError("point count must be a multiple of the subspace dimension")
-    if margin is None:
-        margin = 1.0 / (4.0 * N)
-    if budget is None:
-        budget = int(16 * N * N * (k + math.log(max(N, 2))))
+    margin = 1.0 / (4.0 * N)
+    budget = int(16 * N * N * (k + math.log(max(N, 2))))
     ratio = N / k
 
     def cut(center):
@@ -418,19 +375,16 @@ def pair_swap_search(points, subspace_dim):
     return HeavySubspaceResult(False)
 
 
-def lp_heavy_subspace(point_set, V=None):
-    """``heavy.find_heavy_subspace`` decided by the literal LP engine: the
-    strict LP, then the pair-swap sweep for the equality threshold.  Small
-    instances only; raw multisets (no multiplicities)."""
+def lp_heavy_subspace(point_set):
+    """``heavy.find_heavy_subspace`` within the span of the points, decided
+    by the literal LP engine: the strict LP, then the pair-swap sweep for the
+    equality threshold.  Small instances only; raw multisets (no
+    multiplicities)."""
     pts = as_point_array(point_set)
-    span_S = span_of(pts)
-    if V is None:
-        V = span_S
-    if span_S.dim < V.dim:
-        return HeavySubspaceResult(True, span_S, list(range(pts.shape[0])))
-    if V.dim == 1:
+    k = span_of(pts).dim
+    if k == 1:
         return HeavySubspaceResult(False)
-    return _strict_lp_decision(pts, V.dim) or pair_swap_search(pts, V.dim)
+    return _strict_lp_decision(pts, k) or pair_swap_search(pts, k)
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +486,7 @@ def run_learning_trial(model, config, seed, test_n=100_000):
         report = evaluate_classifier(classifier, massart_draw(model, test_n, test_seed))
     cfg = {
         "eta": config.eta, "eps": config.eps, "delta": config.delta, "C": config.C,
-        "transform_delta": config.transform_delta,
+        "transform_delta": TRANSFORM_DELTA,
     }
     return classifier, TrialReport(
         seed=seed,

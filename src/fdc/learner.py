@@ -47,6 +47,10 @@ from .linalg import Subspace
 from .transform import forster_transform, mapped_unit_rows
 
 TAG_LEARN = 101
+# The Forster relaxation of every stage's transform (certificate lambda_min
+# >= 1/(k + TRANSFORM_DELTA) > 1/(2k)), and the weak learner's descent steps.
+TRANSFORM_DELTA = 0.25
+GD_ITERS = 400
 
 
 @dataclass
@@ -152,8 +156,6 @@ class LearnerConfig:
     eps: float
     delta: float
     C: float = 64.0
-    transform_delta: float = 0.25
-    gd_iters: int = 400
 
     def __post_init__(self):
         if not (0.0 <= self.eta < 0.5):
@@ -264,16 +266,21 @@ def _band_select(s, rows_val, yval, eta, eps_prime, min_claim):
     return float(t), cov, err
 
 
-def weak_partial_learner(F, rows, y, eta, eps_prime, gd_iters=400):
+def weak_partial_learner(F, rows, y, eta, eps_prime):
     """One band-rule partial classifier stage on mapped (unit-norm) samples.
 
     The sample is compressed: draw i is the row F[rows[i]] with label y[i],
     where F holds the distinct mapped rows (||f|| = 1) and labels follow a
     homogeneous halfspace with Massart noise <= eta.  The first half of the
     draws is training data (its first 80,000 draws feed the descent), the
-    second half validation data.  Returns a WeakStageResult whose validation
-    conditional error is below eta + eps' - eps'/8 with coverage at least 1e-3,
-    or raises CoverageFailure.
+    second half validation data.  The band comes from the widest prefix of
+    the |score|-sorted validation draws whose conditional error is below
+    eta + eps' - eps'/8 and that holds at least 1e-3 of them; raises
+    CoverageFailure when no candidate direction has one.  The returned
+    threshold claims every draw whose |score| ties the prefix's last one, so
+    when the prefix ends inside a tie group (as on a pool of one direction,
+    where every |score| is 1) the returned ``val_error`` can exceed that
+    target.
     """
     F = np.asarray(F, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.intp)
@@ -306,7 +313,7 @@ def weak_partial_learner(F, rows, y, eta, eps_prime, gd_iters=400):
     w = w0.copy()
     best_w = w0.copy()
     best_loss = np.inf
-    for t in range(gd_iters):
+    for t in range(GD_ITERS):
         margins = -(U @ w)
         slope = np.where(margins > 0, 1.0 - lam, lam)
         # A sum, not the dot product c @ h: a threaded BLAS dot can run
@@ -397,10 +404,6 @@ class DatasetOracle:
     def support(self):
         return self.X
 
-    def draw(self, n):
-        rows, _ = self.draw_indexed(n)
-        return self.X[rows], self.y[rows]
-
     def draw_indexed(self, n):
         gidx = np.arange(self.count, self.count + n, dtype=np.uint64)
         self.count += n
@@ -461,7 +464,7 @@ def learn_halfspace(oracle, config, dim):
 
     Loops while the empirical abstention mass on a fresh check sample exceeds
     eps/3: draws a conditioned sample, Forster-transforms it (certificate
-    lambda_min >= 1/(k + transform_delta) > 1/(2k)), runs the weak learner on
+    lambda_min >= 1/(k + TRANSFORM_DELTA) > 1/(2k)), runs the weak learner on
     the mapped conditioned distribution with eps' = eps/2, and extends the
     chain.  Rejection-budget exhaustion means the uncovered mass collapsed and
     exits the loop; exceeding the iteration cap raises.
@@ -527,8 +530,7 @@ def learn_halfspace(oracle, config, dim):
             sample, counts = _line_sample(lines, line_of, hits)
         else:
             sample, counts = primitive_rows(drawn[0])[0], None
-        piece = forster_transform(PointSet(d, sample), config.transform_delta,
-                                  counts=counts)
+        piece = forster_transform(PointSet(d, sample), TRANSFORM_DELTA, counts=counts)
         V, A, k = piece.subspace, piece.transform, piece.subspace.dim
         record["piece"] = {
             "dim": k,
@@ -568,10 +570,7 @@ def learn_halfspace(oracle, config, dim):
             yw = pool[1]
             distinct, rows = distinct_rows(primitive_rows(pool[0])[0])
         F = mapped_unit_rows(A, distinct.astype(np.float64) @ V.basis)
-        stage_res = weak_partial_learner(
-            F, rows, yw, config.eta, config.eps_prime,
-            gd_iters=config.gd_iters,
-        )
+        stage_res = weak_partial_learner(F, rows, yw, config.eta, config.eps_prime)
         classifier = PartialClassifier(
             classifier.stages + [Stage(V, A, stage_res.w, stage_res.threshold)],
             default_label=1,
@@ -634,7 +633,7 @@ def classifier_to_dict(classifier, config=None, telemetry=None):
     if config is not None:
         doc["config"] = {
             "eta": config.eta, "eps": config.eps, "delta": config.delta,
-            "C": config.C, "transform_delta": config.transform_delta,
+            "C": config.C, "transform_delta": TRANSFORM_DELTA,
         }
     if telemetry is not None:
         doc["telemetry"] = telemetry

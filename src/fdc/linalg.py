@@ -7,8 +7,8 @@ Jacobi has no pivoting heuristics or threading nondeterminism.  The
 independent certificate re-checks elsewhere in the package deliberately go
 through ``np.linalg.eigh`` so the two routes share no eigensolver code.
 
-Rank decisions on integer inputs are exact (fraction-free elimination); the
-singular-value threshold test is kept for float inputs only.
+Spans are of integer points only, and their rank decisions are exact
+(fraction-free elimination).
 """
 
 from dataclasses import dataclass, field
@@ -17,20 +17,25 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .errors import EmptyInput, NonConvergent, NonSymmetric, NotPositiveDefinite
+from .errors import (
+    EmptyInput,
+    NonConvergent,
+    NonInteger,
+    NonSymmetric,
+    NotPositiveDefinite,
+)
 
 SYM_TOL = 1e-12
 ORTHO_TOL = 1e-10
-RANK_TOL = 1e-9
 JACOBI_SWEEPS = 100
 
 
-def check_symmetric(M, tol=SYM_TOL):
+def check_symmetric(M):
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise NonSymmetric(f"not square: shape {M.shape}")
     scale = np.max(np.abs(M)) if M.size else 0.0
-    if np.max(np.abs(M - M.T)) > tol * max(scale, 1e-300):
+    if np.max(np.abs(M - M.T)) > SYM_TOL * max(scale, 1e-300):
         raise NonSymmetric("matrix exceeds symmetry tolerance")
     return 0.5 * (M + M.T)
 
@@ -127,11 +132,9 @@ def jacobi_eigh(mats, sweeps=JACOBI_SWEEPS):
     return w.reshape(*batch_shape, k), V.reshape(*batch_shape, k, k)
 
 
-def sym_eigen(M, sweeps=JACOBI_SWEEPS):
+def sym_eigen(M):
     """Eigendecomposition of one symmetric matrix: (eigenvalues descending, Q)."""
-    Ms = check_symmetric(M)
-    w, V = jacobi_eigh(Ms, sweeps=sweeps)
-    return w, V
+    return jacobi_eigh(check_symmetric(M))
 
 
 def inv_sqrt_psd(M, floor):
@@ -175,32 +178,27 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-def span_of(points, tol=RANK_TOL):
-    """Subspace spanned by the given nonzero points.
+def span_of(points):
+    """Subspace spanned by the given nonzero integer points.
 
-    Integer inputs get an exact rank/pivot decision; the basis itself is the
-    float QR of the pivot rows.  Float inputs fall back to an SVD rank test at
-    threshold tol * sigma_max.
+    The rank and pivot rows are decided exactly (``exact.IntSpan``); the
+    basis itself is the float QR of the pivot rows.  Raises NonInteger on a
+    non-integer array.
     """
     pts = np.asarray(points)
+    if not np.issubdtype(pts.dtype, np.integer):
+        raise NonInteger(f"span of non-integer points (dtype {pts.dtype})")
     if pts.ndim == 1:
         pts = pts.reshape(1, -1)
     if pts.shape[0] == 0:
         raise EmptyInput("span of empty point set")
     d = pts.shape[1]
-    if np.issubdtype(pts.dtype, np.integer):
-        piv = exact.exact_pivot_indices(pts, dim=d)
-        if not piv:
-            raise EmptyInput("all points are zero")
-        Q, _ = np.linalg.qr(pts[piv].astype(np.float64).T)
-        int_rows = [tuple(int(v) for v in pts[i]) for i in piv]
-        return Subspace(d, Q[:, : len(piv)], int_rows=int_rows)
-    X = pts.astype(np.float64)
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
+    piv = exact.exact_pivot_indices(pts, dim=d)
+    if not piv:
         raise EmptyInput("all points are zero")
-    r = int(np.sum(s > tol * s[0]))
-    return Subspace(d, Vt[:r].T)
+    Q, _ = np.linalg.qr(pts[piv].astype(np.float64).T)
+    int_rows = [tuple(int(v) for v in pts[i]) for i in piv]
+    return Subspace(d, Q[:, : len(piv)], int_rows=int_rows)
 
 
 def full_space(d):

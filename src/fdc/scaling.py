@@ -194,22 +194,24 @@ def _surely_violated(points, candidate, mults):
     return rayleigh < -(REL_SLACK + PREREJECT_MARGIN) * scale
 
 
-def recheck_certificate(points, weights, mults=None, tol_factor=1e-9):
+RECHECK_TOL = 1e-9
+
+
+def recheck_certificate(points, weights):
     """Independent eigenvalue re-check of the scaling inequality.
 
     Uses LAPACK (np.linalg.eigh), a different eigensolver route from the
-    Jacobi-based oracle.  Returns (ok, worst_eigenvalue, threshold).
+    Jacobi-based oracle, and allows a worst eigenvalue down to -RECHECK_TOL
+    of tr(Sigma_c).  Returns (ok, worst_eigenvalue, threshold).
     """
     pts = np.asarray(points, dtype=np.float64)
     n, k = pts.shape
     c = np.asarray(weights.c_sq, dtype=np.float64)
-    m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
-    M = m.sum()
-    sigma = weighted_second_moment(pts, c, m)
-    scaled = ((k + weights.delta) / M) * sigma
+    sigma = weighted_second_moment(pts, c)
+    scaled = ((k + weights.delta) / n) * sigma
     mats = scaled[None, :, :] - c[:, None, None] * np.einsum("ni,nj->nij", pts, pts)
     mins = np.linalg.eigvalsh(mats)[:, 0]
-    threshold = -tol_factor * float(np.trace(sigma))
+    threshold = -RECHECK_TOL * float(np.trace(sigma))
     return bool(mins.min() >= threshold), float(mins.min()), threshold
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exact
 from .dataset import PointSet, as_point_array
-from .errors import InternalInvariantViolated, SingularTransform
+from .errors import InternalInvariantViolated, PrecisionLimit, SingularTransform
 from .heavy import find_heavy_subspace
 from .linalg import Subspace, inv_sqrt_psd, jacobi_eigh, span_of
 from .scaling import (
@@ -33,6 +33,9 @@ from .scaling import (
 
 CERT_EPS = 1e-8
 TRACE_EPS = 1e-10
+# Every integer of magnitude at most 2^53 is a binary64 value; past it the
+# float routes would round a direction's coordinates.
+FLOAT_EXACT = 2 ** 53
 # The size rule for deciding a heavy-chain step exactly first: total weight
 # at most HEAVY_FIRST_CAP, or at most ENUM_COMBO_CAP direction subsets of
 # size below dim V.  Larger steps (a learner's 1.47M draws on 400 lines) try
@@ -95,11 +98,11 @@ def _certificate_window_ok(lam_min, lam_max, k, delta):
     return lo <= lam_min and lam_max <= hi
 
 
-def _chain_to_solvable(dirs, mult, delta):
-    """Heavy chain at direction level: returns (dir_members, V, weights) such
-    that the surviving directions have no detected heavy proper subspace of
-    V; weights are the scaling weights a scale-first step certified for
-    them, else None.
+def _chain_to_solvable(dirs, mult, V, delta):
+    """Heavy chain at direction level, from V = span(dirs): returns
+    (dir_members, V, weights) such that the surviving directions have no
+    detected heavy proper subspace of V; weights are the scaling weights a
+    scale-first step certified for them, else None.
 
     Counts are multiplicity-weighted throughout.  A step inside the size rule
     above is decided exactly by ``find_heavy_subspace``.  A larger step is
@@ -107,9 +110,7 @@ def _chain_to_solvable(dirs, mult, delta):
     (a flat of excess exactly 0 may then go undetected, which no downstream
     contract needs), and only a failed one asks ``find_heavy_subspace``.
     """
-    nu = dirs.shape[0]
-    members = np.arange(nu)
-    V = span_of(dirs)
+    members = np.arange(dirs.shape[0])
     heavy_first = int(mult.sum()) <= HEAVY_FIRST_CAP
     while True:
         sub = dirs[members]
@@ -161,14 +162,19 @@ def forster_transform(point_set, delta, counts=None):
 
 
 def _forster_transform_once(pts, delta, counts=None):
-    n = pts.shape[0]
-    ambient_rank = span_of(pts).dim
-    dirs, mult, inverse = exact.directions(pts)
-    if counts is not None:
-        weighted = np.zeros(dirs.shape[0], dtype=np.int64)
-        np.add.at(weighted, inverse, np.asarray(counts, dtype=np.int64))
-        mult = weighted
-    dir_members, V, pooled = _chain_to_solvable(dirs, mult, delta)
+    counts = (np.ones(pts.shape[0], dtype=np.int64) if counts is None
+              else np.asarray(counts, dtype=np.int64))
+    dirs, _, inverse = exact.directions(pts)
+    for v in dirs[np.abs(dirs) > FLOAT_EXACT].tolist():
+        if float(v) != v:
+            raise PrecisionLimit(
+                f"primitive direction coordinate {v} is past 2^53 and not "
+                "exactly representable in binary64"
+            )
+    mult = np.zeros(dirs.shape[0], dtype=np.int64)
+    np.add.at(mult, inverse, counts)
+    span = span_of(dirs)
+    dir_members, V, pooled = _chain_to_solvable(dirs, mult, span, delta)
     k = V.dim
     sel_dirs = dirs[dir_members]
     sel_mult = mult[dir_members]
@@ -192,12 +198,7 @@ def _forster_transform_once(pts, delta, counts=None):
     dir_pos[dir_members] = np.arange(dir_members.size)
     member_mask = dir_pos[inverse] >= 0
     members = np.nonzero(member_mask)[0]
-    if counts is None:
-        member_weight, total_weight = members.size, n
-    else:
-        cc = np.asarray(counts, dtype=np.int64)
-        member_weight, total_weight = int(cc[members].sum()), int(cc.sum())
-    if not (member_weight * ambient_rank >= k * total_weight):
+    if not (int(counts[members].sum()) * span.dim >= k * int(counts.sum())):
         raise InternalInvariantViolated("piece lost the dimension-fraction bound")
 
     weights = ScalingWeights(

@@ -102,6 +102,28 @@ def test_coordinate_outside_int64_exits_2(tmp_path, capsys, verb):
 
 
 @pytest.mark.parametrize("verb", ["decompose", "learn"])
+def test_direction_past_binary64_exits_2(tmp_path, capsys, verb):
+    # Rows (2^62 - i, 2^61 + 3i, i + 1): valid int64 points whose primitive
+    # directions binary64 cannot hold; ten for decompose, fifty labeled ones
+    # for learn.
+    data = tmp_path / "pts.csv"
+    n = {"decompose": 10, "learn": 50}[verb]
+    rows = [f"{2 ** 62 - i},{2 ** 61 + 3 * i},{i + 1}" for i in range(n)]
+    if verb == "learn":
+        rows = [r + f",{1 - 2 * (i % 2)}" for i, r in enumerate(rows)]
+    data.write_text("\n".join(rows) + "\n")
+    args = {
+        "decompose": ["decompose", "--input", str(data), "--delta", "1e-3"],
+        "learn": ["learn", "--train-oracle", str(data), "--eta", "0.1",
+                  "--eps", "0.2", "--delta", "0.2", "--seed", "1"],
+    }[verb]
+    assert run(args + ["--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert "2^53" in err and "binary64" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["decompose", "learn"])
 def test_non_utf8_csv_exits_2(tmp_path, capsys, verb):
     data = tmp_path / "pts.csv"
     rows = [b"1,2", b"\xff\xfe,3"]

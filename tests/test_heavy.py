@@ -59,6 +59,8 @@ class TestMaxWeightBasis:
             got = max_weight_basis(pts, k, v)
             best = max(independent_subsets(pts, k), key=lambda c: (v[list(c)].sum(),))
             assert v[got].sum() == pytest.approx(v[list(best)].sum())
+            # Scaling every point by 2^45 changes no independence, so no pick.
+            assert max_weight_basis(pts * 2 ** 45, k, v) == got
 
 
 def check_feasible_against_all_bases(pts, k, v):

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdc.errors import EmptyInput, NonConvergent, NonSymmetric, NotPositiveDefinite
+from fdc.errors import (
+    EmptyInput,
+    NonConvergent,
+    NonInteger,
+    NonSymmetric,
+    NotPositiveDefinite,
+)
 from fdc.linalg import (
     Subspace,
     inv_sqrt_psd,
@@ -120,6 +126,10 @@ class TestSpanOf:
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             span_of(np.zeros((0, 3), dtype=np.int64))
+
+    def test_float_points_raise(self):
+        with pytest.raises(NonInteger):
+            span_of(np.array([[1.0, 0.5], [2.0, 1.0]]))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
