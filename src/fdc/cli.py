@@ -18,6 +18,7 @@ from .dataset import (
     LabeledDataset,
     PointSet,
     gen_hard_instance,
+    load_json,
     load_labeled,
     load_points,
     massart_draw,
@@ -194,15 +195,23 @@ def _cmd_eval(args):
     if args.verify_decomposition:
         _require(args, ["input"])
         pts = load_points(args.input, format=args.format)
-        with open(args.verify_decomposition) as fh:
-            doc = json.load(fh)
+        doc = load_json(args.verify_decomposition)
+        pieces = doc.get("pieces") if isinstance(doc, dict) else None
+        if type(pieces) is not list:
+            raise ParseError("decomposition field 'pieces' is not a list")
         if doc.get("source_digest") not in (None, source_digest(pts)):
             print("source digest mismatch", file=sys.stderr)
             return 2
         all_members = []
         ok = True
-        for i, pdoc in enumerate(doc["pieces"]):
+        for i, pdoc in enumerate(pieces):
             piece = piece_from_dict(pdoc)
+            if piece.subspace.ambient_dim != pts.dim:
+                raise ParseError(f"piece {i} field 'subspace_basis' has dimension "
+                                 f"{piece.subspace.ambient_dim}, the input {pts.dim}")
+            if not all(0 <= j < pts.n for j in piece.member_indices):
+                raise ParseError(f"piece {i} field 'members' holds an index outside "
+                                 f"the input's {pts.n} points")
             report = verify_piece(piece, pts)
             all_members.extend(piece.member_indices)
             print(f"piece {i}: dim {piece.subspace.dim}, "
@@ -213,8 +222,7 @@ def _cmd_eval(args):
         print("partition: " + ("pass" if sorted(all_members) == list(range(pts.n)) else "FAIL"))
         return 0 if ok else 2
     _require(args, ["model", "test"])
-    with open(args.model) as fh:
-        doc = json.load(fh)
+    doc = load_json(args.model)
     classifier = classifier_from_dict(doc)
     test = load_labeled(args.test, format=args.format)
     if any(st.subspace.ambient_dim != test.base.dim for st in classifier.stages):

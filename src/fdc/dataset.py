@@ -446,6 +446,27 @@ def _csv_fault(lines, line_no, labeled, exc):
     return ParseError(f"unreadable CSV data: {exc}")
 
 
+def load_json(path):
+    """The JSON document in ``path``; ParseError when it is not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or a non-UTF-8 byte
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
+                             line=getattr(exc, "lineno", None)) from None
+
+
+def finite_array(value, name, shape=None):
+    """A JSON field as a float array of finite numbers (of ``shape`` if
+    given); ParseError naming the field otherwise."""
+    arr = np.asarray(value)
+    if (arr.dtype.kind not in "iuf" or (shape is not None and arr.shape != shape)
+            or not np.all(np.isfinite(arr))):
+        raise ParseError(f"field {name!r} is not finite numbers"
+                         + (f" of shape {shape}" if shape is not None else ""))
+    return arr.astype(np.float64)
+
+
 def _json_list(doc, key):
     value = doc.get(key)
     if not isinstance(value, list):
@@ -505,12 +526,7 @@ def _json_to_arrays(path, labeled):
     "labels": [...]}, validated as strictly as a CSV file; a record's 1-based
     position stands for its line.  A document that is not valid JSON, or not
     of this shape, raises ParseError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError or a non-UTF-8 byte
-            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}",
-                             line=getattr(exc, "lineno", None)) from None
+    doc = load_json(path)
     if not isinstance(doc, dict):
         raise ParseError('the JSON document must be an object with a "points" list')
     pts = _json_list(doc, "points")

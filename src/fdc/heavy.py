@@ -11,6 +11,12 @@ shortest augmenting paths (Cunningham 1984).  With demand left unmet, the
 directions the last path search reached span the winner; with all demand
 met, the flats of excess 0 are the sets the exchange graph cannot leave.
 ``harness.lp_heavy_subspace`` decides the same predicate by the literal LP.
+
+The packing first runs over F_p (``ModPacking``): a set independent mod p is
+independent over Q, so its sets, arcs and sinks are genuine ones, and each
+answer it gives is certified by exact spans before it is returned.  When a
+certificate fails (p divides a minor that matters) the packing reruns over
+Q.
 """
 
 from dataclasses import dataclass
@@ -78,14 +84,20 @@ class BasisPacking:
             rest = order[left[order] > 0]
             if not rest.size:
                 break
-            span, members = exact.IntSpan(dirs.shape[1]), []
-            while rest.size and span.rank < k:
-                members.append(int(rest[0]))
-                span.add(dirs[rest[0]])
-                rest = rest[~span.members(dirs[rest])]
-            eps = min(free, int(left[members].min()))
-            self._change(tuple(sorted(members)), eps)
+            B = self._grow(rest)
+            eps = min(free, int(left[list(B)].min()))
+            self._change(B, eps)
             free -= eps
+
+    def _grow(self, rest):
+        """The greedy set of ``rest``, as a sorted tuple: each direction, in
+        order, that extends the span of those before it, up to k."""
+        span, members = exact.IntSpan(self.dirs.shape[1]), []
+        while rest.size and span.rank < self.k:
+            members.append(int(rest[0]))
+            span.add(self.dirs[rest[0]])
+            rest = rest[~span.members(self.dirs[rest])]
+        return tuple(sorted(members))
 
     def _exchange(self, B):
         """(arcs, outside) for set B: arcs[u, a] when u is not in B, lies in
@@ -166,6 +178,80 @@ class BasisPacking:
         return None
 
 
+# The largest prime below 2^28: a product of two residues is below 2^56, and
+# every step of ``_mod_echelon`` reduces one such product, so int64 (whose
+# numpy arithmetic wraps silently) never overflows.
+PRIME = 268_435_399
+
+
+def _mod_echelon(A, m, k):
+    """Gauss-Jordan elimination mod PRIME on the columns of A (residues, in
+    place), pivoting left to right among the first m columns until k pivots.
+    Returns the pivot columns P: the first m columns' lexicographically first
+    independent set mod p.  Afterwards rows :|P| of column j hold its
+    coefficients on the columns P, and rows |P|: are zero exactly when
+    column j lies in their span mod p."""
+    p, cols, c = PRIME, [], 0
+    while len(cols) < k and c < m:
+        j = len(cols)
+        live = A[j:, c:m].any(axis=0)
+        t = int(live.argmax())
+        if not live[t]:
+            break
+        c += t
+        i = j + int((A[j:, c] != 0).argmax())
+        if i != j:
+            A[[j, i]] = A[[i, j]]
+        row = A[j] * pow(int(A[j, c]), -1, p) % p
+        A -= A[:, c:c + 1] * row
+        A %= p
+        A[j] = row
+        cols.append(c)
+        c += 1
+    return cols
+
+
+class ModPacking(BasisPacking):
+    """``BasisPacking`` in the matroid of the directions over F_p.  A set
+    independent mod p is independent over Q, so this is a rational packing
+    whose arcs and sinks are arcs and sinks of the rational exchange graph of
+    the same sets; it may fall short of the rational maximum."""
+
+    def __init__(self, dirs, mult, k):
+        self.residues = dirs % PRIME
+        super().__init__(dirs, mult, k)
+
+    def _eliminate(self, lead, k):
+        """(B, (arcs, outside)): the greedy set B of the directions ``lead``
+        mod p, up to k of them, and its exchange data, from one elimination
+        of all directions with ``lead`` in front."""
+        n = self.dirs.shape[0]
+        others = np.ones(n, dtype=bool)
+        others[lead] = False
+        order = np.concatenate([lead, np.flatnonzero(others)])
+        A = self.residues[order].T.copy()
+        P = _mod_echelon(A, len(lead), k)
+        back = np.argsort(order)
+        coef, outside = A[:len(P)].T[back], A[len(P):].any(axis=0)[back]
+        members = order[P]
+        arcs = coef[:, np.argsort(members)] != 0
+        arcs[outside] = False
+        arcs[members] = False
+        return tuple(sorted(members.tolist())), (arcs, outside)
+
+    def _grow(self, rest):
+        B, data = self._eliminate(rest, self.k)
+        self._exchanges.setdefault(B, data)
+        return B
+
+    def _exchange(self, B):
+        if B not in self._exchanges:
+            got, self._exchanges[B] = self._eliminate(np.array(B), len(B))
+            if got != B:
+                raise InternalInvariantViolated("a packed set is not independent mod p")
+        return self._exchanges[B]
+
+
 def _reach(adj, start):
     """Rows ``start`` of the reflexive transitive closure of a boolean
     adjacency matrix."""
@@ -178,34 +264,21 @@ def _reach(adj, start):
         R = grown
 
 
-def find_heavy_subspace(point_set, V=None, mults=None):
-    """Decide whether a proper subspace W of V holds at least a
-    dim(W)/dim(V) fraction of the points; return one if so.
+def _decide(packing, mult, inverse):
+    """The answer of a packing, maximized here, or None when the exact
+    certificate of the answer fails.
 
-    The returned subspace satisfies |members| * dim(V) >= dim(W) * |S|
-    exactly (counts weighted by ``mults`` when given); members come from
-    exact membership, so a zero-count row in W is one.  The winner has the
-    largest count excess, then the least dimension, then the least member
-    list: a rule invariant under per-point positive rescaling and global
-    invertible maps.  Decided from a maximum ``BasisPacking``.
+    With demand left unmet, the flat W spanned by the reached directions of
+    the first set must have excess k*m(W) - M*dim W equal to the unmet
+    demand: by weak duality no flat has more, and the reached directions lie
+    in the smallest flat of the largest excess, so W is that flat.  With all
+    demand met, each least-mass candidate must span a flat of excess 0 whose
+    positive-mass directions are exactly the candidate; over Q both hold by
+    the exchange argument, and over F_p (whose arcs are rational arcs of the
+    same packing) they make the candidates the rational ones.
     """
-    pts = as_point_array(point_set)
-    n = pts.shape[0]
-    span_S = span_of(pts)
-    if V is None:
-        V = span_S
-    if span_S.dim < V.dim:
-        return HeavySubspaceResult(True, span_S, list(range(n)))
-    k = V.dim
-    if k == 1:
-        return HeavySubspaceResult(False)
-
-    dirs, mult, inverse = exact.directions(pts)
-    if mults is not None:
-        mult = np.zeros(dirs.shape[0], dtype=np.int64)
-        np.add.at(mult, inverse, np.asarray(mults, dtype=np.int64))
+    dirs, k = packing.dirs, packing.k
     M = int(mult.sum())
-    packing = BasisPacking(dirs, mult, k)
     reached = packing.maximize()
     if reached is not None:
         # The smallest minimiser of f spans the unique winner.
@@ -233,9 +306,48 @@ def find_heavy_subspace(point_set, V=None, mults=None):
     for sel in cands:
         basis = [i for i in first if sel[i]]
         mask = exact.membership_mask(exact.as_int_rows(dirs[basis]), dirs)
-        if k * int(mult[mask].sum()) - M * len(basis) != excess:
-            raise InternalInvariantViolated("heavy flat and packing disagree on the excess")
+        if (k * int(mult[mask].sum()) - M * len(basis) != excess
+                or (reached is None and (mask != sel)[mult > 0].any())):
+            return None
         members = np.nonzero(mask[inverse])[0].tolist()
         if best is None or members < best[0]:
             best = members, mask
     return HeavySubspaceResult(True, span_of(dirs[best[1]]), best[0])
+
+
+def find_heavy_subspace(point_set, V=None, mults=None):
+    """Decide whether a proper subspace W of V holds at least a
+    dim(W)/dim(V) fraction of the points; return one if so.
+
+    The returned subspace satisfies |members| * dim(V) >= dim(W) * |S|
+    exactly (counts weighted by ``mults`` when given); members come from
+    exact membership, so a zero-count row in W is one.  The winner has the
+    largest count excess, then the least dimension, then the least member
+    list: a rule invariant under per-point positive rescaling and global
+    invertible maps.  Decided from a maximum ``ModPacking`` when its answer
+    is certified (a greedy set of dim V directions also shows the points
+    span V), else from a maximum ``BasisPacking``.
+    """
+    pts = as_point_array(point_set)
+    span_S = span_of(pts) if V is None else None
+    k = span_S.dim if V is None else V.dim
+    dirs, mult, inverse = exact.directions(pts)
+    if mults is not None:
+        mult = np.zeros(dirs.shape[0], dtype=np.int64)
+        np.add.at(mult, inverse, np.asarray(mults, dtype=np.int64))
+    if k > 1:
+        packing = ModPacking(dirs, mult, k)
+        if any(len(B) == k for B in packing.sets):
+            result = _decide(packing, mult, inverse)
+            if result is not None:
+                return result
+    if span_S is None:
+        span_S = span_of(pts)
+    if span_S.dim < k:
+        return HeavySubspaceResult(True, span_S, list(range(pts.shape[0])))
+    if k == 1:
+        return HeavySubspaceResult(False)
+    result = _decide(BasisPacking(dirs, mult, k), mult, inverse)
+    if result is None:
+        raise InternalInvariantViolated("heavy flat and packing disagree on the excess")
+    return result

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, rng
-from .dataset import PointSet, massart_draw, massart_draw_rows, sign_pm1
+from .dataset import PointSet, finite_array, massart_draw, massart_draw_rows, sign_pm1
 from .errors import (
     CoverageFailure,
     DegenerateSecondMoment,
@@ -640,15 +640,6 @@ def classifier_to_dict(classifier, config=None, telemetry=None):
     return doc
 
 
-def _finite(value, name, shape=None):
-    """``value`` as a float array of finite numbers (of ``shape`` if given)."""
-    arr = np.asarray(value)
-    if (arr.dtype.kind not in "iuf" or (shape is not None and arr.shape != shape)
-            or not np.all(np.isfinite(arr))):
-        raise ParseError(f"model field {name!r} is not finite numbers of shape {shape}")
-    return arr.astype(np.float64)
-
-
 def classifier_from_dict(doc):
     """Inverse of ``classifier_to_dict``.  Checks keys, types, shapes (basis
     (d, k), transform (k, k), w (k,), one d for all stages) and finiteness,
@@ -657,21 +648,21 @@ def classifier_from_dict(doc):
     try:
         stages, label = [], doc.get("default_label", 1)
         for s in doc["stages"]:
-            basis = _finite(s["subspace_basis"], "subspace_basis")
+            basis = finite_array(s["subspace_basis"], "subspace_basis")
             d, k = basis.shape if basis.ndim == 2 else (0, 0)
             rows = [tuple(r) for r in s.get("subspace_int_rows", [])]
             if (not 1 <= k <= d or (stages and d != stages[0].subspace.ambient_dim)
                     or (k < d and not rows) or any(len(r) != d for r in rows)
                     or not all(type(v) is int for r in rows for v in r)):
                 raise ParseError("model stage subspace is malformed")
-            A = _finite(s["transform"], "transform", (k, k))
+            A = finite_array(s["transform"], "transform", (k, k))
             if np.linalg.matrix_rank(A) < k:
                 raise SingularTransform("model stage transform is not invertible")
             threshold = s["threshold"]
             if type(threshold) not in (int, float) or not math.isfinite(threshold):
                 raise ParseError("model field 'threshold' is not a finite number")
             stages.append(Stage(Subspace(d, basis, int_rows=rows or None), A,
-                                _finite(s["w"], "w", (k,)), float(threshold)))
+                                finite_array(s["w"], "w", (k,)), float(threshold)))
         if label not in (-1, 1):
             raise ParseError("model field 'default_label' is not -1 or 1")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

@@ -296,6 +296,56 @@ class TestEvalRejectsBadModels:
         assert "dimension 2" in out.err and "Traceback" not in out.err
 
 
+def _nan_transform(doc):
+    doc["pieces"][0]["transform"][0][0] = float("nan")
+
+
+def _member_999(doc):
+    doc["pieces"][0]["members"][0] = 999
+
+
+def _basis_of_another_dimension(doc):
+    piece = doc["pieces"][0]
+    piece["subspace_basis"].append([0.0] * len(piece["subspace_basis"][0]))
+    piece["subspace_int_rows"] = []
+
+
+@pytest.mark.parametrize("message, tamper", [
+    ("'transform'", lambda doc: doc["pieces"][0].pop("transform")),
+    ("'weights'", lambda doc: doc["pieces"][0].update(weights="x")),
+    ("'transform'", _nan_transform),
+    ("'pieces'", lambda doc: doc.update(pieces=3)),
+    ("'members'", _member_999),
+    ("'pieces'", dict.clear),
+    ("invalid JSON", None),
+    ("'subspace_basis'", _basis_of_another_dimension),
+], ids=["dropped-transform", "string-weights", "nan-transform", "int-pieces",
+        "member-999", "empty-document", "model-not-json", "basis-dimension"])
+def test_malformed_eval_document_exits_2(tmp_path, capsys, message, tamper):
+    """A decomposition or model that ``fdc eval`` cannot read ends in a
+    typed error naming the field, exit 2."""
+    gen = np.random.default_rng(0)
+    X = gen.integers(-9, 10, size=(30, 3))
+    X[~X.any(axis=1), 0] = 1
+    pts, doc_path = tmp_path / "pts.csv", tmp_path / "doc.json"
+    save_points_csv(pts, PointSet(3, X))
+    if tamper is None:
+        doc_path.write_text("not json {")
+        test = tmp_path / "test.csv"
+        test.write_text("1,2,3,1\n")
+        argv = ["eval", "--model", str(doc_path), "--test", str(test)]
+    else:
+        assert run(["decompose", "--input", str(pts), "--out", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        tamper(doc)
+        doc_path.write_text(json.dumps(doc))
+        argv = ["eval", "--verify-decomposition", str(doc_path), "--input", str(pts)]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_json_floats_roundtrip_17g(tmp_path):
     from fdc.cli import dump_json
 

@@ -16,7 +16,8 @@ from fdc.harness import (
     max_weight_basis,
     pair_swap_search,
 )
-from fdc.heavy import BasisPacking, find_heavy_subspace
+from fdc import heavy
+from fdc.heavy import BasisPacking, ModPacking, find_heavy_subspace
 from fdc.transform import forster_decompose, verify_piece
 from tests.conftest import seeded_points
 
@@ -257,13 +258,13 @@ def fraction_basis(rows):
     return basis
 
 
-def check_packing(dirs, mult, k):
-    """Re-check a maximum BasisPacking with Fraction ranks: independent sets,
-    weights within M, coverage as reported and within demand; bases only
-    when every demand is met, else a flat whose excess k*m - M*dim is the
-    unmet demand spanned by the reached directions.  Returns the reached
-    mask."""
-    packing = BasisPacking(dirs, mult, k)
+def check_packing(dirs, mult, k, packing_cls=BasisPacking):
+    """Re-check a maximum BasisPacking (or ModPacking) with Fraction ranks:
+    independent sets, weights within M, coverage as reported and within
+    demand; bases only when every demand is met, else a flat whose excess
+    k*m - M*dim is the unmet demand spanned by the reached directions.
+    Returns the reached mask."""
+    packing = packing_cls(dirs, mult, k)
     reached = packing.maximize()
     M = int(mult.sum())
     assert sum(packing.sets.values()) <= M
@@ -283,6 +284,8 @@ def check_packing(dirs, mult, k):
 
 
 class TestBasisPacking:
+    packing_cls = BasisPacking
+
     def test_certificate_on_families(self):
         gen = np.random.default_rng(3)
         met = []
@@ -290,7 +293,8 @@ class TestBasisPacking:
             for d, n in ((4, 12), (5, 40), (6, 60)):
                 dirs, mult, _ = directions(family(gen, d, n))
                 for m in (mult, mult * gen.integers(1, 5, size=mult.size)):
-                    met.append(check_packing(dirs, m, fraction_rank(dirs)) is None)
+                    reached = check_packing(dirs, m, fraction_rank(dirs), self.packing_cls)
+                    met.append(reached is None)
         assert 0 < sum(met) < len(met)   # both outcomes are re-checked
 
     def test_certificate_at_learner_scale(self):
@@ -299,19 +303,33 @@ class TestBasisPacking:
         dirs, _, _ = directions(X)
         mult = np.random.default_rng(4).integers(2, 7350, size=dirs.shape[0])
         assert 1.4e6 < mult.sum() < 1.55e6
-        assert check_packing(dirs, mult, 10) is None
+        assert check_packing(dirs, mult, 10, self.packing_cls) is None
+
+
+class TestModPacking(TestBasisPacking):
+    """The same Fraction re-checks of the packing over F_p: its sets are
+    independent over Q, and on these inputs it reaches the rational
+    maximum."""
+    packing_cls = ModPacking
+
+
+def weighted_instances():
+    """(X, m): small sets of every family with counts 0 to 3, the rows of an
+    exact basis of span(X) counted at least once."""
+    gen = np.random.default_rng(5)
+    for family in FAMILIES * 10:
+        d = int(gen.integers(2, 5))
+        X = family(gen, d, int(gen.integers(d + 2, 14)))
+        m = gen.integers(0, 4, size=X.shape[0])
+        basis = exact_pivot_indices(X)
+        m[basis] = np.maximum(m[basis], 1)
+        yield X, m
 
 
 class TestMultiplicities:
     def test_weights_match_repeated_rows(self):
-        gen = np.random.default_rng(5)
         stages = {"strict": 0, "equality": 0, "none": 0}
-        for family in FAMILIES * 10:
-            d = int(gen.integers(2, 5))
-            X = family(gen, d, int(gen.integers(d + 2, 14)))
-            m = gen.integers(0, 4, size=X.shape[0])
-            basis = exact_pivot_indices(X)   # keeps span(X) among counted rows
-            m[basis] = np.maximum(m[basis], 1)
+        for X, m in weighted_instances():
             weighted = find_heavy_subspace(X, mults=m)
             repeated = find_heavy_subspace(np.repeat(X, m, axis=0))
             assert weighted.found == repeated.found
@@ -332,6 +350,56 @@ class TestMultiplicities:
 
 def in_span(subspace, X):
     return membership_mask(list(subspace.int_rows), X)
+
+
+def exact_route(X, m):
+    """The heavy decision of X with counts m from the rational packing
+    alone."""
+    dirs, _, inverse = directions(X)
+    mult = np.zeros(dirs.shape[0], dtype=np.int64)
+    np.add.at(mult, inverse, m)
+    return heavy._decide(BasisPacking(dirs, mult, fraction_rank(dirs)), mult, inverse)
+
+
+def count_routes(monkeypatch):
+    """Patch heavy._decide to record, per decision, the packing class and
+    whether its answer was certified."""
+    routes, decide = [], heavy._decide
+
+    def counted(packing, *args):
+        result = decide(packing, *args)
+        routes.append((type(packing), result is not None))
+        return result
+    monkeypatch.setattr(heavy, "_decide", counted)
+    return routes
+
+
+class TestModRoute:
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_small_primes_agree_with_the_exact_route(self, monkeypatch, p):
+        cases = [(X, m, exact_route(X, m)) for X, m in weighted_instances()]
+        routes = count_routes(monkeypatch)
+        monkeypatch.setattr(heavy, "PRIME", p)
+        for X, m, want in cases:
+            got = find_heavy_subspace(X, mults=m)
+            assert (got.found, got.member_indices) == (want.found, want.member_indices)
+        fallbacks = routes.count((BasisPacking, True))
+        assert 0 < fallbacks < len(cases)
+
+    def test_rows_dependent_mod_the_prime(self, monkeypatch):
+        # Independent over Q, dependent mod p: (1, 0, 0) = (1, p, 0) mod p.
+        p = heavy.PRIME
+        rows = [(1, 0, 0), (1, p, 0), (0, 0, 1), (0, 1, 0), (p, 1, 1), (1, 1, p)]
+        sets = [[0, 1, 2], [0, 1, 2, 2], [0, 1, 3, 2, 4]]
+        gen = np.random.default_rng(6)
+        sets += [gen.integers(0, len(rows), size=gen.integers(3, 9)) for _ in range(40)]
+        routes = count_routes(monkeypatch)
+        for idx in sets:
+            X = np.array([rows[i] for i in idx], dtype=np.int64)
+            X *= gen.integers(1, 3, size=(len(idx), 1))
+            got, brute = find_heavy_subspace(X), brute_force_heavy_subspace(X)
+            assert (got.found, got.member_indices) == (brute.found, brute.member_indices)
+        assert (ModPacking, False) in routes   # a certificate failed and fell back
 
 
 def near_plane_probe(bits):
