@@ -15,8 +15,6 @@ import time
 import numpy as np
 
 from .dataset import (
-    LabeledDataset,
-    PointSet,
     gen_hard_instance,
     load_json,
     load_labeled,

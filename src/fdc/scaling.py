@@ -7,8 +7,8 @@ multiplicities m(x) summing to M, is the matrix inequality
 
 with the normalization c^2 >= 1.  A fixed-point iteration is the cheap first
 try and damped Newton on Barthe's convex potential the fallback.  Weights
-from either are returned only once the spectral separation oracle accepts
-them, so correctness never depends on which solver produced them.
+from either are returned only once the leverage test (``separation_oracle``)
+accepts them, so correctness never depends on which solver produced them.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Infeasible
-from .linalg import jacobi_eigh
 
 
 @dataclass
@@ -39,7 +38,8 @@ class ScalingWeights:
 class ViolatedConstraint:
     """Witness that the scaling inequality fails at one point: the linear
     constraint c^2(x) |w.x|^2 <= ((k+delta)/M) * sum_y m(y) c^2(y) |w.y|^2,
-    indexed by (point_index, witness w), is violated by violation_gap.
+    indexed by (point_index, witness w), is violated; violation_gap is the
+    point's leverage minus 1 (see ``separation_oracle``).
     """
 
     point_index: int
@@ -55,143 +55,40 @@ def weighted_second_moment(points, c_sq, mults=None):
     return (pts * w[:, None]).T @ pts
 
 
-REL_SLACK = 1e-12
-SECULAR_STEPS = 200   # a cap only; Newton settles within about 15 steps
+LEVERAGE_TOL = 1e-9
 
 
-def _secular_min(lam, w):
-    """Least eigenvalue of each rank-one downdate diag(lam) - c z z^T, given
-    the weights w = c z_j^2 >= 0 as rows of an (n, k) array: the least root
-    of 1 = sum_j w_j/(lam_j - mu), which lies below every pole with w_j > 0,
-    or the least pole with w_j == 0 (a deflated eigenvalue) if that is lower.
+def separation_oracle(points, candidate, mults=None):
+    """Most-violated constraint at the candidate weights, or None.
 
-    Solved in t = hi - mu > 0, with hi the least undeflated pole, where
-    F(t) = 1/h(t) - 1 with h(t) = sum_j w_j/(lam_j - hi + t) is increasing
-    and concave (Cauchy-Schwarz gives 2h'^2 <= h h'').  So a Newton step
-    from below the root stays below it and climbs monotonically; a step that
-    leaves the bracket [t_lo, t_up] is replaced by the bracket's geometric
-    mean.  The bracket: h(t_up) <= 1 at t_up = sum_j w_j, and h(t_lo) >= 2 at
-    t_lo = half the weight on the poles at hi.  Returns (mins, t, hi, gaps):
-    mins the eigenvalues, t the roots, gaps = lam_j - hi (inf where
-    deflated), so lam_j - mu = gaps + t.
-    """
-    live = w > 0
-    lam_row = np.broadcast_to(lam, w.shape)
-    hi = np.where(live, lam_row, np.inf).min(axis=1)
-    deflated = np.where(live, np.inf, lam_row).min(axis=1)
-    gaps = np.where(live, lam_row - hi[:, None], np.inf)
-    w0 = np.where(gaps == 0.0, w, 0.0).sum(axis=1)
-    t_lo = 0.5 * w0
-    t_up = w.sum(axis=1)
-    # Start below t_up where the far poles, frozen at t = 0 (they only fall
-    # as t grows), sum to R0 < 1: then the root is at most about w0/(1 - R0).
-    R0 = (w / np.where(gaps > 0.0, gaps, np.inf)).sum(axis=1)
-    start = np.divide(w0, 1.0 - R0, out=t_up.copy(), where=R0 < 1.0)
-    rows = np.nonzero(t_up > 0)[0]
-    t = np.minimum(start, t_up)
-    lo, up = t_lo[rows], t_up[rows]
-    tr, wr, gr = t[rows], w[rows], gaps[rows]
-    for _ in range(SECULAR_STEPS):
-        if rows.size == 0:
-            break
-        r = wr / (gr + tr[:, None])
-        h = r.sum(axis=1)
-        dh = (r / (gr + tr[:, None])).sum(axis=1)
-        F = 1.0 / h - 1.0
-        lo = np.where(F < 0, np.maximum(lo, tr), lo)
-        up = np.where(F >= 0, np.minimum(up, tr), up)
-        tn = tr - F * h * h / dh
-        inside = ((tn > lo) & (tn < up)) | (F == 0)
-        # A step that lands on the bracket's ends means F's round-off has
-        # taken over: the root is known to the bracket's width.
-        settled = ~inside & (up - lo <= 1e-13 * up)
-        tn = np.where(inside, tn, np.sqrt(lo * up))
-        done = settled | (np.abs(tn - tr) <= 1e-15 * tn)
-        t[rows] = tn
-        keep = ~done
-        rows, lo, up, tr, wr, gr = rows[keep], lo[keep], up[keep], tn[keep], wr[keep], gr[keep]
-    mins = np.minimum(np.where(t_up > 0, hi - t, np.inf), deflated)
-    return mins, t, hi, gaps
-
-
-def separation_oracle(points, candidate, mults=None, tau=None):
-    """Most-violated spectral constraint at the candidate weights, or None.
-
-    For each x checks M_x = S - c^2(x) x x^T, S = ((k+delta)/M) Sigma_c, for
-    eigenvalues below the slack; the most negative one's eigenvector is the
-    witness.  Every M_x is a rank-one downdate of S (Golub 1973; Bunch,
-    Nielsen and Sorensen 1978): with S = Q diag(lam) Q^T from one Jacobi
-    eigendecomposition and z = Q^T x, the least eigenvalue mu of M_x is the
-    least root of 1 = c^2(x) sum_j z_j^2/(lam_j - mu), solved for all points
-    at once, or an eigenvalue lam_j with z_j = 0 (deflation; repeated
-    eigenvalues need no special case, as the least root lies below them all).
-    The witness is (S - mu I)^{-1} x, or the deflated eigenvector.
-
-    With tau=None the slack is per-constraint and purely a round-off
-    allowance: REL_SLACK * (tr(scaled Sigma_c) + c^2(x)||x||^2), the natural
-    scale of M_x.  A slack proportional to delta * tr(Sigma_c) is unsound once
-    the weights span a wide range (it can absorb an order-one violation at a
-    weight-1 point), so certification never leans on delta.  An explicit
-    scalar ``tau`` is treated as an absolute threshold.
+    With S = ((k+delta)/M) Sigma_c = L L^T, the matrix S - c^2(x) x x^T is
+    positive semidefinite exactly when the leverage q(x) = c^2(x) x^T S^{-1} x
+    = c^2(x) ||L^{-1} x||^2 is at most 1 (Schur complement), so one triangular
+    solve tests every point.  The point of largest q is reported once q passes
+    1 + LEVERAGE_TOL, with gap q - 1; v = S^{-1} x has
+    v^T (S - c^2 x x^T) v = (q/c^2)(1 - q) < 0, and the witness is v
+    normalized.  S must be finite and positive definite, so the points must
+    span R^k: an overflowed S or a failed Cholesky certifies nothing and is
+    reported with point_index and witness None and an infinite gap.
     """
     pts = np.asarray(points, dtype=np.float64)
     n, k = pts.shape
     c = np.asarray(candidate.c_sq, dtype=np.float64)
     m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
-    M = m.sum()
-    sigma = weighted_second_moment(pts, c, m)
-    scaled = ((k + candidate.delta) / M) * sigma
-    lam, Q = jacobi_eigh(scaled)
-    z = pts @ Q
-    mins, t, hi, gaps = _secular_min(lam, c[:, None] * z * z)
-    if tau is None:
-        scale = float(np.trace(scaled)) + c * np.einsum("ni,ni->n", pts, pts)
-        slack = REL_SLACK * scale
-    else:
-        slack = np.full(n, float(tau))
-    rel = mins + slack
-    worst = int(np.argmin(rel))
-    if rel[worst] < 0:
-        if mins[worst] < hi[worst] - t[worst]:
-            w = Q[:, int(np.argmin(np.where(np.isinf(gaps[worst]), lam, np.inf)))]
-        else:
-            w = Q @ np.where(np.isinf(gaps[worst]), 0.0, z[worst] / (gaps[worst] + t[worst]))
-        return ViolatedConstraint(worst, w / np.linalg.norm(w), float(-mins[worst]))
-    return None
-
-
-PREREJECT_MARGIN = 1e-9
-
-
-def _surely_violated(points, candidate, mults):
-    """True only when the separation oracle would surely report a violation:
-    a cheap rank-one test that lets ``fixed_point_scaling`` skip the oracle.
-
-    With S = ((k+delta)/M) Sigma_c = L L^T, S - c^2(x) x x^T is indefinite iff
-    q(x) = c^2(x) ||L^{-1} x||^2 > 1.  At the largest q, v = S^{-1} x gives a
-    Rayleigh quotient bounding the least eigenvalue from above; the test fires
-    only when it lies below the oracle's slack by PREREJECT_MARGIN of the
-    constraint's scale.  False (also on a failed Cholesky) means "ask the
-    oracle", never "certified".
-    """
-    k = points.shape[1]
-    c = candidate.c_sq
-    S = ((k + candidate.delta) / mults.sum()) * weighted_second_moment(points, c, mults)
+    S = ((k + candidate.delta) / m.sum()) * weighted_second_moment(pts, c, m)
     try:
+        if not np.isfinite(S).all():
+            raise np.linalg.LinAlgError("S overflows binary64")
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        return False
-    sol = np.linalg.solve(L, points.T)
+        return ViolatedConstraint(None, None, np.inf)
+    sol = np.linalg.solve(L, pts.T)
     q = c * np.einsum("kn,kn->n", sol, sol)
-    i = int(np.argmax(q))
-    if not q[i] > 1.0:
-        return False
-    x = points[i]
-    v = np.linalg.solve(L.T, sol[:, i])
-    xv = float(x @ v)
-    rayleigh = (float(v @ S @ v) - c[i] * xv * xv) / float(v @ v)
-    scale = float(np.trace(S)) + c[i] * float(x @ x)
-    return rayleigh < -(REL_SLACK + PREREJECT_MARGIN) * scale
+    worst = int(np.argmax(q))
+    if q[worst] > 1.0 + LEVERAGE_TOL:
+        w = np.linalg.solve(L.T, sol[:, worst])
+        return ViolatedConstraint(worst, w / np.linalg.norm(w), float(q[worst] - 1.0))
+    return None
 
 
 RECHECK_TOL = 1e-9
@@ -200,8 +97,8 @@ RECHECK_TOL = 1e-9
 def recheck_certificate(points, weights):
     """Independent eigenvalue re-check of the scaling inequality.
 
-    Uses LAPACK (np.linalg.eigh), a different eigensolver route from the
-    Jacobi-based oracle, and allows a worst eigenvalue down to -RECHECK_TOL
+    Uses LAPACK eigenvalues (np.linalg.eigvalsh), a different route from the
+    oracle's leverages, and allows a worst eigenvalue down to -RECHECK_TOL
     of tr(Sigma_c).  Returns (ok, worst_eigenvalue, threshold).
     """
     pts = np.asarray(points, dtype=np.float64)
@@ -230,13 +127,12 @@ def _unit_rows(points):
     return pts / np.sqrt(norms2)[:, None], norms2
 
 
-def fixed_point_scaling(points, delta, max_iters=4000, mults=None):
+def fixed_point_scaling(points, delta, max_iters, mults=None):
     """Fixed-point accelerator: c <- 1 / ||Sigma^{-1/2} x||, min-normalized.
 
     Returns certified ScalingWeights or None.  The points are unit-normalized
     internally (the weights absorb the norms), which keeps the iteration
-    well-scaled when coordinate magnitudes span many octaves.  Candidates
-    that ``_surely_violated`` rejects skip the oracle.
+    well-scaled when coordinate magnitudes span many octaves.
     """
     unit, norms2 = _unit_rows(points)
     n, k = unit.shape
@@ -265,8 +161,7 @@ def fixed_point_scaling(points, delta, max_iters=4000, mults=None):
         if rel < 1e-7 or t - last_check >= check_gap or t == max_iters:
             last_check = t
             cand = ScalingWeights(_normalized(c), delta)
-            if (not _surely_violated(unit, cand, m)
-                    and separation_oracle(unit, cand, mults=m) is None):
+            if separation_oracle(unit, cand, mults=m) is None:
                 return ScalingWeights(_normalized(c / norms2), delta)
             if rel < 1e-13:
                 # Converged but cannot certify: genuinely obstructed.
@@ -340,7 +235,7 @@ def _newton_scaling(points, delta, m):
     return None
 
 
-def solve_scaling_sdp(points, delta, mults=None, fp_budget=4000):
+def solve_scaling_sdp(points, delta, mults=None):
     """Certified scaling weights for points (coordinates in V) at relaxation delta.
 
     Tries the fixed point, then Newton; failure raises Infeasible carrying the
@@ -349,13 +244,12 @@ def solve_scaling_sdp(points, delta, mults=None, fp_budget=4000):
     raw = np.asarray(points, dtype=np.float64)
     n, k = raw.shape
     m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
-    unit, _ = _unit_rows(raw)
+    unit, norms2 = _unit_rows(raw)
     if k == 1 or n == 1:
-        w = ScalingWeights(np.ones(n), delta)
-        if separation_oracle(unit, w, mults=m) is None:
-            return w
+        if separation_oracle(unit, ScalingWeights(np.ones(n), delta), mults=m) is None:
+            return ScalingWeights(_normalized(1.0 / norms2), delta)
         raise Infeasible("degenerate instance fails the 1-d constraint")
-    w = (fixed_point_scaling(raw, delta, max_iters=fp_budget, mults=m)
+    w = (fixed_point_scaling(raw, delta, max_iters=4000, mults=m)
          or _newton_scaling(raw, delta, m))
     if w is not None:
         return w

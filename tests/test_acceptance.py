@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fdc import rng
+from fdc import rng, scaling
 from fdc.dataset import PointSet
 from fdc.errors import Infeasible
 from fdc.harness import (
@@ -164,7 +164,7 @@ def test_criterion_3_scaling_certificates():
     emitted.append((four, w))
     normalized = w.c_sq / w.c_sq.min()
     hand_ok = np.allclose(normalized, [2.0, 2.0, 1.0, 1.0], rtol=0.01)
-    w_ell = solve_scaling_sdp(four, 0.05, fp_budget=0)  # Newton path
+    w_ell = scaling._newton_scaling(four, 0.05, np.ones(4))  # Newton path
     emitted.append((four, w_ell))
     solved = 0
     for i in range(60):

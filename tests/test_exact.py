@@ -15,7 +15,6 @@ from fdc.exact import (
     primitive_rows,
     span_of_rows,
 )
-from fdc.linalg import span_of
 from tests.conftest import seeded_points
 
 

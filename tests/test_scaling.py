@@ -4,11 +4,8 @@ import pytest
 from fdc import scaling
 from fdc.errors import Infeasible, IterationBudgetExceeded
 from fdc.harness import central_cut
-from fdc.linalg import jacobi_eigh
 from fdc.scaling import (
     ScalingWeights,
-    _secular_min,
-    _surely_violated,
     fixed_point_scaling,
     recheck_certificate,
     separation_oracle,
@@ -53,10 +50,11 @@ class TestCentralCut:
 
 class TestSeparationOracle:
     def test_violation_at_ones(self):
-        viol = separation_oracle(FOUR_POINTS, ScalingWeights(np.ones(4), 0.0), tau=1e-12)
+        # S = 1.5 I, so the diagonal points have leverage 2/1.5 = 4/3.
+        viol = separation_oracle(FOUR_POINTS, ScalingWeights(np.ones(4), 0.0))
         assert viol is not None
         assert viol.point_index in (2, 3)
-        assert viol.violation_gap == pytest.approx(0.5, abs=1e-12)
+        assert viol.violation_gap == pytest.approx(1.0 / 3.0, abs=1e-12)
         s = 1.0 / np.sqrt(2.0)
         expect = np.array([s, s]) if viol.point_index == 2 else np.array([s, -s])
         assert min(np.abs(viol.witness - expect).max(),
@@ -73,41 +71,58 @@ class TestSeparationOracle:
         for c in (np.ones(3), np.array([1.0, 1.0, 100.0]), np.array([1e6, 1e6, 1.0])):
             assert separation_oracle(pts, ScalingWeights(c, 1e-3)) is not None
 
+    def test_points_short_of_spanning_never_certify(self):
+        # n < k: S is singular, even though every S - c^2 x x^T is PSD here.
+        gen = np.random.default_rng(3)
+        for n, k in ((1, 2), (2, 3), (3, 6), (5, 8)):
+            pts = gen.standard_normal((n, k))
+            for c in (np.ones(n), np.exp(gen.uniform(0.0, 6.0, size=n))):
+                viol = separation_oracle(pts, ScalingWeights(c / c.min(), 0.5))
+                assert viol is not None and viol.violation_gap == np.inf
+        with pytest.raises(Infeasible):
+            solve_scaling_sdp(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]]), 1e-3)
 
-def _check_oracle(pts, c_sq, delta, tau=None):
-    """The oracle against LAPACK on every constraint matrix: the worst point,
-    its least eigenvalue (within 1e-13 of the matrix's scale) and a witness
-    that really violates it; None only when nothing is violated."""
+    def test_overflowing_moment_never_certifies(self):
+        # The first point's true leverage is 3/2, but c^2 x x^T overflows.
+        pts = np.array([[1e200, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            viol = separation_oracle(pts, ScalingWeights(np.ones(3), 0.0))
+        assert viol is not None and viol.violation_gap == np.inf
+
+
+def _check_oracle(pts, c_sq, delta, mults=None):
+    """The oracle against LAPACK on every constraint matrix S - c^2 x x^T:
+    (a) its verdict is the sign of each matrix's least eigenvalue wherever
+    the leverage q is not within 1e-6 of 1; (b) it reports the largest q,
+    with gap q - 1; (c) its witness w has w^T (S - c^2 x x^T) w < 0."""
     pts = np.asarray(pts, dtype=np.float64)
     n, k = pts.shape
     c = np.asarray(c_sq, dtype=np.float64)
-    scaled = ((k + delta) / n) * weighted_second_moment(pts, c)
-    mats = scaled[None] - c[:, None, None] * np.einsum("ni,nj->nij", pts, pts)
+    m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
+    S = ((k + delta) / m.sum()) * weighted_second_moment(pts, c, m)
+    mats = S[None] - c[:, None, None] * np.einsum("ni,nj->nij", pts, pts)
     mins = np.linalg.eigvalsh(mats)[:, 0]
-    scale = np.trace(scaled) + c * np.einsum("ni,ni->n", pts, pts)
-    slack = 1e-12 * scale if tau is None else np.full(n, tau)
-    viol = separation_oracle(pts, ScalingWeights(c, delta), tau=tau)
-    rel = mins + slack
+    q = c * np.einsum("ni,in->n", pts, np.linalg.solve(S, pts.T))
+    clear = np.abs(q - 1.0) > 1e-6
+    np.testing.assert_array_equal(mins[clear] < 0, q[clear] > 1.0)
+    viol = separation_oracle(pts, ScalingWeights(c, delta), mults=mults)
     if viol is None:
-        assert rel.min() >= -1e-13 * scale.max()
+        assert not np.any(q[clear] > 1.0)
         return None
+    assert q.max() > 1.0 - 1e-6
     i = viol.point_index
-    assert rel[i] <= rel.min() + 1e-13 * scale.max()
-    assert abs(-viol.violation_gap - mins[i]) <= 1e-13 * scale[i]
+    assert q[i] >= q.max() * (1.0 - 1e-9)
+    assert viol.violation_gap == pytest.approx(q[i] - 1.0, rel=1e-8, abs=1e-8)
     w = viol.witness
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
     assert w @ mats[i] @ w < 0
-    # The witness is a least eigenvector: its Rayleigh quotient is mins[i].
-    assert abs(w @ mats[i] @ w - mins[i]) <= 1e-12 * scale[i]
-    # Every point's least eigenvalue, not only the worst one's.
-    lam, Q = jacobi_eigh(scaled)
-    z = pts @ Q
-    every = _secular_min(lam, c[:, None] * z * z)[0]
-    np.testing.assert_array_less(np.abs(every - mins), 1e-13 * scale)
     return viol
 
 
 class TestSecularOracle:
+    """Geometries that stress an eigenvalue route (points on eigenvectors of
+    S, repeated eigenvalues), checked against LAPACK."""
+
     def test_deflated_axis_points(self):
         # S is diagonal with distinct eigenvalues; every point lies on an
         # eigenvector, so all but one z_j vanish.
@@ -124,7 +139,7 @@ class TestSecularOracle:
 
     def test_repeated_eigenvalues(self):
         # S is a multiple of I: one eigenvalue of multiplicity k.
-        assert _check_oracle(FOUR_POINTS, np.ones(4), 0.0, tau=1e-12) is not None
+        assert _check_oracle(FOUR_POINTS, np.ones(4), 0.0) is not None
         assert _check_oracle(FOUR_POINTS, HAND_SOLUTION, 0.01) is None
         cube = np.array([[s0, s1, s2] for s0 in (-1.0, 1.0) for s1 in (-1.0, 1.0)
                          for s2 in (-1.0, 1.0)])
@@ -135,24 +150,33 @@ class TestSecularOracle:
     def test_one_dimensional(self):
         pts = np.array([[2.0], [-1.0], [5.0]])
         assert _check_oracle(pts, [1.0, 1.0, 1.0], 0.0) is not None
-        assert _check_oracle(pts, [1.0, 1.0, 1.0], 0.0, tau=100.0) is None
-
-    def test_explicit_tau(self):
-        pts = seeded_points(4, 9, 6, 2).astype(np.float64)
-        c = np.exp(np.linspace(0.0, 4.0, 9))
-        viol = _check_oracle(pts, c, 1e-3, tau=0.0)
-        assert viol is not None
-        # A threshold just past the worst violation certifies the same weights.
-        assert _check_oracle(pts, c, 1e-3, tau=viol.violation_gap * (1 + 1e-9) + 1e-300) is None
+        assert _check_oracle(pts, [6.25, 25.0, 1.0], 0.0) is None
 
     def test_random_instances_match_lapack(self):
         gen = np.random.default_rng(5)
         for _ in range(40):
             k = int(gen.integers(1, 9))
-            n = int(gen.integers(1, 30))
+            n = int(gen.integers(k, 30))
             pts = gen.standard_normal((n, k)) * 10.0 ** gen.uniform(-3, 3, size=(n, 1))
             c = np.exp(gen.uniform(0.0, 12.0, size=n))
             _check_oracle(pts, c / c.min(), float(gen.choice([0.0, 1e-3, 0.5])))
+
+    def test_fixed_point_iterates_match_lapack(self):
+        # Near-feasible candidates: the fixed point's iterates approach the
+        # boundary q = 1 from both sides.
+        gen = np.random.default_rng(11)
+        checked = 0
+        for _ in range(16):
+            k = int(gen.integers(2, 7))
+            n = int(gen.integers(k + 1, 40))
+            pts = gen.standard_normal((n, k))
+            pts /= np.linalg.norm(pts, axis=1)[:, None]
+            m = gen.integers(1, 4, size=n).astype(np.float64)
+            delta = float(gen.choice([0.0, 1e-9, 1e-3]))
+            for c in fixed_point_iterates(pts, delta, 400, m):
+                _check_oracle(pts, c, delta, mults=m)
+                checked += 1
+        assert checked > 100
 
 
 class TestFixedPoint:
@@ -203,78 +227,8 @@ def fixed_point_iterates(points, delta, max_iters, m):
         if rel < 1e-7 or t - last_check >= 10 or t == max_iters:
             last_check = t
             cand = ScalingWeights(c / c.min(), delta)
-            if rel < 1e-13 or (not _surely_violated(unit, cand, m)
-                               and separation_oracle(unit, cand, mults=m) is None):
+            if rel < 1e-13 or separation_oracle(unit, cand, mults=m) is None:
                 return
-
-
-class TestPreRejection:
-    """``_surely_violated`` may only claim a violation the oracle reports too.
-
-    Near-feasible candidates stress it: fixed-point iterates, certified
-    weights scaled pointwise by 1 +- eps, and certified weights with one
-    point's weight raised to the oracle's own decision boundary, where only
-    the pre-rejection's margin keeps the two from disagreeing.
-    """
-
-    @staticmethod
-    def _boundary(pts, m, w, i):
-        def raised(e):
-            c = w.c_sq.copy()
-            c[i] *= 1.0 + e
-            return ScalingWeights(c, w.delta)
-
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if separation_oracle(pts, raised(mid), mults=m) is None:
-                lo = mid
-            else:
-                hi = mid
-        return [raised(e) for e in np.linspace(lo, hi, 5)]
-
-    def _candidates(self):
-        gen = np.random.default_rng(11)
-        for _ in range(16):
-            k = int(gen.integers(2, 7))
-            n = int(gen.integers(k + 1, 40))
-            pts = gen.standard_normal((n, k))
-            pts /= np.linalg.norm(pts, axis=1)[:, None]
-            m = gen.integers(1, 4, size=n).astype(np.float64)
-            delta = float(gen.choice([0.0, 1e-9, 1e-3]))
-            for c in fixed_point_iterates(pts, delta, 400, m):
-                yield pts, m, ScalingWeights(c, delta)
-            w = fixed_point_scaling(pts, delta, max_iters=400, mults=m)
-            if w is None:
-                continue
-            for eps in (1e-9, 1e-12):
-                c = w.c_sq * (1.0 + eps * gen.uniform(-1.0, 1.0, size=n))
-                yield pts, m, ScalingWeights(c / c.min(), delta)
-            for i in gen.choice(n, size=2, replace=False):
-                for cand in self._boundary(pts, m, w, i):
-                    yield pts, m, cand
-
-    def test_never_rejects_what_the_oracle_accepts(self):
-        fired = 0
-        for pts, m, cand in self._candidates():
-            if _surely_violated(pts, cand, m):
-                fired += 1
-                assert separation_oracle(pts, cand, mults=m) is not None
-        assert fired > 100  # the test is not vacuous
-
-    def test_fixed_point_output_unchanged(self, monkeypatch):
-        def weights():
-            out = []
-            for seed in range(4):
-                pts = seeded_points(5, 40, 30, seed=seed).astype(np.float64)
-                w = fixed_point_scaling(pts, 1e-3, max_iters=800)
-                assert w is not None
-                out.append(w.c_sq.tobytes())
-            return out
-
-        with_skips = weights()
-        monkeypatch.setattr(scaling, "_surely_violated", lambda *a: False)
-        assert weights() == with_skips
 
 
 class TestSolve:
@@ -286,14 +240,19 @@ class TestSolve:
         w = solve_scaling_sdp(np.array([[5.0]]), 1e-3)
         np.testing.assert_allclose(w.c_sq, [1.0])
 
+    def test_one_dimensional_weights_certified(self):
+        # Unit weights on the unit rows are weights 1/x^2 on the points.
+        X = np.array([[1.0], [-2.0], [4.0]])
+        w = solve_scaling_sdp(X, 1e-3)
+        np.testing.assert_allclose(w.c_sq, [16.0, 4.0, 1.0])
+        assert recheck_certificate(X, w)[0]
+
     def test_heavy_raises_infeasible(self):
         with pytest.raises(Infeasible):
-            solve_scaling_sdp(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1e-3,
-                              fp_budget=200)
+            solve_scaling_sdp(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1e-3)
 
     def test_newton_fallback_certifies(self):
-        # fp_budget=0 silences the accelerator so the Newton path runs
-        w = solve_scaling_sdp(FOUR_POINTS, 0.05, fp_budget=0)
+        w = scaling._newton_scaling(FOUR_POINTS, 0.05, np.ones(4))
         ok, worst, thr = recheck_certificate(FOUR_POINTS, w)
         assert ok
         np.testing.assert_allclose(w.c_sq / w.c_sq.min(), HAND_SOLUTION, rtol=0.15)
@@ -337,7 +296,7 @@ class TestSolve:
             pts = seeded_points(3, 4 + seed % 5, 2, seed)
             if brute_force_heavy_subspace(pts).found:
                 continue
-            w = solve_scaling_sdp(pts.astype(np.float64), 1e-3, fp_budget=0)
+            w = scaling._newton_scaling(pts.astype(np.float64), 1e-3, np.ones(len(pts)))
             ok, _, _ = recheck_certificate(pts.astype(np.float64), w)
             assert ok
             certified += 1
@@ -348,7 +307,7 @@ class TestSolve:
     def test_newton_certifies_fifty_thousand_rows(self):
         # The fallback never forms a nu x nu array, so it runs at any nu.
         X = np.random.default_rng(1).standard_normal((50_000, 3))
-        w = solve_scaling_sdp(X, 1e-3, fp_budget=0)
+        w = scaling._newton_scaling(X, 1e-3, np.ones(len(X)))
         assert recheck_certificate(X, w)[0]
 
     def test_newton_gives_up_on_heavy_input(self):
