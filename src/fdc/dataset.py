@@ -242,17 +242,17 @@ def massart_draw_rows(model, seed, indices, rows=None, labeled=True):
     label and the flip rate are fixed per support row, and only the flip
     uniform is drawn per draw.
 
+    ``indices`` is an array of draw indices or a counter range (see fdc.rng).
     ``rows`` given (this function's rows for the same indices) labels draws
     already made; ``labeled=False`` draws the rows alone and returns y None.
     """
     S = model.marginal.support.points
-    idx = np.asarray(indices, dtype=np.uint64)
     if rows is None:
-        rows = rng.integers(seed, TAG_MARGINAL, idx, S.shape[0])
+        rows = rng.integers(seed, TAG_MARGINAL, indices, S.shape[0])
     if not labeled:
         return rows, None
     clean = sign_pm1(S.astype(np.float64) @ model.w_star)[rows]
-    flips = rng.uniform01(seed, TAG_FLIP, idx) < eta_values(model, S)[rows]
+    flips = rng.uniform01(seed, TAG_FLIP, indices) < eta_values(model, S)[rows]
     return rows, np.where(flips, -clean, clean)
 
 
@@ -564,14 +564,19 @@ def load_labeled(path, format=None):
     return LabeledDataset(PointSet(dim, X), y)
 
 
+CSV_WRITE_ROWS = 4096  # rows formatted per write
+
+
 def _write_csv(path, rows, header=None):
     """Integer rows as CSV, byte for byte what ``csv.writer`` writes: no
-    quoting, every line ending in CRLF."""
-    lines = [",".join(map(str, r)) for r in rows.tolist()]
-    if header:
-        lines.insert(0, ",".join(header))
+    quoting, every line ending in CRLF.  Rows are formatted and written
+    CSV_WRITE_ROWS at a time, so only one block's text is in memory."""
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([*lines, ""]))
+        if header:
+            fh.write(",".join(header) + "\r\n")
+        for s in range(0, len(rows), CSV_WRITE_ROWS):
+            block = rows[s:s + CSV_WRITE_ROWS].tolist()
+            fh.write("\r\n".join([",".join(map(str, r)) for r in block]) + "\r\n")
 
 
 def save_points_csv(path, point_set):

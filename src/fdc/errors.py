@@ -78,11 +78,7 @@ class PrecisionLimit(FdcError):
 
 class Infeasible(FdcError):
     """Scaling SDP declared infeasible (a heavy subspace exists, or the solver
-    failed numerically).  Carries the last violated constraint for diagnosis."""
-
-    def __init__(self, msg, violation=None):
-        super().__init__(msg)
-        self.violation = violation
+    failed numerically)."""
 
 
 class DegenerateSecondMoment(FdcError):

@@ -479,7 +479,7 @@ def run_learning_trial(model, config, seed, test_n=100_000):
         )
     test_seed = rng.derive_seed(seed, 2)
     if model.marginal.kind == "uniform":
-        rows, y = massart_draw_rows(model, test_seed, np.arange(test_n, dtype=np.uint64))
+        rows, y = massart_draw_rows(model, test_seed, range(test_n))
         partial = classifier.evaluate(model.marginal.support.points)[rows]
         report = score_partial(partial, y, classifier.default_label)
     else:

@@ -356,8 +356,9 @@ class ModelOracle:
     Draw i is a pure function of (seed, i), so the draw sequence is
     reproducible and independent of batching.  For uniform-support marginals
     the indexed interface exposes which support row each draw hit, letting the
-    driver evaluate classifiers once per support row instead of once per draw;
-    ``draw_indexed`` and ``labels_for`` draw through
+    learner evaluate classifiers once per support row instead of once per draw:
+    ``draw_indexed(n)`` returns the rows of the next n draws and their counter
+    range of draw indices.  ``draw_indexed`` and ``labels_for`` draw through
     ``dataset.massart_draw_rows``, whose (x, y) stream is bit-identical to
     ``draw``'s.
     """
@@ -381,7 +382,7 @@ class ModelOracle:
     def draw_indexed(self, n):
         if self.support is None:
             raise ValueError("indexed draws need a uniform-support marginal")
-        gidx = np.arange(self.count, self.count + n, dtype=np.uint64)
+        gidx = range(self.count, self.count + n)
         self.count += n
         rows, _ = massart_draw_rows(self.model, self.seed, gidx, labeled=False)
         return rows, gidx
@@ -392,7 +393,8 @@ class ModelOracle:
 
 
 class DatasetOracle:
-    """Resamples rows (with replacement) of a fixed labeled dataset."""
+    """Resamples rows (with replacement) of a fixed labeled dataset;
+    ``draw_indexed`` as in ``ModelOracle``."""
 
     def __init__(self, dataset, seed):
         self.X = dataset.base.points
@@ -405,10 +407,9 @@ class DatasetOracle:
         return self.X
 
     def draw_indexed(self, n):
-        gidx = np.arange(self.count, self.count + n, dtype=np.uint64)
+        gidx = range(self.count, self.count + n)
         self.count += n
-        rows = rng.integers(self.seed, TAG_LEARN, gidx, self.X.shape[0])
-        return rows, gidx
+        return rng.integers(self.seed, TAG_LEARN, gidx, self.X.shape[0]), gidx
 
     def labels_for(self, rows, gidx):
         return self.y[rows]
@@ -418,8 +419,10 @@ def _rejection_draw(oracle, method, keep, need, budget_draws):
     """Accumulate ``need`` draws of ``oracle.<method>`` (which returns a tuple
     of per-draw arrays) whose first array passes the mask ``keep(first)``;
     returns the accepted arrays, or None once budget_draws have been
-    consumed.  Batches hold max(65536, need) draws; a batch whose draws all
-    pass is kept as drawn, without a copy or an index array."""
+    consumed.  A counter range in the tuple (``draw_indexed``'s draw
+    indices) becomes the int64 array of the accepted draws' indices.
+    Batches hold max(65536, need) draws; the arrays of a batch whose draws
+    all pass are kept as drawn, without a copy."""
     draw = getattr(oracle, method)
     accepted = []
     got = 0
@@ -430,10 +433,13 @@ def _rejection_draw(oracle, method, keep, need, budget_draws):
         used += batch
         m = keep(arrays[0])
         if m.all():
+            arrays = [np.arange(a.start, a.stop) if isinstance(a, range) else a
+                      for a in arrays]
             got += batch
         else:
             idx = np.flatnonzero(m)
-            arrays = [a.take(idx, axis=0) for a in arrays]
+            arrays = [idx + a.start if isinstance(a, range) else a.take(idx, axis=0)
+                      for a in arrays]
             got += idx.size
         accepted.append(arrays)
     if got < need:
@@ -441,6 +447,25 @@ def _rejection_draw(oracle, method, keep, need, budget_draws):
     if len(accepted) == 1:
         return tuple(a[:need] for a in accepted[0])
     return tuple(np.concatenate(col)[:need] for col in zip(*accepted))
+
+
+def _rejection_hits(oracle, accept, need, budget_draws):
+    """Per-support-row hits of the first ``need`` draws of
+    ``oracle.draw_indexed`` whose support row r has ``accept[r]``, or None
+    once budget_draws have been consumed.  The draws and batches are
+    ``_rejection_draw``'s, and hits equals np.bincount of its rows; each
+    batch is tallied as it is drawn, so no draw outlives its batch."""
+    hits = np.zeros(accept.shape[0], dtype=np.int64)
+    got = 0
+    used = 0
+    while got < need and used < budget_draws:
+        batch = int(min(max(65536, need), budget_draws - used))
+        rows = oracle.draw_indexed(batch)[0]
+        used += batch
+        rows = rows[accept[rows]][:need - got]
+        hits += np.bincount(rows, minlength=accept.shape[0])
+        got += rows.size
+    return hits if got == need else None
 
 
 def _line_sample(lines, line_of, hits):
@@ -520,16 +545,17 @@ def learn_halfspace(oracle, config, dim):
             telemetry.append(record)
             return classifier, telemetry
 
-        drawn = _rejection_draw(oracle, method, star, forster_n, forster_n * budget_fac)
+        if indexed:
+            hits = _rejection_hits(oracle, star_support, forster_n, forster_n * budget_fac)
+            drawn = None if hits is None else _line_sample(lines, line_of, hits)
+        else:
+            drawn = _rejection_draw(oracle, method, star, forster_n, forster_n * budget_fac)
+            drawn = None if drawn is None else (primitive_rows(drawn[0])[0], None)
         if drawn is None:
             record["exit"] = "rejection_budget"
             telemetry.append(record)
             return classifier, telemetry
-        if indexed:
-            hits = np.bincount(drawn[0], minlength=support.shape[0])
-            sample, counts = _line_sample(lines, line_of, hits)
-        else:
-            sample, counts = primitive_rows(drawn[0])[0], None
+        sample, counts = drawn
         piece = forster_transform(PointSet(d, sample), TRANSFORM_DELTA, counts=counts)
         V, A, k = piece.subspace, piece.transform, piece.subspace.dim
         record["piece"] = {
@@ -562,15 +588,16 @@ def learn_halfspace(oracle, config, dim):
         if indexed:
             yw = oracle.labels_for(*pool)
             # Renumber the hit directions 0.. in direction order.
-            dirs = direction_of[pool[0]]
-            present = np.bincount(dirs, minlength=directions.shape[0]) > 0
-            rows = (np.cumsum(present) - 1)[dirs]
+            rows = direction_of[pool[0]]
+            present = np.bincount(rows, minlength=directions.shape[0]) > 0
+            rows = (np.cumsum(present) - 1)[rows]
             distinct = directions[present]
         else:
             yw = pool[1]
             distinct, rows = distinct_rows(primitive_rows(pool[0])[0])
         F = mapped_unit_rows(A, distinct.astype(np.float64) @ V.basis)
         stage_res = weak_partial_learner(F, rows, yw, config.eta, config.eps_prime)
+        del pool, rows, yw  # before the next stage draws
         classifier = PartialClassifier(
             classifier.stages + [Stage(V, A, stage_res.w, stage_res.threshold)],
             default_label=1,

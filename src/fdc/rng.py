@@ -13,6 +13,11 @@ Arrays are generated in blocks of ``BLOCK`` values, so each block and the
 temporaries of its mixing steps stay in cache instead of streaming the whole
 array through memory once per step.  Each value depends on its own index
 alone, so the block size cannot change a single value.
+
+``raw_u64``, ``uniform01`` and ``integers`` take the indices as an array or
+as a ``range`` of consecutive indices (a counter range).  A range gives the
+values of ``np.arange(start, stop)`` without forming that index array, one
+block of indices at a time.
 """
 
 import numpy as np
@@ -23,6 +28,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 BLOCK = 1 << 15  # 256 KiB of uint64 per block
+_M64 = (1 << 64) - 1
 
 
 def _splitmix64(x):
@@ -39,16 +45,29 @@ def _splitmix64(x):
 
 
 def raw_u64(seed, tag, indices):
-    """Vector of uniform uint64, one per index, for stream (seed, tag)."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    out = np.empty(idx.shape, dtype=np.uint64)
-    flat_idx, flat_out = idx.reshape(-1), out.reshape(-1)
+    """Vector of uniform uint64, one per index, for stream (seed, tag).
+    ``indices`` is an array or a step-1 ``range``."""
+    counters = isinstance(indices, range)
+    if counters and indices.step != 1:
+        raise ValueError("a counter range must have step 1")
+    out = np.empty(len(indices) if counters else np.shape(indices), dtype=np.uint64)
+    flat_out = out.reshape(-1)
+    if not counters:
+        flat_idx = np.asarray(indices, dtype=np.uint64).reshape(-1)
     with np.errstate(over="ignore"):
-        base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) * _GOLDEN + np.uint64(tag) * _TAG_STRIDE
+        base = np.uint64(seed & _M64) * _GOLDEN + np.uint64(tag) * _TAG_STRIDE
         for s in range(0, flat_out.size, BLOCK):
             x = flat_out[s:s + BLOCK]
-            np.multiply(flat_idx[s:s + BLOCK], _GOLDEN, out=x)
-            x += base
+            if counters:
+                # Index start + s + j mixes from j * golden plus one offset,
+                # taken mod 2^64 in Python ints: NumPy 1.x would take a
+                # uint64 mixed with a Python int to float64.
+                ix = np.arange(x.size, dtype=np.uint64)
+                add = np.uint64(((indices.start + s) * int(_GOLDEN) + int(base)) & _M64)
+            else:
+                ix, add = flat_idx[s:s + BLOCK], base
+            np.multiply(ix, _GOLDEN, out=x)
+            x += add
             _splitmix64(x)
     return out
 

@@ -238,8 +238,8 @@ def _newton_scaling(points, delta, m):
 def solve_scaling_sdp(points, delta, mults=None):
     """Certified scaling weights for points (coordinates in V) at relaxation delta.
 
-    Tries the fixed point, then Newton; failure raises Infeasible carrying the
-    violated constraint at unit weights (a heavy subspace, or numerics).
+    Tries the fixed point, then Newton; when neither certifies, raises
+    Infeasible (a heavy subspace, or numerics).
     """
     raw = np.asarray(points, dtype=np.float64)
     n, k = raw.shape
@@ -253,6 +253,4 @@ def solve_scaling_sdp(points, delta, mults=None):
          or _newton_scaling(raw, delta, m))
     if w is not None:
         return w
-    raise Infeasible(
-        "scaling solvers failed to certify (heavy subspace or numerical failure)",
-        violation=separation_oracle(unit, ScalingWeights(np.ones(n), delta), mults=m))
+    raise Infeasible("scaling solvers failed to certify (heavy subspace or numerical failure)")

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdc.dataset import (
+    CSV_WRITE_ROWS,
     LabeledDataset,
     PointSet,
     load_labeled,
@@ -249,13 +250,16 @@ def _csv_writer_bytes(path, rows, header=None):
 @pytest.mark.parametrize("header", [False, True])
 def test_writers_match_csv_writer(tmp_path, header):
     big = 2 ** 62
-    X = np.array([[big - 1, -big, 7], [-1, 0, big + 5], [3, -(2 ** 63), 2 ** 63 - 1]],
-                 dtype=np.int64)
-    y = np.array([1, -1, 1])
-    ds = LabeledDataset(PointSet(3, X), y)
-    save_labeled_csv(tmp_path / "a.csv", ds, header=header)
-    want = _csv_writer_bytes(tmp_path / "b.csv", np.column_stack([X, y]),
-                             header=["x0", "x1", "x2", "y"] if header else None)
-    assert (tmp_path / "a.csv").read_bytes() == want
-    save_points_csv(tmp_path / "c.csv", ds.base)
-    assert (tmp_path / "c.csv").read_bytes() == _csv_writer_bytes(tmp_path / "d.csv", X)
+    edge = np.array([[big - 1, -big, 7], [-1, 0, big + 5], [3, -(2 ** 63), 2 ** 63 - 1]],
+                    dtype=np.int64)
+    g = np.random.default_rng(5)
+    for n in (3, 2 * CSV_WRITE_ROWS + 5):  # one write block, then three
+        X = np.concatenate([edge, g.integers(-(2 ** 63), 2 ** 63 - 1, size=(n - 3, 3))])
+        y = np.where(np.arange(n) % 3 == 1, -1, 1)
+        ds = LabeledDataset(PointSet(3, X), y)
+        save_labeled_csv(tmp_path / "a.csv", ds, header=header)
+        want = _csv_writer_bytes(tmp_path / "b.csv", np.column_stack([X, y]),
+                                 header=["x0", "x1", "x2", "y"] if header else None)
+        assert (tmp_path / "a.csv").read_bytes() == want
+        save_points_csv(tmp_path / "c.csv", ds.base)
+        assert (tmp_path / "c.csv").read_bytes() == _csv_writer_bytes(tmp_path / "d.csv", X)

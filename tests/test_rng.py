@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fdc import rng
 
@@ -153,3 +154,29 @@ def test_blocked_generation_matches_per_element_reference():
             v = rng.integers(seed, tag, sub, high)
             assert v.dtype == np.int64
             assert v.tolist() == [x % high for x in ref]
+
+
+# Counter ranges: the values of the index array np.arange(start, stop).
+
+@pytest.mark.parametrize("start, n", [
+    (0, 0),                                      # empty
+    (5, 3 * rng.BLOCK + 7),                      # several block boundaries
+    (2 ** 63 - rng.BLOCK - 2, 2 * rng.BLOCK + 5),  # across 2^63
+])
+def test_counter_range_matches_index_array(start, n):
+    counters = range(start, start + n)
+    idx = np.arange(start, start + n, dtype=np.uint64)
+    assert idx.size == n
+    seed, tag = 2 ** 64 - 3, 17
+    for make in (lambda i: rng.raw_u64(seed, tag, i),
+                 lambda i: rng.uniform01(seed, tag, i),
+                 lambda i: rng.integers(seed, tag, i, 7),
+                 lambda i: rng.integers(seed, tag, i, 2 ** 63)):
+        got, want = make(counters), make(idx)
+        assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_counter_range_needs_step_one():
+    with pytest.raises(ValueError):
+        rng.raw_u64(1, 2, range(0, 10, 2))
