@@ -9,6 +9,7 @@ solver/learning error.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -126,8 +127,26 @@ def _require(args, names):
             raise UsageError(f"--{name.replace('_', '-')} is required")
 
 
+def _check(args, name, ok, wanted):
+    """UsageError naming the flag when its value is set and ``ok`` rejects
+    it; NaN fails every comparison, so it is rejected too."""
+    value = getattr(args, name, None)
+    if value is not None and not ok(value):
+        raise UsageError(f"--{name.replace('_', '-')} {value} is out of range: "
+                         f"it must be {wanted}")
+
+
+def _finite_positive(value):
+    return 0 < value < math.inf
+
+
 def _cmd_gen(args):
     _require(args, ["dim", "n", "seed", "out"])
+    for name in ("dim", "n", "support"):
+        _check(args, name, lambda v: v >= 1, "at least 1")
+    low_bits = 4 if args.marginal == "hard" else 1
+    _check(args, "bits", lambda v: low_bits <= v <= 62, f"in [{low_bits}, 62]")
+    _check(args, "eta", lambda v: 0 <= v < 0.5, "in [0, 1/2)")
     if args.marginal == "hard":
         _require(args, ["bits", "eta"])
         model, _ = gen_hard_instance(args.dim, args.support, args.bits, args.eta,
@@ -145,6 +164,7 @@ def _cmd_gen(args):
 
 def _cmd_transform(args):
     _require(args, ["input", "out"])
+    _check(args, "delta", _finite_positive, "a finite number above 0")
     pts = load_points(args.input, format=args.format)
     piece = forster_transform(pts, args.delta)
     report = verify_piece(piece, pts)
@@ -164,6 +184,7 @@ def _cmd_transform(args):
 
 def _cmd_decompose(args):
     _require(args, ["input", "out"])
+    _check(args, "delta", _finite_positive, "a finite number above 0")
     pts = load_points(args.input, format=args.format)
     dec = forster_decompose(pts, args.delta)
     doc = decomposition_to_dict(dec)
@@ -176,6 +197,10 @@ def _cmd_decompose(args):
 
 def _cmd_learn(args):
     _require(args, ["train_oracle", "eta", "eps", "delta", "seed", "out"])
+    _check(args, "eta", lambda v: 0 <= v < 0.5, "in [0, 1/2)")
+    for name in ("eps", "delta"):
+        _check(args, name, lambda v: 0 < v < 1, "in (0, 1)")
+    _check(args, "c_const", _finite_positive, "a finite number above 0")
     data = load_labeled(args.train_oracle, format=args.format)
     config = LearnerConfig(eta=args.eta, eps=args.eps, delta=args.delta,
                            C=args.c_const)

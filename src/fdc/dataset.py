@@ -569,14 +569,16 @@ CSV_WRITE_ROWS = 4096  # rows formatted per write
 
 def _write_csv(path, rows, header=None):
     """Integer rows as CSV, byte for byte what ``csv.writer`` writes: no
-    quoting, every line ending in CRLF.  Rows are formatted and written
-    CSV_WRITE_ROWS at a time, so only one block's text is in memory."""
+    quoting, every line ending in CRLF.  Rows are written CSV_WRITE_ROWS at
+    a time, so only one block's text is in memory, and each block is one
+    ``%`` format of a repeated ``%d,...,%d\\r\\n`` line."""
+    line = ",".join(["%d"] * rows.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(",".join(header) + "\r\n")
         for s in range(0, len(rows), CSV_WRITE_ROWS):
-            block = rows[s:s + CSV_WRITE_ROWS].tolist()
-            fh.write("\r\n".join([",".join(map(str, r)) for r in block]) + "\r\n")
+            block = rows[s:s + CSV_WRITE_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def save_points_csv(path, point_set):

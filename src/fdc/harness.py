@@ -440,8 +440,8 @@ class CountingOracle:
         self.count += n
         return self.inner.draw_indexed(n)
 
-    def labels_for(self, rows, gidx):
-        return self.inner.labels_for(rows, gidx)
+    def labels_for(self, *drawn):
+        return self.inner.labels_for(*drawn)
 
 
 @dataclass

@@ -358,7 +358,8 @@ class ModelOracle:
     the indexed interface exposes which support row each draw hit, letting the
     learner evaluate classifiers once per support row instead of once per draw:
     ``draw_indexed(n)`` returns the rows of the next n draws and their counter
-    range of draw indices.  ``draw_indexed`` and ``labels_for`` draw through
+    range of draw indices, and ``labels_for`` takes the accepted draws' share
+    of that tuple.  ``draw_indexed`` and ``labels_for`` draw through
     ``dataset.massart_draw_rows``, whose (x, y) stream is bit-identical to
     ``draw``'s.
     """
@@ -393,8 +394,10 @@ class ModelOracle:
 
 
 class DatasetOracle:
-    """Resamples rows (with replacement) of a fixed labeled dataset;
-    ``draw_indexed`` as in ``ModelOracle``."""
+    """Resamples rows (with replacement) of a fixed labeled dataset.
+
+    ``draw_indexed(n)`` returns the 1-tuple of the next n draws' rows: a
+    draw's label is its row's, so ``labels_for`` needs no draw index."""
 
     def __init__(self, dataset, seed):
         self.X = dataset.base.points
@@ -409,9 +412,9 @@ class DatasetOracle:
     def draw_indexed(self, n):
         gidx = range(self.count, self.count + n)
         self.count += n
-        return rng.integers(self.seed, TAG_LEARN, gidx, self.X.shape[0]), gidx
+        return (rng.integers(self.seed, TAG_LEARN, gidx, self.X.shape[0]),)
 
-    def labels_for(self, rows, gidx):
+    def labels_for(self, rows):
         return self.y[rows]
 
 

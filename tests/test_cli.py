@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -30,6 +31,15 @@ class TestGen:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_gen_file_of_three_write_blocks_is_pinned(self, tmp_path):
+        # 10,000 rows span three CSV_WRITE_ROWS blocks; the digest is that of
+        # the file the row-by-row str.join writer wrote.
+        out = tmp_path / "pin.csv"
+        assert run(["gen", "--dim", "10", "--n", "10000", "--bits", "48", "--eta", "0.2",
+                    "--seed", "3", "--support", "400", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "bed22bb254d429f472059cb3945fc26d1bc0ddaa10e16a629a98d983355a80cf")
 
     def test_gen_requires_seed(self, tmp_path):
         code = run(["gen", "--dim", "3", "--n", "10", "--bits", "8", "--eta", "0.1",
@@ -81,6 +91,43 @@ class TestTransformDecompose:
         assert run(["transform", "--out", str(tmp_path / "x.json")]) == 1
         assert run(["transform", "--input", str(tmp_path / "nope.csv"),
                     "--out", str(tmp_path / "x.json")]) == 1
+
+
+_GEN = ["gen", "--dim", "3", "--n", "10", "--bits", "8", "--eta", "0.1", "--seed", "1"]
+_LEARN = ["learn", "--eta", "0.1", "--eps", "0.2", "--delta", "0.2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_GEN + ["--n", "0"], "--n"),
+    (_GEN + ["--dim", "0"], "--dim"),
+    (_GEN + ["--bits", "0"], "--bits"),
+    (_GEN + ["--bits", "70"], "--bits"),
+    (_GEN + ["--eta", "0.7"], "--eta"),
+    (_GEN + ["--support", "0"], "--support"),
+    (_LEARN + ["--eta", "0.7"], "--eta"),
+    (_LEARN + ["--eps", "0"], "--eps"),
+    (_LEARN + ["--c-const", "-1"], "--c-const"),
+    (["transform", "--delta", "-1"], "--delta"),
+    (["decompose", "--delta", "nan"], "--delta"),
+], ids=["gen-n-0", "gen-dim-0", "gen-bits-0", "gen-bits-70", "gen-eta-0.7",
+        "gen-support-0", "learn-eta-0.7", "learn-eps-0", "learn-c-const-neg",
+        "transform-delta-neg", "decompose-delta-nan"])
+def test_out_of_range_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    """A flag outside its range exits 1 with a usage error that names it,
+    before any work runs or any file is written."""
+    data = tmp_path / "data.csv"
+    if argv[0] == "learn":
+        data.write_text("1,0,1\n0,1,-1\n1,1,1\n")
+        argv = argv + ["--train-oracle", str(data)]
+    elif argv[0] != "gen":
+        save_points_csv(data, PointSet(2, np.array([[1, 0], [0, 1], [1, 1]])))
+        argv = argv + ["--input", str(data)]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and flag in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("verb", ["decompose", "learn"])

@@ -472,6 +472,14 @@ class TestRejectionDraw:
         self._compare(lambda: DatasetOracle(data, seed=4), "draw_indexed",
                       lambda rows: rows % 3 == 0, modes, need, budget)
 
+    @pytest.mark.parametrize("modes, need, budget", CASES)
+    def test_counter_range_path_matches_masking(self, modes, need, budget):
+        # ModelOracle's draw_indexed adds a counter range, which becomes the
+        # accepted draws' indices; DatasetOracle's returns its rows alone.
+        model = general_position_model(3, 50, 0.1, seed=1)
+        self._compare(lambda: ModelOracle(model, seed=4), "draw_indexed",
+                      lambda rows: rows % 3 == 0, modes, need, budget)
+
     @pytest.mark.parametrize("mode, need, budget", [
         ("all", 1_000, 10 ** 6), ("all", 70_000, 200_000), ("mixed", 70_000, 10 ** 6),
         ("mixed", 100_000, 10 ** 6), ("none", 100, 200_000), ("mixed", 70_000, 100_000),
