@@ -71,7 +71,7 @@ def _fmt_json(obj, indent=0):
 
 
 def dump_json(obj, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(_fmt_json(obj))
         fh.write("\n")
 
@@ -82,7 +82,7 @@ class UsageError(Exception):
 
 def _load_config_file(path):
     values = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -353,12 +353,17 @@ def _int64_array(points):
 
 
 def _read_csv_rows(path):
-    """(data lines as bytes, their 1-based line numbers): the file's lines
-    without a leading byte order mark, skipped lines and header.  The first
-    kept line is a header only when its first cell does not begin like a
-    number (an optional sign, then a digit or '.'), so a malformed first
-    data row is a fault, not a header.  A byte sequence that is not UTF-8
-    raises ParseError naming its line."""
+    """(lines to parse as bytes, each data line's index among them or None,
+    the data lines' 1-based line numbers).  The data lines are the file's
+    lines without a leading byte order mark, skipped lines and header.
+    When at most half of the file's lines are distinct, the lines to parse
+    are the distinct data lines in order of first occurrence, and skipped
+    lines are found once per distinct line; otherwise they are the data
+    lines and the index is None.  The first kept line is a header only
+    when its first cell does not begin like a number (an optional sign,
+    then a digit or '.'), so a malformed first data row is a fault, not a
+    header; a later copy of the header's bytes is a data line.  A byte
+    sequence that is not UTF-8 raises ParseError naming its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -367,8 +372,15 @@ def _read_csv_rows(path):
         line = len((data[:exc.start] + b".").splitlines())  # breaks before it, + 1
         raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
     lines = data.removeprefix(codecs.BOM_UTF8).splitlines()  # at LF, CRLF and CR only
-    keep = np.fromiter(map(bool, map(bytes.lstrip, lines, repeat(_BLANK))),
-                       dtype=bool, count=len(lines))
+    distinct, code = lines, None  # code: each line's index among the distinct lines
+    if 2 * len(set(lines)) <= len(lines):  # else the index costs more than it saves
+        distinct = list(dict.fromkeys(lines))
+        ids = dict(zip(distinct, range(len(distinct))))
+        code = np.fromiter(map(ids.__getitem__, lines), dtype=np.intp, count=len(lines))
+    keep = np.fromiter(map(bool, map(bytes.lstrip, distinct, repeat(_BLANK))),
+                       dtype=bool, count=len(distinct))
+    if code is not None:
+        keep = keep[code]
     if keep.any():
         first = int(np.argmax(keep))
         try:
@@ -378,14 +390,23 @@ def _read_csv_rows(path):
         else:
             if not _NUMERIC_START.match(cell):
                 keep[first] = False  # a header
-    return list(compress(lines, keep)), np.flatnonzero(keep) + 1
+    line_no = np.flatnonzero(keep) + 1
+    if code is None:
+        return list(compress(lines, keep)), None, line_no
+    code = code[line_no - 1]
+    used = np.zeros(len(distinct), dtype=bool)
+    used[code] = True
+    return list(compress(distinct, used)), (np.cumsum(used) - 1)[code], line_no
 
 
 def _rows_to_array(rows, labeled):
-    """(X, y) from ``_read_csv_rows``' output in one np.loadtxt pass; the
-    label and zero-row checks run on the arrays, and a fault names the first
-    line that has one."""
-    lines, line_no = rows
+    """(X, y) from ``_read_csv_rows``' output: one np.loadtxt pass over the
+    lines to parse, expanded to every data line by the index.  The label
+    and zero-row checks run on the expanded arrays, and a fault names the
+    first line that has one.  np.loadtxt joins a line whose '"' is left
+    open to the next one; a row count that differs from the line count is
+    a fault, never a row spread over two lines."""
+    lines, index, line_no = rows
     if not lines:
         raise ParseError("no data rows")
     try:
@@ -396,8 +417,14 @@ def _rows_to_array(rows, labeled):
                                     category=DeprecationWarning)
             A = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
                            quotechar='"', ndmin=2, encoding="utf-8")
+        if len(A) != len(lines):
+            raise ValueError("a quoted cell runs on into the next line")
     except (ValueError, DeprecationWarning) as exc:
+        if index is not None:
+            lines = list(map(lines.__getitem__, index.tolist()))  # in file order
         raise _csv_fault(lines, line_no, labeled, exc) from None
+    if index is not None:
+        A = A[index]
     if labeled and A.shape[1] < 2:
         raise ParseError("labeled file needs at least 2 columns", line=int(line_no[0]))
     X, y = (A[:, :-1], A[:, -1]) if labeled else (A, None)
@@ -447,8 +474,9 @@ def _csv_fault(lines, line_no, labeled, exc):
 
 
 def load_json(path):
-    """The JSON document in ``path``; ParseError when it is not valid JSON."""
-    with open(path) as fh:
+    """The JSON document in ``path``, read as UTF-8 whatever the locale;
+    ParseError when it is not valid JSON."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # JSONDecodeError or a non-UTF-8 byte

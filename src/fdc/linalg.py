@@ -64,7 +64,7 @@ def _round_robin(k):
     return rounds
 
 
-def jacobi_eigh(mats, sweeps=JACOBI_SWEEPS):
+def jacobi_eigh(mats):
     """Eigendecomposition of a batch of symmetric matrices by Jacobi sweeps
     in round-robin (parallel) order.
 
@@ -78,7 +78,8 @@ def jacobi_eigh(mats, sweeps=JACOBI_SWEEPS):
     (p, q) entry; it is skipped where that entry is at most 1e-18 of the
     matrix's scale.  Sweeps stop once every off-diagonal entry is within
     1e-14 of the scale.  Raises NonConvergent if any batch element still has
-    off-diagonal mass above 1e-9 of its scale after the sweep budget.
+    off-diagonal mass above 1e-9 of its scale after JACOBI_SWEEPS sweeps
+    (read at each call).
     """
     A = np.array(mats, dtype=np.float64)
     k = A.shape[-1]
@@ -99,7 +100,7 @@ def jacobi_eigh(mats, sweeps=JACOBI_SWEEPS):
     Jt = Jm.transpose(0, 2, 1)
 
     iu = np.triu_indices(k, 1)
-    for _ in range(sweeps):
+    for _ in range(JACOBI_SWEEPS):
         off = np.abs(A[:, iu[0], iu[1]]).max(axis=1)
         if np.all(off <= 1e-14 * scale):
             break

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fdc
 from fdc.cli import run
 from fdc.dataset import load_labeled, save_points_csv, PointSet
 
@@ -406,3 +410,23 @@ def test_json_floats_roundtrip_17g(tmp_path):
 
 def test_no_verb_usage():
     assert run([]) == 1
+
+
+def test_non_ascii_text_files_under_an_ascii_locale(tmp_path):
+    """JSON point files and --config files are UTF-8 whatever the locale."""
+    pts = tmp_path / "pts.json"
+    pts.write_text('{"dim": 2, "points": [[1,2],[3,4],[5,7]], "note": "caf\u00e9"}',
+                   encoding="utf-8")
+    cfg = tmp_path / "fdc.cfg"
+    cfg.write_text("# pr\u00e9cision\ndelta = 1e-3\n", encoding="utf-8")
+    out = tmp_path / "dec.json"
+    src = os.path.dirname(os.path.dirname(fdc.__file__))
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c",
+         "import sys; from fdc.cli import run; sys.exit(run(sys.argv[1:]))",
+         "decompose", "--input", str(pts), "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text(encoding="utf-8"))["n"] == 3

@@ -103,28 +103,39 @@ def cell(draw, fault_rate):
 
 
 @st.composite
+def csv_line(draw, width, fault_rate, blank):
+    """One line: blank, ragged, a zero point or a row of cells and a label."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(blank)
+    if kind == 1 and fault_rate:  # ragged
+        return ",".join(draw(st.lists(cell(0), min_size=1, max_size=5)))
+    if kind == 2:  # zero point, then a label
+        return ",".join(["0"] * (width - 1) + [draw(st.sampled_from(["1", "-1"]))])
+    cells = [draw(cell(fault_rate)) for _ in range(width - 1)]
+    bad_label = draw(st.integers(0, 99)) < fault_rate
+    label = draw(st.sampled_from(["0", "2", "-2", "x"] if bad_label else
+                                 ["1", "-1", " -1", "+1\t"]))
+    return ",".join(cells + [label])
+
+
+@st.composite
 def csv_file(draw):
-    """A small CSV text built from the grammar's ingredients and faults."""
+    """A small CSV text built from the grammar's ingredients and faults.
+    Its lines come from a small pool per file, so that repeats are common:
+    repeated data rows, faulty rows and blank lines, and the header's bytes
+    again as a later data line."""
     width = draw(st.integers(1, 4))
     fault_rate = draw(st.sampled_from([0, 2, 10]))
     blank = st.sampled_from(["", " ", "\t", ",,", " , ", ",\t", "\x0b,", "\u3000"])
+    header = ",".join(f"x{i}" for i in range(width))
+    pool = draw(st.lists(csv_line(width, fault_rate, blank), min_size=1, max_size=5))
+    if draw(st.integers(0, 9)) == 0:
+        pool.append(header)
     lines = [draw(blank)] if draw(st.booleans()) else []
     if draw(st.booleans()):
-        lines.append(",".join(f"x{i}" for i in range(width)))
-    for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.integers(0, 9))
-        if kind == 0:
-            lines.append(draw(blank))
-        elif kind == 1 and fault_rate:  # ragged
-            lines.append(",".join(draw(st.lists(cell(0), min_size=1, max_size=5))))
-        elif kind == 2:  # zero point, then a label
-            lines.append(",".join(["0"] * (width - 1) + [draw(st.sampled_from(["1", "-1"]))]))
-        else:
-            cells = [draw(cell(fault_rate)) for _ in range(width - 1)]
-            bad_label = draw(st.integers(0, 99)) < fault_rate
-            label = draw(st.sampled_from(["0", "2", "-2", "x"] if bad_label else
-                                         ["1", "-1", " -1", "+1\t"]))
-            lines.append(",".join(cells + [label]))
+        lines.append(header)
+    lines += draw(st.lists(st.sampled_from(pool), max_size=12))
     ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     text = "".join(line + end for line, end in zip(lines, ends))
     if text and draw(st.booleans()):
@@ -184,6 +195,8 @@ def test_non_utf8_byte_names_its_line(tmp_path, end):
     ("x0,x1\n1,2\n3,4\n", None, None),                # a header
     ("\ufeff1,2\n3,4\n", None, None),                  # a byte order mark is dropped
     ("\ufeffx,y\n1,2\n3,4\n", None, None),
+    ('1,2\n"3\n4",5\n', ParseError, 2),               # a '"' left open joins no lines
+    ('1,2\n"3\n4",5\n' * 3, ParseError, 2),          # nor when the lines repeat
 ])
 def test_cell_grammar(tmp_path, text, error, line):
     p = tmp_path / "pts.csv"
@@ -194,6 +207,28 @@ def test_cell_grammar(tmp_path, text, error, line):
     with pytest.raises(error) as ei:
         load_points(p)
     assert ei.value.line == line
+
+
+def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):
+    rows = ["1,-2,1", "+3, 4,-1", '"5",6,1']
+    text = "x0,x1,y\r\n" + "".join(rows[i % 3] + ("\n" if i % 5 else "\n\n")
+                                     for i in range(10_000))
+    p = tmp_path / "pts.csv"
+    p.write_text(text, encoding="utf-8")
+    parsed = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, **kwargs):
+        parsed.append(list(lines))
+        return loadtxt(lines, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    X, y = loader_result(p, labeled=True)
+    assert [len(lines) for lines in parsed] == [3]
+    want_X, want_y = reference_load(text.replace('"', ""), labeled=True)
+    np.testing.assert_array_equal(X, want_X)
+    np.testing.assert_array_equal(y, want_y)
+    assert X.dtype == y.dtype == np.int64
 
 
 def _float_fallback_loadtxt(lines, **kwargs):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdc import linalg
 from fdc.errors import (
     EmptyInput,
     NonConvergent,
@@ -51,10 +52,11 @@ class TestSymEigen:
             assert np.abs(Q.T @ M @ Q - np.diag(w)).max() <= 1e-9 * norm
             assert np.all(np.diff(w) <= 1e-12)
 
-    def test_sweep_budget_exhausted_raises(self, rng_np):
+    def test_sweep_budget_exhausted_raises(self, rng_np, monkeypatch):
+        monkeypatch.setattr(linalg, "JACOBI_SWEEPS", 1)
         M = rng_np.randn(6, 6)
         with pytest.raises(NonConvergent):
-            jacobi_eigh(M + M.T, sweeps=1)
+            jacobi_eigh(M + M.T)
 
     def test_nonsymmetric_raises(self):
         with pytest.raises(NonSymmetric):
