@@ -5,7 +5,6 @@ learning under Massart noise with bit-complexity-independent sample budgets.
 from .dataset import (
     EtaSpec,
     LabeledDataset,
-    MarginalSpec,
     MassartModel,
     PointSet,
     gen_hard_instance,
@@ -14,10 +13,10 @@ from .dataset import (
     massart_draw,
 )
 from .errors import FdcError
+from .harness import ModelOracle
 from .heavy import HeavySubspaceResult, find_heavy_subspace
 from .learner import (
     LearnerConfig,
-    ModelOracle,
     PartialClassifier,
     evaluate_classifier,
     learn_halfspace,
@@ -41,7 +40,7 @@ from .transform import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EtaSpec", "LabeledDataset", "MarginalSpec", "MassartModel", "PointSet",
+    "EtaSpec", "LabeledDataset", "MassartModel", "PointSet",
     "gen_hard_instance", "load_labeled", "load_points", "massart_draw",
     "FdcError",
     "HeavySubspaceResult", "find_heavy_subspace",

@@ -3,8 +3,9 @@
 Outputs are machine-readable JSON with floats serialized at 17 significant
 digits (lossless binary64 round-trip).  Randomized verbs require --seed and
 are bit-reproducible; identical argv + seed give byte-identical outputs apart
-from the ``timestamp`` field.  Exit codes: 0 success, 1 usage error, 2
-solver/learning error.
+from the ``timestamp`` field.  Exit codes: 0 success, 1 usage error
+(including a file that cannot be opened, read or written), 2 solver/learning
+error.  ``python -m fdc.cli`` runs the same entry point as ``fdc``.
 """
 
 import argparse
@@ -83,14 +84,18 @@ class UsageError(Exception):
 def _load_config_file(path):
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise UsageError(f"config file {path!r} is not UTF-8 text") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {raw.strip()!r}")
+        key, val = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -346,7 +351,7 @@ def run(argv):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except FdcError as exc:
@@ -356,3 +361,7 @@ def run(argv):
 
 def main():
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,6 @@
 """Point-set and labeled-sample containers, file ingestion, synthetic data,
-and a simulated Massart example oracle.
+and a simulated Massart example oracle.  A Massart model's marginal is
+uniform over a finite support, so every draw is a support row.
 
 All randomness is drawn from counter-based substreams (see fdc.rng): a draw is
 a pure function of (seed, stream tag, draw index), so any prefix or batch of
@@ -96,27 +97,6 @@ class LabeledDataset:
 
 
 @dataclass
-class MarginalSpec:
-    """Distribution over integer points.
-
-    kind = "uniform": uniform over ``support`` (a PointSet).
-    kind = "gaussian": N(0, scale^2 I) rounded to the integer grid, bounded by
-        2^bits; zero roundings are redrawn from the draw's own substream.
-    """
-
-    kind: str
-    support: PointSet = None
-    scale: float = 64.0
-    bits: int = 12
-
-    def __post_init__(self):
-        if self.kind not in ("uniform", "gaussian"):
-            raise ValueError(f"unknown marginal kind {self.kind!r}")
-        if self.kind == "uniform" and self.support is None:
-            raise ValueError("uniform marginal needs a support PointSet")
-
-
-@dataclass
 class EtaSpec:
     """Per-point flip-rate function, always bounded by the model's eta_bound.
 
@@ -140,12 +120,13 @@ class EtaSpec:
 
 @dataclass
 class MassartModel:
-    """Ground truth: unit weight vector, flip-rate spec, and marginal."""
+    """Ground truth: unit weight vector, flip-rate spec, and the finite
+    support whose rows the marginal draws uniformly."""
 
     w_star: np.ndarray
     eta_bound: float
     eta: EtaSpec
-    marginal: MarginalSpec
+    support: PointSet
 
     def __post_init__(self):
         w = np.asarray(self.w_star, dtype=np.float64)
@@ -206,47 +187,31 @@ def _draw_gaussian_grid(seed, indices, dim, scale, bits):
     return X
 
 
-def draw_marginal(marginal, n, seed, start_index=0):
-    """n points from the marginal, draws indexed start_index..start_index+n-1."""
-    idx = np.arange(start_index, start_index + n, dtype=np.uint64)
-    if marginal.kind == "uniform":
-        rows = rng.integers(seed, TAG_MARGINAL, idx, marginal.support.n)
-        return marginal.support.points[rows]
-    if marginal.support is None:
-        raise ValueError("gaussian marginal needs dim via a support template")
-    return _draw_gaussian_grid(seed, idx, marginal.support.dim, marginal.scale,
-                               marginal.bits)
-
-
 def massart_draw(model, n, seed, start_index=0):
-    """n i.i.d. labeled examples from the Massart oracle.
+    """n i.i.d. labeled examples from the Massart oracle, draws indexed
+    start_index..start_index+n-1: the points and labels of
+    ``massart_draw_rows``.
 
-    x ~ marginal; y = sign(w*.x) flipped independently with probability eta(x);
-    sign(0) = +1.
+    x uniform over the support; y = sign(w*.x) flipped independently with
+    probability eta(x); sign(0) = +1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    X = draw_marginal(model.marginal, n, seed, start_index=start_index)
-    idx = np.arange(start_index, start_index + n, dtype=np.uint64)
-    clean = sign_pm1(X.astype(np.float64) @ model.w_star)
-    flips = rng.uniform01(seed, TAG_FLIP, idx) < eta_values(model, X)
-    y = np.where(flips, -clean, clean)
-    return LabeledDataset(PointSet(model.dim, X), y)
+    rows, y = massart_draw_rows(model, seed, range(start_index, start_index + n))
+    return LabeledDataset(PointSet(model.dim, model.support.points[rows]), y)
 
 
 def massart_draw_rows(model, seed, indices, rows=None, labeled=True):
-    """The Massart draws ``indices`` of a uniform-support model, by support
-    row: (rows, y), where draw indices[i] is support row rows[i] with label
-    y[i].  (support[rows], y) equals ``massart_draw``'s (X, y) for the same
-    draws bit for bit: the row comes from the marginal's stream, the clean
-    label and the flip rate are fixed per support row, and only the flip
-    uniform is drawn per draw.
+    """The Massart draws ``indices``, by support row: (rows, y), where draw
+    indices[i] is support row rows[i] with label y[i].  The row comes from
+    the marginal's stream, the clean label and the flip rate are fixed per
+    support row, and only the flip uniform is drawn per draw.
 
     ``indices`` is an array of draw indices or a counter range (see fdc.rng).
     ``rows`` given (this function's rows for the same indices) labels draws
     already made; ``labeled=False`` draws the rows alone and returns y None.
     """
-    S = model.marginal.support.points
+    S = model.support.points
     if rows is None:
         rows = rng.integers(seed, TAG_MARGINAL, indices, S.shape[0])
     if not labeled:
@@ -314,7 +279,7 @@ def gen_hard_instance(dim, n, bits, eta, seed, eta_kind="constant"):
         spec = EtaSpec("constant", value=eta)
     else:
         spec = EtaSpec(eta_kind)
-    model = MassartModel(w, eta, spec, MarginalSpec("uniform", support=base))
+    model = MassartModel(w, eta, spec, base)
 
     clean = sign_pm1(dirs.astype(np.float64) @ w)
     flips = rng.uniform01(seed, TAG_FLIP, i_all) < eta_values(model, dirs)

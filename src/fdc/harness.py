@@ -1,5 +1,6 @@
-"""Experiment and audit harness: reference heavy-subspace engines, counting
-wrappers, seeded trials, and the bit-complexity-independence study.
+"""Experiment and audit harness: reference heavy-subspace engines, the
+Massart model's example oracle and its counting wrapper, seeded trials, and
+the bit-complexity-independence study.
 
 Two reference engines decide the heavy-subspace predicate independently of
 ``fdc.heavy``.  The brute-force oracle shares no decision code with it
@@ -24,7 +25,6 @@ import numpy as np
 from . import exact, rng
 from .dataset import (
     EtaSpec,
-    MarginalSpec,
     MassartModel,
     PointSet,
     _draw_gaussian_grid,
@@ -43,8 +43,6 @@ from .heavy import HeavySubspaceResult
 from .learner import (
     TRANSFORM_DELTA,
     LearnerConfig,
-    ModelOracle,
-    evaluate_classifier,
     learn_halfspace,
     score_partial,
 )
@@ -414,12 +412,49 @@ def general_position_model(dim, n_support, eta, seed, bits=10, eta_kind="constan
     w = rng.normals(seed, 99, np.arange(1, dtype=np.uint64), cols=dim)[0]
     w /= np.linalg.norm(w)
     spec = EtaSpec(eta_kind, value=eta) if eta_kind == "constant" else EtaSpec(eta_kind)
-    return MassartModel(w, eta, spec, MarginalSpec("uniform", support=support))
+    return MassartModel(w, eta, spec, support)
 
 
 # ---------------------------------------------------------------------------
-# Counting oracle and learning trials
+# Example oracles and learning trials
 # ---------------------------------------------------------------------------
+
+class ModelOracle:
+    """Sequential example oracle over a MassartModel; single consumer.
+
+    Draw i is a pure function of (seed, i), so the draw sequence is
+    reproducible and independent of batching.  ``draw_indexed(n)`` returns
+    the support rows of the next n draws and their counter range of draw
+    indices, and ``labels_for`` takes the accepted draws' share of that
+    tuple, so the learner evaluates classifiers once per support row instead
+    of once per draw.  ``draw(n)`` returns the next n draws' points and
+    labels, the same (x, y) stream.
+    """
+
+    def __init__(self, model, seed):
+        self.model = model
+        self.seed = seed
+        self.count = 0
+
+    @property
+    def support(self):
+        return self.model.support.points
+
+    def draw(self, n):
+        ds = massart_draw(self.model, n, self.seed, start_index=self.count)
+        self.count += n
+        return ds.base.points, ds.labels
+
+    def draw_indexed(self, n):
+        gidx = range(self.count, self.count + n)
+        self.count += n
+        rows, _ = massart_draw_rows(self.model, self.seed, gidx, labeled=False)
+        return rows, gidx
+
+    def labels_for(self, rows, gidx):
+        """Labels of the draws ``gidx`` that hit support rows ``rows``."""
+        return massart_draw_rows(self.model, self.seed, gidx, rows=rows)[1]
+
 
 class CountingOracle:
     """Wraps an oracle and audits the number of examples drawn."""
@@ -430,11 +465,7 @@ class CountingOracle:
 
     @property
     def support(self):
-        return getattr(self.inner, "support", None)
-
-    def draw(self, n):
-        self.count += n
-        return self.inner.draw(n)
+        return self.inner.support
 
     def draw_indexed(self, n):
         self.count += n
@@ -461,10 +492,9 @@ def run_learning_trial(model, config, seed, test_n=100_000):
     The draw count is double-entry audited: the inner oracle advances its own
     counter per example and the wrapper counts independently; the two must
     agree exactly.  The test_n held-out draws are not learning draws and are
-    not counted.  On a finite-support marginal they are scored per support
-    row: the classifier evaluates each support row once, and each draw takes
-    its row's label, the same (x, y) stream and report as scoring
-    ``massart_draw``'s points one by one.
+    not counted.  They are scored per support row: the classifier evaluates
+    each support row once, and each draw takes its row's label, the same
+    (x, y) stream and report as scoring ``massart_draw``'s points one by one.
     """
     if test_n < 1:
         raise ValueError("test_n must be >= 1")
@@ -477,13 +507,9 @@ def run_learning_trial(model, config, seed, test_n=100_000):
         raise AssertionError(
             f"draw audit mismatch: oracle consumed {inner.count}, wrapper saw {oracle.count}"
         )
-    test_seed = rng.derive_seed(seed, 2)
-    if model.marginal.kind == "uniform":
-        rows, y = massart_draw_rows(model, test_seed, range(test_n))
-        partial = classifier.evaluate(model.marginal.support.points)[rows]
-        report = score_partial(partial, y, classifier.default_label)
-    else:
-        report = evaluate_classifier(classifier, massart_draw(model, test_n, test_seed))
+    rows, y = massart_draw_rows(model, rng.derive_seed(seed, 2), range(test_n))
+    partial = classifier.evaluate(model.support.points)[rows]
+    report = score_partial(partial, y, classifier.default_label)
     cfg = {
         "eta": config.eta, "eps": config.eps, "delta": config.delta, "C": config.C,
         "transform_delta": TRANSFORM_DELTA,

@@ -19,13 +19,15 @@ halfspaces and every stage decision are invariant under positive rescaling,
 so this is semantics-free, and it makes runs on inputs that differ only in
 per-point scales bit-identical.
 
-The weak learner's sample is held compressed: the distinct canonical rows
-(mapped once each), a per-draw index into them and the per-draw labels.  On a
-finite-support oracle the distinct rows are the primitive directions of the
-support rows the pool hit; on a continuous marginal they are the distinct
-canonical draws.  The subgradient descent runs on per-(row, label) counts, so
-its cost scales with the number of distinct rows, not the number of draws;
-the draw order still decides which draws train and which validate.
+Every oracle is a finite support drawn by row: ``support`` is its (n, d)
+array of rows, ``draw_indexed(n)`` returns a tuple whose first array is the
+support rows of the next n draws, and ``labels_for`` takes the accepted
+draws' share of that tuple.  The weak learner's sample is held compressed:
+the distinct primitive directions of the support rows the pool hit (mapped
+once each), a per-draw index into them and the per-draw labels.  The
+subgradient descent runs on per-(row, label) counts, so its cost scales with
+the number of distinct rows, not the number of draws; the draw order still
+decides which draws train and which validate.
 """
 
 import math
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, rng
-from .dataset import PointSet, finite_array, massart_draw, massart_draw_rows, sign_pm1
+from .dataset import PointSet, finite_array, sign_pm1
 from .errors import (
     CoverageFailure,
     DegenerateSecondMoment,
@@ -350,49 +352,6 @@ def weak_partial_learner(F, rows, y, eta, eps_prime):
     return WeakStageResult(cand, t_band, cov, err, gamma_emp)
 
 
-class ModelOracle:
-    """Sequential example oracle over a MassartModel; single consumer.
-
-    Draw i is a pure function of (seed, i), so the draw sequence is
-    reproducible and independent of batching.  For uniform-support marginals
-    the indexed interface exposes which support row each draw hit, letting the
-    learner evaluate classifiers once per support row instead of once per draw:
-    ``draw_indexed(n)`` returns the rows of the next n draws and their counter
-    range of draw indices, and ``labels_for`` takes the accepted draws' share
-    of that tuple.  ``draw_indexed`` and ``labels_for`` draw through
-    ``dataset.massart_draw_rows``, whose (x, y) stream is bit-identical to
-    ``draw``'s.
-    """
-
-    def __init__(self, model, seed):
-        self.model = model
-        self.seed = seed
-        self.count = 0
-
-    @property
-    def support(self):
-        if self.model.marginal.kind == "uniform":
-            return self.model.marginal.support.points
-        return None
-
-    def draw(self, n):
-        ds = massart_draw(self.model, n, self.seed, start_index=self.count)
-        self.count += n
-        return ds.base.points, ds.labels
-
-    def draw_indexed(self, n):
-        if self.support is None:
-            raise ValueError("indexed draws need a uniform-support marginal")
-        gidx = range(self.count, self.count + n)
-        self.count += n
-        rows, _ = massart_draw_rows(self.model, self.seed, gidx, labeled=False)
-        return rows, gidx
-
-    def labels_for(self, rows, gidx):
-        """Labels of the draws ``gidx`` that hit support rows ``rows``."""
-        return massart_draw_rows(self.model, self.seed, gidx, rows=rows)[1]
-
-
 class DatasetOracle:
     """Resamples rows (with replacement) of a fixed labeled dataset.
 
@@ -418,21 +377,20 @@ class DatasetOracle:
         return self.y[rows]
 
 
-def _rejection_draw(oracle, method, keep, need, budget_draws):
-    """Accumulate ``need`` draws of ``oracle.<method>`` (which returns a tuple
-    of per-draw arrays) whose first array passes the mask ``keep(first)``;
-    returns the accepted arrays, or None once budget_draws have been
-    consumed.  A counter range in the tuple (``draw_indexed``'s draw
-    indices) becomes the int64 array of the accepted draws' indices.
-    Batches hold max(65536, need) draws; the arrays of a batch whose draws
-    all pass are kept as drawn, without a copy."""
-    draw = getattr(oracle, method)
+def _rejection_draw(oracle, keep, need, budget_draws):
+    """Accumulate ``need`` draws of ``oracle.draw_indexed`` (a tuple of
+    per-draw arrays) whose support rows pass the mask ``keep(rows)``; returns
+    the accepted arrays, or None once budget_draws have been consumed.  A
+    counter range in the tuple (a draw index range) becomes the int64 array
+    of the accepted draws' indices.  Batches hold max(65536, need) draws; the
+    arrays of a batch whose draws all pass are kept as drawn, without a
+    copy."""
     accepted = []
     got = 0
     used = 0
     while got < need and used < budget_draws:
         batch = int(min(max(65536, need), budget_draws - used))
-        arrays = draw(batch)
+        arrays = oracle.draw_indexed(batch)
         used += batch
         m = keep(arrays[0])
         if m.all():
@@ -441,8 +399,7 @@ def _rejection_draw(oracle, method, keep, need, budget_draws):
             got += batch
         else:
             idx = np.flatnonzero(m)
-            arrays = [idx + a.start if isinstance(a, range) else a.take(idx, axis=0)
-                      for a in arrays]
+            arrays = [idx + a.start if isinstance(a, range) else a[idx] for a in arrays]
             got += idx.size
         accepted.append(arrays)
     if got < need:
@@ -497,11 +454,10 @@ def learn_halfspace(oracle, config, dim):
     chain.  Rejection-budget exhaustion means the uncovered mass collapsed and
     exits the loop; exceeding the iteration cap raises.
 
-    An oracle with a finite ``support`` and ``draw_indexed`` is drawn by
-    support row.  Every per-point decision is then made once per distinct
-    primitive direction of the support, and the Forster transform sees one
-    row per line through the origin, weighted by its hits: positive rescaling
-    changes neither a halfspace's label nor a Forster transform.
+    Every per-point decision is made once per distinct primitive direction
+    of the oracle's support, and the Forster transform sees one row per line
+    through the origin, weighted by its hits: positive rescaling changes
+    neither a halfspace's label nor a Forster transform.
     """
     d = dim
     check_n = config.check_sample_size(d)
@@ -510,55 +466,35 @@ def learn_halfspace(oracle, config, dim):
     cap = config.iteration_cap(d)
     eps = config.eps
     budget_fac = config.rejection_budget_per_point
-    support = getattr(oracle, "support", None)
-    indexed = support is not None and hasattr(oracle, "draw_indexed")
-    if indexed:
-        method = "draw_indexed"
-        directions, direction_of = distinct_rows(primitive_rows(support)[0])
-        # Lines through the origin: each direction pooled with its negation;
-        # support row i lies on lines[line_of[i]].
-        lines, _, line_of = exact.directions(directions)
-        line_of = line_of[direction_of]
-    else:
-        method = "draw"
+    directions, direction_of = distinct_rows(primitive_rows(oracle.support)[0])
+    # Lines through the origin: each direction pooled with its negation;
+    # support row i lies on lines[line_of[i]].
+    lines, _, line_of = exact.directions(directions)
+    line_of = line_of[direction_of]
 
     classifier = PartialClassifier([], default_label=1)
     telemetry = []
     for it in range(cap):
-        if indexed:
-            star_dir = (
-                classifier.star_mask(directions)
-                if classifier.stages
-                else np.ones(directions.shape[0], dtype=bool)
-            )
-            star_support = star_dir[direction_of]
+        star_dir = (
+            classifier.star_mask(directions)
+            if classifier.stages
+            else np.ones(directions.shape[0], dtype=bool)
+        )
+        star_support = star_dir[direction_of]
 
-        def star(first):
-            """Mask of the draws (support rows, or points) h abstains on."""
-            if indexed:
-                return star_support[first]
-            if classifier.stages:
-                return classifier.star_mask(first)
-            return np.ones(len(first), dtype=bool)
-
-        p_hat = float(np.mean(star(getattr(oracle, method)(check_n)[0])))
+        p_hat = float(np.mean(star_support[oracle.draw_indexed(check_n)[0]]))
         record = {"iteration": it, "uncovered": p_hat}
         if p_hat <= eps / 3.0:
             record["exit"] = "covered"
             telemetry.append(record)
             return classifier, telemetry
 
-        if indexed:
-            hits = _rejection_hits(oracle, star_support, forster_n, forster_n * budget_fac)
-            drawn = None if hits is None else _line_sample(lines, line_of, hits)
-        else:
-            drawn = _rejection_draw(oracle, method, star, forster_n, forster_n * budget_fac)
-            drawn = None if drawn is None else (primitive_rows(drawn[0])[0], None)
-        if drawn is None:
+        hits = _rejection_hits(oracle, star_support, forster_n, forster_n * budget_fac)
+        if hits is None:
             record["exit"] = "rejection_budget"
             telemetry.append(record)
             return classifier, telemetry
-        sample, counts = drawn
+        sample, counts = _line_sample(lines, line_of, hits)
         piece = forster_transform(PointSet(d, sample), TRANSFORM_DELTA, counts=counts)
         V, A, k = piece.subspace, piece.transform, piece.subspace.dim
         record["piece"] = {
@@ -567,37 +503,25 @@ def learn_halfspace(oracle, config, dim):
             "lambda_max": piece.certificate[1],
         }
 
-        def in_V(X):
-            return membership_mask(V.int_rows, primitive_rows(X)[0])
-
         # Weak pool, compressed: distinct canonical rows, a per-draw index
         # into them, and the per-draw labels.  Support rows that share a
         # primitive direction share one distinct row.
-        if indexed:
-            keep_support = (
-                (star_dir & in_V(directions))[direction_of] if k < d else star_support
-            )
-
-        def keep(first):
-            if indexed:
-                return keep_support[first]
-            return star(first) & in_V(first) if k < d else star(first)
-
-        pool = _rejection_draw(oracle, method, keep, weak_n, weak_n * budget_fac * 2 * d)
+        keep_support = (
+            (star_dir & membership_mask(V.int_rows, directions))[direction_of]
+            if k < d else star_support
+        )
+        pool = _rejection_draw(oracle, lambda rows: keep_support[rows], weak_n,
+                               weak_n * budget_fac * 2 * d)
         if pool is None:
             record["exit"] = "rejection_budget"
             telemetry.append(record)
             return classifier, telemetry
-        if indexed:
-            yw = oracle.labels_for(*pool)
-            # Renumber the hit directions 0.. in direction order.
-            rows = direction_of[pool[0]]
-            present = np.bincount(rows, minlength=directions.shape[0]) > 0
-            rows = (np.cumsum(present) - 1)[rows]
-            distinct = directions[present]
-        else:
-            yw = pool[1]
-            distinct, rows = distinct_rows(primitive_rows(pool[0])[0])
+        yw = oracle.labels_for(*pool)
+        # Renumber the hit directions 0.. in direction order.
+        rows = direction_of[pool[0]]
+        present = np.bincount(rows, minlength=directions.shape[0]) > 0
+        rows = (np.cumsum(present) - 1)[rows]
+        distinct = directions[present]
         F = mapped_unit_rows(A, distinct.astype(np.float64) @ V.basis)
         stage_res = weak_partial_learner(F, rows, yw, config.eta, config.eps_prime)
         del pool, rows, yw  # before the next stage draws

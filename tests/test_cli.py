@@ -412,6 +412,47 @@ def test_no_verb_usage():
     assert run([]) == 1
 
 
+@pytest.mark.parametrize("case", ["config-not-utf8", "config-dir", "out-dir"])
+def test_unreadable_file_is_usage_error(tmp_path, capsys, case):
+    """A file that cannot be read or written exits 1 with a usage error, not
+    a traceback."""
+    pts = tmp_path / "p.csv"
+    save_points_csv(pts, PointSet(2, np.array([[1, 0], [0, 1], [1, 1]])))
+    cfg, out = tmp_path / "F", tmp_path / "dec.json"
+    if case == "config-not-utf8":
+        cfg.write_bytes(b"delta = 1e-3\n\xff\n")
+    elif case == "config-dir":
+        cfg.mkdir()
+    else:
+        cfg.write_text("delta = 1e-3\n")
+        out.mkdir()
+    assert run(["decompose", "--input", str(pts), "--config", str(cfg),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert str(out if case == "out-dir" else cfg) in err
+
+
+def _python_m_cli(*argv, cwd):
+    src = os.path.dirname(os.path.dirname(fdc.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "fdc.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, encoding="utf-8")
+
+
+def test_python_m_cli_runs_the_verb(tmp_path):
+    proc = _python_m_cli("gen", "--dim", "2", "--n", "5", "--bits", "8", "--eta", "0.1",
+                         "--seed", "1", "--out", "x.csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert len(load_labeled(tmp_path / "x.csv").labels) == 5
+
+
+def test_python_m_cli_without_a_verb_exits_1(tmp_path):
+    proc = _python_m_cli(cwd=tmp_path)
+    assert proc.returncode == 1 and "usage" in proc.stderr
+
+
 def test_non_ascii_text_files_under_an_ascii_locale(tmp_path):
     """JSON point files and --config files are UTF-8 whatever the locale."""
     pts = tmp_path / "pts.json"

@@ -6,7 +6,6 @@ import pytest
 from fdc.dataset import (
     EtaSpec,
     LabeledDataset,
-    MarginalSpec,
     MassartModel,
     PointSet,
     eta_values,
@@ -143,7 +142,7 @@ def _uniform_model(points, w_star, eta, eta_spec=None):
         w_star / np.linalg.norm(w_star),
         eta,
         eta_spec or EtaSpec("constant", value=eta),
-        MarginalSpec("uniform", support=support),
+        support,
     )
 
 

@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 from fdc import harness, rng
-from fdc.dataset import (
-    EtaSpec,
-    MarginalSpec,
-    MassartModel,
-    PointSet,
-    gen_hard_instance,
-    massart_draw,
-)
+from fdc.dataset import gen_hard_instance, massart_draw
 from fdc.errors import SizeLimit
 from fdc.harness import (
     CountingOracle,
+    ModelOracle,
     bit_independence_study,
     brute_force_heavy_subspace,
     general_position_model,
@@ -23,7 +17,6 @@ from fdc.harness import (
 )
 from fdc.learner import (
     LearnerConfig,
-    ModelOracle,
     PartialClassifier,
     Stage,
     learn_halfspace,
@@ -57,22 +50,13 @@ class TestCountingOracle:
         config = LearnerConfig(eta=0.1, eps=0.15, delta=0.2, C=8)
         _, report = run_learning_trial(model, config, seed=4, test_n=2000)
         oracle = CountingOracle(ModelOracle(model, seed=0))
-        oracle.draw(10)
-        oracle.draw(7)
-        assert oracle.count == 17
+        oracle.draw_indexed(10)
+        oracle.draw_indexed(7)
+        assert oracle.count == 17 and oracle.inner.count == 17
         assert report.sample_count > 0  # audited: equals the wrapper's count
 
 
-def _gaussian_model(dim, eta, seed):
-    w = rng.normals(seed, 5, np.arange(1, dtype=np.uint64), cols=dim)[0]
-    template = PointSet(dim, np.eye(dim, dtype=np.int64))
-    return MassartModel(w / np.linalg.norm(w), eta, EtaSpec("constant", value=eta),
-                        MarginalSpec("gaussian", support=template, scale=16.0, bits=8))
-
-
-# name -> (model, learner config): criterion 6's setting on a finite
-# support; the gaussian marginal's draws are all distinct points, so it
-# learns in d = 3 with a smaller sample.
+# name -> (model, learner config): criterion 6's setting.
 CRITERION_6 = LearnerConfig(eta=0.2, eps=0.05, delta=0.1)
 HELD_OUT_MODELS = {
     "general_position": lambda: (general_position_model(10, 400, 0.2, seed=17),
@@ -81,8 +65,6 @@ HELD_OUT_MODELS = {
     "margin_inverse": lambda: (general_position_model(10, 400, 0.2, seed=29,
                                                       eta_kind="margin_inverse"),
                                CRITERION_6),
-    "gaussian": lambda: (_gaussian_model(3, 0.2, seed=31),
-                         LearnerConfig(eta=0.2, eps=0.15, delta=0.2, C=8)),
 }
 
 
@@ -132,13 +114,13 @@ class TestHeldOutScoring:
     def test_report_equals_point_by_point_scoring(self, name, tallied):
         model, config = HELD_OUT_MODELS[name]()
         if name == "hard_b48":
-            assert model.marginal.support.bit_complexity == 48
+            assert model.support.bit_complexity == 48
         _, report = run_learning_trial(model, config, seed=6, test_n=100_000)
         tally, held_out = tallied
         assert sum(tally) == report.sample_count
-        # The held-out draws bypass the learning oracle; only the gaussian
-        # marginal still draws them as points.
-        assert held_out == ([100_000] if name == "gaussian" else [])
+        # The held-out draws bypass the learning oracle and are not drawn as
+        # points.
+        assert held_out == []
         want = _reference_trial(model, config, 6, 100_000)
         assert (report.final_error, report.coverage, report.sample_count) == want
 
@@ -146,7 +128,7 @@ class TestHeldOutScoring:
         # Raise every learned threshold to its score's median on the support,
         # so about half the draws are abstained on and resolve to -1.
         model, config = HELD_OUT_MODELS["hard_b48"]()
-        S = model.marginal.support.points
+        S = model.support.points
 
         def abstaining(oracle, config, dim):
             clf, telemetry = learn_halfspace(oracle, config, dim)

@@ -299,7 +299,7 @@ class TestBasisPacking:
 
     def test_certificate_at_learner_scale(self):
         # A learner stage's shape: 400 lines in d = 10, 1.47M hits.
-        X = general_position_model(10, 400, 0.2, seed=3).marginal.support.points
+        X = general_position_model(10, 400, 0.2, seed=3).support.points
         dirs, _, _ = directions(X)
         mult = np.random.default_rng(4).integers(2, 7350, size=dirs.shape[0])
         assert 1.4e6 < mult.sum() < 1.55e6

@@ -6,9 +6,9 @@ import pytest
 from fdc import rng
 from fdc.dataset import (
     TAG_FLIP,
+    TAG_MARGINAL,
     EtaSpec,
     LabeledDataset,
-    MarginalSpec,
     MassartModel,
     PointSet,
     eta_values,
@@ -18,11 +18,10 @@ from fdc.dataset import (
 )
 from fdc.errors import CoverageFailure, DegenerateSecondMoment
 from fdc.exact import directions, distinct_rows, primitive_rows
-from fdc.harness import general_position_model
+from fdc.harness import ModelOracle, general_position_model
 from fdc.learner import (
     DatasetOracle,
     LearnerConfig,
-    ModelOracle,
     PartialClassifier,
     Stage,
     _band_select,
@@ -288,21 +287,54 @@ class TestBandSelect:
 
 
 class TestModelOracleLabels:
-    @pytest.mark.parametrize("kind", ["constant", "margin_inverse", "table"])
-    def test_per_support_row_labels_match_per_draw_formula(self, kind):
+    """Every route to a Massart draw's label equals the per-draw formula:
+    y = sign(w*.x), flipped when the draw's TAG_FLIP uniform is below
+    eta(x)."""
+
+    KINDS = ["constant", "margin_inverse", "table"]
+
+    @staticmethod
+    def _model(kind):
         model = general_position_model(6, 300, 0.3, seed=41, eta_kind=kind)
         if kind == "table":
-            S = model.marginal.support.points
+            S = model.support.points
             table = {tuple(int(v) for v in S[i]): 0.05 * (i % 7) for i in range(0, 300, 3)}
             model.eta = EtaSpec("table", table=table, default=0.1)
+        return model
+
+    @staticmethod
+    def _labels(model, seed, X, indices):
+        clean = sign_pm1(X.astype(np.float64) @ model.w_star)
+        flips = rng.uniform01(seed, TAG_FLIP, indices) < eta_values(model, X)
+        return np.where(flips, -clean, clean), clean
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_per_support_row_labels_match_per_draw_formula(self, kind):
+        model = self._model(kind)
         oracle = ModelOracle(model, seed=9)
         rows, gidx = oracle.draw_indexed(100_000)
-        X = oracle.support[rows]
-        clean = sign_pm1(X.astype(np.float64) @ model.w_star)
-        flips = rng.uniform01(9, TAG_FLIP, gidx) < eta_values(model, X)
-        want = np.where(flips, -clean, clean)
+        want, clean = self._labels(model, 9, oracle.support[rows], gidx)
         np.testing.assert_array_equal(oracle.labels_for(rows, gidx), want)
         assert 0 < np.mean(want != clean) < 0.3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_point_draws_match_per_draw_formula(self, kind):
+        # massart_draw and ModelOracle.draw are built on the per-row labels,
+        # so check their (x, y) stream draw by draw from a nonzero start.
+        model = self._model(kind)
+        start, n = 70_001, 50_000
+        idx = np.arange(start, start + n, dtype=np.uint64)
+        X = model.support.points[rng.integers(9, TAG_MARGINAL, idx, model.support.n)]
+        want, _ = self._labels(model, 9, X, idx)
+        ds = massart_draw(model, n, 9, start_index=start)
+        np.testing.assert_array_equal(ds.base.points, X)
+        np.testing.assert_array_equal(ds.labels, want)
+        oracle = ModelOracle(model, seed=9)
+        oracle.draw_indexed(start)
+        points, labels = oracle.draw(n)
+        assert oracle.count == start + n
+        np.testing.assert_array_equal(points, X)
+        np.testing.assert_array_equal(labels, want)
 
 
 class TestLearnHalfspace:
@@ -318,8 +350,7 @@ class TestLearnHalfspace:
     def test_degenerate_line_marginal_single_iteration(self):
         support = PointSet(3, np.array([[1, 2, 3], [2, 4, 6], [-1, -2, -3], [3, 6, 9]]))
         w = np.array([1.0, 0.0, 0.0])
-        model = MassartModel(w, 0.0, EtaSpec("constant", value=0.0),
-                             MarginalSpec("uniform", support=support))
+        model = MassartModel(w, 0.0, EtaSpec("constant", value=0.0), support)
         config = LearnerConfig(eta=0.0, eps=0.2, delta=0.2, C=4)
         clf, telemetry = learn_halfspace(ModelOracle(model, seed=5), config, dim=3)
         stage_iters = [t for t in telemetry if "stage" in t]
@@ -337,35 +368,6 @@ class TestLearnHalfspace:
         test = massart_draw(model, 50_000, seed=54321)
         report = evaluate_classifier(clf, test)
         assert report.total_error <= 0.15 + 0.1 + 0.02
-
-    @pytest.mark.parametrize("scale, w_ref, cond_err", [
-        # the weak pool's 64,302 draws hold 1,461 distinct points at scale 2
-        # and 63,891 at scale 64
-        (2.0, [-0.9740369944487425, 0.0999904112527513, 0.20311044065425643],
-         0.060837921059998135),
-        (64.0, [-0.9856670365853533, 0.10594122785560628, 0.13128956253066934],
-         0.05085378370812727),
-    ])
-    def test_gaussian_marginal_unindexed_path(self, scale, w_ref, cond_err):
-        # No finite support, so the learner draws points and compresses the
-        # weak pool itself.  Draw count, stage count and stage statistics are
-        # those the uncompressed learner gave; w agrees with its w up to float
-        # summation order.
-        w = np.array([1.0, 2.0, 3.0])
-        w /= np.linalg.norm(w)
-        model = MassartModel(w, 0.2, EtaSpec("margin_inverse"),
-                             MarginalSpec("gaussian", support=PointSet(3, np.eye(3, dtype=int)),
-                                          scale=scale))
-        oracle = ModelOracle(model, seed=3)
-        assert oracle.support is None
-        config = LearnerConfig(eta=0.2, eps=0.1, delta=0.2, C=4)
-        clf, telemetry = learn_halfspace(oracle, config, dim=3)
-        assert oracle.count == 128_732
-        assert len(clf.stages) == 1
-        assert clf.stages[0].threshold == 0.0
-        assert telemetry[0]["stage"]["coverage"] == 1.0
-        assert telemetry[0]["stage"]["conditional_error"] == cond_err
-        np.testing.assert_allclose(clf.stages[0].w, w_ref, rtol=0, atol=1e-12)
 
     def test_uncovered_mass_nonincreasing(self):
         # across iterations the fresh-sample uncovered estimate never rises
@@ -399,17 +401,16 @@ class TestLearnHalfspace:
         assert hits >= 18
 
 
-def _masked_rejection_draw(oracle, method, keep, need, budget_draws):
+def _masked_rejection_draw(oracle, keep, need, budget_draws):
     """_rejection_draw as it was before it compacted by index: a boolean mask
     applied to every array of every batch, a counter range of draw indices
     first made an array."""
-    draw = getattr(oracle, method)
     accepted = []
     got = 0
     used = 0
     while got < need and used < budget_draws:
         batch = int(min(max(65536, need), budget_draws - used))
-        arrays = draw(batch)
+        arrays = oracle.draw_indexed(batch)
         used += batch
         m = keep(arrays[0])
         accepted.append([np.asarray(a)[m] for a in arrays])
@@ -450,12 +451,10 @@ class TestRejectionDraw:
         (["mixed"], 70_000, 100_000),
     ]
 
-    def _compare(self, make_oracle, method, mixed, modes, need, budget):
+    def _compare(self, make_oracle, mixed, modes, need, budget):
         old_oracle, new_oracle = make_oracle(), make_oracle()
-        want = _masked_rejection_draw(old_oracle, method, _cycling_keep(modes, mixed),
-                                      need, budget)
-        got = _rejection_draw(new_oracle, method, _cycling_keep(modes, mixed),
-                              need, budget)
+        want = _masked_rejection_draw(old_oracle, _cycling_keep(modes, mixed), need, budget)
+        got = _rejection_draw(new_oracle, _cycling_keep(modes, mixed), need, budget)
         assert new_oracle.count == old_oracle.count
         if want is None:
             assert got is None
@@ -469,16 +468,16 @@ class TestRejectionDraw:
     def test_indexed_path_matches_masking(self, modes, need, budget):
         X = np.arange(1, 151).reshape(50, 3)
         data = LabeledDataset(PointSet(3, X), np.where(np.arange(50) % 2 == 0, 1, -1))
-        self._compare(lambda: DatasetOracle(data, seed=4), "draw_indexed",
-                      lambda rows: rows % 3 == 0, modes, need, budget)
+        self._compare(lambda: DatasetOracle(data, seed=4), lambda rows: rows % 3 == 0,
+                      modes, need, budget)
 
     @pytest.mark.parametrize("modes, need, budget", CASES)
     def test_counter_range_path_matches_masking(self, modes, need, budget):
         # ModelOracle's draw_indexed adds a counter range, which becomes the
         # accepted draws' indices; DatasetOracle's returns its rows alone.
         model = general_position_model(3, 50, 0.1, seed=1)
-        self._compare(lambda: ModelOracle(model, seed=4), "draw_indexed",
-                      lambda rows: rows % 3 == 0, modes, need, budget)
+        self._compare(lambda: ModelOracle(model, seed=4), lambda rows: rows % 3 == 0,
+                      modes, need, budget)
 
     @pytest.mark.parametrize("mode, need, budget", [
         ("all", 1_000, 10 ** 6), ("all", 70_000, 200_000), ("mixed", 70_000, 10 ** 6),
@@ -492,21 +491,13 @@ class TestRejectionDraw:
         accept = {"all": np.ones(50, dtype=bool), "none": np.zeros(50, dtype=bool),
                   "mixed": np.arange(50) % 3 == 0}[mode]
         old_oracle, new_oracle = DatasetOracle(data, seed=4), DatasetOracle(data, seed=4)
-        want = _masked_rejection_draw(old_oracle, "draw_indexed", lambda rows: accept[rows],
-                                      need, budget)
+        want = _masked_rejection_draw(old_oracle, lambda rows: accept[rows], need, budget)
         got = _rejection_hits(new_oracle, accept, need, budget)
         assert new_oracle.count == old_oracle.count
         if want is None:
             assert got is None
             return
         np.testing.assert_array_equal(got, np.bincount(want[0], minlength=50))
-
-    @pytest.mark.parametrize("modes, need, budget", CASES)
-    def test_point_path_matches_masking(self, modes, need, budget):
-        # 2-D point arrays: compacting must keep whole rows.
-        model = general_position_model(3, 40, 0.1, seed=1)
-        self._compare(lambda: ModelOracle(model, seed=2), "draw",
-                      lambda X: X[:, 0] > 0, modes, need, budget)
 
 
 class TestForsterInputPerLine:
