@@ -8,6 +8,7 @@ draws is reproducible byte for byte and parallel draws match serial draws.
 """
 
 import codecs
+import copy
 import csv
 import json
 import re
@@ -39,7 +40,9 @@ def sign_pm1(t):
 
 @dataclass
 class PointSet:
-    """Finite multiset of nonzero integer points in Z^d."""
+    """Finite multiset of nonzero integer points in Z^d.  ``points`` is a
+    read-only int64 array; it shares memory with an int64 array it is given,
+    and the given array stays writable."""
 
     dim: int
     points: np.ndarray
@@ -49,17 +52,27 @@ class PointSet:
         pts = np.asarray(self.points)
         if not np.issubdtype(pts.dtype, np.integer):
             raise NonInteger("PointSet coordinates must be integers")
-        pts = pts.astype(np.int64)
+        pts = pts.astype(np.int64, copy=False).view()
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ParseError(f"points shape {pts.shape} does not match dim {self.dim}")
-        if pts.shape[0] == 0:
-            raise EmptyInput("PointSet must contain at least one point")
         zero_rows = np.nonzero(~pts.any(axis=1))[0]
         if zero_rows.size:
             raise ZeroPoint(line=int(zero_rows[0]) + 1)
+        self._set_points(pts)
+
+    def _set_points(self, pts):
+        if pts.shape[0] == 0:
+            raise EmptyInput("PointSet must contain at least one point")
         pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "bit_complexity", int(int(np.max(np.abs(pts))).bit_length()))
+        self.points = pts
+        self.bit_complexity = max(-int(pts.min()), int(pts.max())).bit_length()
+
+    def take(self, index):
+        """The PointSet of the rows points[index]; they passed this set's
+        checks, so only the bit complexity is found again."""
+        out = copy.copy(self)
+        out._set_points(self.points[index])
+        return out
 
     @property
     def n(self):
@@ -77,10 +90,17 @@ def as_point_array(point_set):
 
 @dataclass
 class LabeledDataset:
-    """PointSet plus one label in {-1, +1} per point."""
+    """PointSet plus one label in {-1, +1} per point, also held as a
+    weighted support: point i and its label are row index[i] of ``support``
+    (a PointSet) and of ``support_labels``.  Built from its points, a
+    dataset is its own support with the identity index; ``from_support``
+    builds one from a support and an index."""
 
     base: PointSet
     labels: np.ndarray
+    support: PointSet = field(init=False, repr=False)
+    support_labels: np.ndarray = field(init=False, repr=False)
+    _index: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.labels).astype(np.int64)
@@ -89,7 +109,25 @@ class LabeledDataset:
         if not np.all(np.isin(y, (-1, 1))):
             raise ParseError("labels must be -1 or +1")
         y.flags.writeable = False
-        object.__setattr__(self, "labels", y)
+        self.labels = y
+        self.support, self.support_labels = self.base, y
+
+    @classmethod
+    def from_support(cls, support, labels, index=None):
+        """The dataset whose point i is support row index[i] with label
+        labels[index[i]]; index None is the identity.  The labels are
+        checked on the support."""
+        data = cls(support, labels)
+        if index is not None:
+            data._index, data.labels = np.asarray(index).view(), data.labels[index]
+            data._index.flags.writeable = data.labels.flags.writeable = False
+            data.base = support.take(index)
+        return data
+
+    @property
+    def index(self):
+        """Each point's support row; the identity is made when asked for."""
+        return np.arange(self.n) if self._index is None else self._index
 
     @property
     def n(self):
@@ -198,7 +236,7 @@ def massart_draw(model, n, seed, start_index=0):
     if n < 1:
         raise ValueError("n must be >= 1")
     rows, y = massart_draw_rows(model, seed, range(start_index, start_index + n))
-    return LabeledDataset(PointSet(model.dim, model.support.points[rows]), y)
+    return LabeledDataset(model.support.take(rows), y)
 
 
 def massart_draw_rows(model, seed, indices, rows=None, labeled=True):
@@ -365,12 +403,13 @@ def _read_csv_rows(path):
 
 
 def _rows_to_array(rows, labeled):
-    """(X, y) from ``_read_csv_rows``' output: one np.loadtxt pass over the
-    lines to parse, expanded to every data line by the index.  The label
-    and zero-row checks run on the expanded arrays, and a fault names the
-    first line that has one.  np.loadtxt joins a line whose '"' is left
-    open to the next one; a row count that differs from the line count is
-    a fault, never a row spread over two lines."""
+    """(X, y, index) from ``_read_csv_rows``' output: one np.loadtxt pass
+    over the lines to parse gives the support rows X and labels y, and data
+    line i is support row index[i] (index None: the identity).  The label
+    and zero-row checks run on the support, and a fault names the first
+    data line that has one.  np.loadtxt joins a line whose '"' is left open
+    to the next one; a row count that differs from the line count is a
+    fault, never a row spread over two lines."""
     lines, index, line_no = rows
     if not lines:
         raise ParseError("no data rows")
@@ -388,19 +427,18 @@ def _rows_to_array(rows, labeled):
         if index is not None:
             lines = list(map(lines.__getitem__, index.tolist()))  # in file order
         raise _csv_fault(lines, line_no, labeled, exc) from None
-    if index is not None:
-        A = A[index]
     if labeled and A.shape[1] < 2:
         raise ParseError("labeled file needs at least 2 columns", line=int(line_no[0]))
     X, y = (A[:, :-1], A[:, -1]) if labeled else (A, None)
     bad_label = (y != 1) & (y != -1) if labeled else np.zeros(len(A), dtype=bool)
-    bad = np.flatnonzero(bad_label | ~X.any(axis=1))
-    if bad.size:
-        r = bad[0]
+    bad = bad_label | ~X.any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad if index is None else bad[index]))  # first data line
+        r = i if index is None else index[i]
         if bad_label[r]:
-            raise ParseError(f"label must be -1 or 1, got {y[r]}", line=int(line_no[r]))
-        raise ZeroPoint(line=int(line_no[r]))
-    return X, y
+            raise ParseError(f"label must be -1 or 1, got {y[r]}", line=int(line_no[i]))
+        raise ZeroPoint(line=int(line_no[i]))
+    return X, y, index
 
 
 def _csv_fault(lines, line_no, labeled, exc):
@@ -541,18 +579,22 @@ def load_points(path, format=None):
     """PointSet from a CSV or JSON file; every column is a coordinate."""
     fmt = format or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "csv":
-        X, _ = _rows_to_array(_read_csv_rows(path), labeled=False)
-        return PointSet(X.shape[1], X)
+        X, _, index = _rows_to_array(_read_csv_rows(path), labeled=False)
+        support = PointSet(X.shape[1], X)
+        return support if index is None else support.take(index)
     X, _, dim = _json_to_arrays(path, labeled=False)
     return PointSet(dim, X)
 
 
 def load_labeled(path, format=None):
-    """LabeledDataset from CSV (last column = label) or JSON."""
+    """LabeledDataset from CSV (last column = label) or JSON.  A CSV file
+    keeps the reader's support: its distinct lines, when at most half of
+    its lines are distinct, with each data line's index among them; other
+    files are their own support."""
     fmt = format or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "csv":
-        X, y = _rows_to_array(_read_csv_rows(path), labeled=True)
-        return LabeledDataset(PointSet(X.shape[1], X), y)
+        X, y, index = _rows_to_array(_read_csv_rows(path), labeled=True)
+        return LabeledDataset.from_support(PointSet(X.shape[1], X), y, index)
     X, y, dim = _json_to_arrays(path, labeled=True)
     return LabeledDataset(PointSet(dim, X), y)
 

@@ -435,6 +435,7 @@ class ModelOracle:
         self.model = model
         self.seed = seed
         self.count = 0
+        self.index = np.arange(model.support.n)  # draws are support rows
 
     @property
     def support(self):
@@ -466,6 +467,10 @@ class CountingOracle:
     @property
     def support(self):
         return self.inner.support
+
+    @property
+    def index(self):
+        return self.inner.index
 
     def draw_indexed(self, n):
         self.count += n

@@ -19,15 +19,18 @@ halfspaces and every stage decision are invariant under positive rescaling,
 so this is semantics-free, and it makes runs on inputs that differ only in
 per-point scales bit-identical.
 
-Every oracle is a finite support drawn by row: ``support`` is its (n, d)
-array of rows, ``draw_indexed(n)`` returns a tuple whose first array is the
-support rows of the next n draws, and ``labels_for`` takes the accepted
-draws' share of that tuple.  The weak learner's sample is held compressed:
-the distinct primitive directions of the support rows the pool hit (mapped
-once each), a per-draw index into them and the per-draw labels.  The
-subgradient descent runs on per-(row, label) counts, so its cost scales with
-the number of distinct rows, not the number of draws; the draw order still
-decides which draws train and which validate.
+Every oracle is a weighted finite support drawn by row: ``support`` is its
+(u, d) array of support rows, ``index`` maps each of its rows to a support
+row (the identity when every row is its own), ``draw_indexed(n)`` returns a
+tuple whose first array is the rows of the next n draws, and ``labels_for``
+takes the accepted draws' share of that tuple.  Per-row masks and maps are
+found once per support row and indexed to the rows once per call, never per
+draw.  The weak learner's sample is held compressed: the distinct primitive
+directions of the rows the pool hit (mapped once each), a per-draw index
+into them and the per-draw labels.  The subgradient descent runs on
+per-(row, label) counts, so its cost scales with the number of distinct
+rows, not the number of draws; the draw order still decides which draws
+train and which validate.
 """
 
 import math
@@ -355,23 +358,21 @@ def weak_partial_learner(F, rows, y, eta, eps_prime):
 class DatasetOracle:
     """Resamples rows (with replacement) of a fixed labeled dataset.
 
-    ``draw_indexed(n)`` returns the 1-tuple of the next n draws' rows: a
-    draw's label is its row's, so ``labels_for`` needs no draw index."""
+    ``draw_indexed(n)`` returns the 1-tuple of the next n draws' dataset
+    rows: a draw's label is its row's, so ``labels_for`` needs no draw
+    index.  ``support`` and ``index`` are the dataset's weighted support."""
 
     def __init__(self, dataset, seed):
-        self.X = dataset.base.points
+        self.support = dataset.support.points
+        self.index = dataset.index
         self.y = dataset.labels
         self.seed = seed
         self.count = 0
 
-    @property
-    def support(self):
-        return self.X
-
     def draw_indexed(self, n):
         gidx = range(self.count, self.count + n)
         self.count += n
-        return (rng.integers(self.seed, TAG_LEARN, gidx, self.X.shape[0]),)
+        return (rng.integers(self.seed, TAG_LEARN, gidx, self.y.shape[0]),)
 
     def labels_for(self, rows):
         return self.y[rows]
@@ -379,7 +380,7 @@ class DatasetOracle:
 
 def _rejection_draw(oracle, keep, need, budget_draws):
     """Accumulate ``need`` draws of ``oracle.draw_indexed`` (a tuple of
-    per-draw arrays) whose support rows pass the mask ``keep(rows)``; returns
+    per-draw arrays) whose rows pass the mask ``keep(rows)``; returns
     the accepted arrays, or None once budget_draws have been consumed.  A
     counter range in the tuple (a draw index range) becomes the int64 array
     of the accepted draws' indices.  Batches hold max(65536, need) draws; the
@@ -410,11 +411,12 @@ def _rejection_draw(oracle, keep, need, budget_draws):
 
 
 def _rejection_hits(oracle, accept, need, budget_draws):
-    """Per-support-row hits of the first ``need`` draws of
-    ``oracle.draw_indexed`` whose support row r has ``accept[r]``, or None
-    once budget_draws have been consumed.  The draws and batches are
-    ``_rejection_draw``'s, and hits equals np.bincount of its rows; each
-    batch is tallied as it is drawn, so no draw outlives its batch."""
+    """Per-row hits of the first ``need`` draws of ``oracle.draw_indexed``
+    whose row r has ``accept[r]``, or None once budget_draws have been
+    consumed.  The draws and batches are ``_rejection_draw``'s, and hits
+    equals np.bincount of its rows; each batch is tallied as it is drawn, so
+    no draw outlives its batch.  A batch whose accepted draws all count is
+    tallied whole and masked per row, without selecting its draws."""
     hits = np.zeros(accept.shape[0], dtype=np.int64)
     got = 0
     used = 0
@@ -422,17 +424,20 @@ def _rejection_hits(oracle, accept, need, budget_draws):
         batch = int(min(max(65536, need), budget_draws - used))
         rows = oracle.draw_indexed(batch)[0]
         used += batch
-        rows = rows[accept[rows]][:need - got]
-        hits += np.bincount(rows, minlength=accept.shape[0])
-        got += rows.size
+        tally = np.bincount(rows, minlength=accept.shape[0]) * accept
+        if got + tally.sum() > need:  # only the first need - got accepted count
+            tally = np.bincount(rows[accept[rows]][:need - got], minlength=accept.shape[0])
+        del rows  # before the next batch is drawn
+        hits += tally
+        got += int(tally.sum())
     return hits if got == need else None
 
 
 def _line_sample(lines, line_of, hits):
-    """Compressed Forster input of a sample that hit support row i hits[i]
-    times, where row i lies on the line lines[line_of[i]]: one row per line
-    hit, with its summed hits, ordered by the line's first hit support row.
-    exact.directions gives the hit support rows themselves the same rows,
+    """Compressed Forster input of a sample that hit row i hits[i] times,
+    where row i lies on the line lines[line_of[i]]: one row per line hit,
+    with its summed hits, ordered by the line's first hit row.
+    exact.directions gives the hit rows themselves the same rows,
     multiplicities and order, so the transform and its certificate are the
     ones the per-row sample would get."""
     present = np.flatnonzero(hits)
@@ -466,9 +471,11 @@ def learn_halfspace(oracle, config, dim):
     cap = config.iteration_cap(d)
     eps = config.eps
     budget_fac = config.rejection_budget_per_point
+    # Drawn row i lies on directions[direction_of[i]], and on the line
+    # through the origin lines[line_of[i]] (a direction pooled with its
+    # negation).  Both are found on the support, then indexed once.
     directions, direction_of = distinct_rows(primitive_rows(oracle.support)[0])
-    # Lines through the origin: each direction pooled with its negation;
-    # support row i lies on lines[line_of[i]].
+    direction_of = direction_of[oracle.index]
     lines, _, line_of = exact.directions(directions)
     line_of = line_of[direction_of]
 
@@ -480,16 +487,16 @@ def learn_halfspace(oracle, config, dim):
             if classifier.stages
             else np.ones(directions.shape[0], dtype=bool)
         )
-        star_support = star_dir[direction_of]
+        star_row = star_dir[direction_of]
 
-        p_hat = float(np.mean(star_support[oracle.draw_indexed(check_n)[0]]))
+        p_hat = float(np.mean(star_row[oracle.draw_indexed(check_n)[0]]))
         record = {"iteration": it, "uncovered": p_hat}
         if p_hat <= eps / 3.0:
             record["exit"] = "covered"
             telemetry.append(record)
             return classifier, telemetry
 
-        hits = _rejection_hits(oracle, star_support, forster_n, forster_n * budget_fac)
+        hits = _rejection_hits(oracle, star_row, forster_n, forster_n * budget_fac)
         if hits is None:
             record["exit"] = "rejection_budget"
             telemetry.append(record)
@@ -504,13 +511,13 @@ def learn_halfspace(oracle, config, dim):
         }
 
         # Weak pool, compressed: distinct canonical rows, a per-draw index
-        # into them, and the per-draw labels.  Support rows that share a
-        # primitive direction share one distinct row.
-        keep_support = (
+        # into them, and the per-draw labels.  Rows that share a primitive
+        # direction share one distinct row.
+        keep_row = (
             (star_dir & membership_mask(V.int_rows, directions))[direction_of]
-            if k < d else star_support
+            if k < d else star_row
         )
-        pool = _rejection_draw(oracle, lambda rows: keep_support[rows], weak_n,
+        pool = _rejection_draw(oracle, lambda rows: keep_row[rows], weak_n,
                                weak_n * budget_fac * 2 * d)
         if pool is None:
             record["exit"] = "rejection_budget"
@@ -547,8 +554,9 @@ class EvalReport:
 
 def evaluate_classifier(classifier, test):
     """Empirical misclassification on claimed points, claimed fraction, and
-    total error with * resolved to the classifier's default label."""
-    partial = classifier.evaluate(test.base.points)
+    total error with * resolved to the classifier's default label.  The
+    classifier evaluates the test set's support once per row."""
+    partial = classifier.evaluate(test.support.points)[test.index]
     return score_partial(partial, test.labels, classifier.default_label)
 
 

@@ -10,6 +10,12 @@ import pytest
 import fdc
 from fdc.cli import run
 from fdc.dataset import load_labeled, save_points_csv, PointSet
+from fdc.learner import (
+    PartialClassifier,
+    classifier_from_dict,
+    evaluate_classifier,
+    score_partial,
+)
 
 
 def _strip_timestamp(path):
@@ -295,6 +301,63 @@ class TestLearnEval:
         err = capsys.readouterr().err
         assert "usage error" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def _without_timestamp(path):
+    return [line for line in path.read_text().splitlines() if '"timestamp"' not in line]
+
+
+class TestWeightedSupport:
+    """A CSV file of repeated lines is read as its distinct lines and an
+    index; fdc learn and fdc eval give the files they give on the same rows
+    read one by one."""
+
+    def test_indexed_csv_and_json_give_the_same_files(self, tmp_path):
+        csv_path, json_path = tmp_path / "train.csv", tmp_path / "train.json"
+        assert run(["gen", "--dim", "3", "--n", "30000", "--bits", "12", "--eta", "0.1",
+                    "--seed", "3", "--support", "150", "--out", str(csv_path)]) == 0
+        data = load_labeled(csv_path)
+        assert data.support is not data.base and data.support.n <= 300  # indexed
+        json_path.write_text(json.dumps({"dim": 3, "points": data.base.points.tolist(),
+                                         "labels": data.labels.tolist()}))
+        assert load_labeled(json_path).support.n == data.n  # its own support
+        files = {}
+        for src in (csv_path, json_path):
+            model, scores = (tmp_path / f"{src.stem}-{src.suffix[1:]}-{name}.json"
+                             for name in ("model", "eval"))
+            assert run(["learn", "--train-oracle", str(src), "--eta", "0.1", "--eps", "0.15",
+                        "--delta", "0.2", "--seed", "7", "--c-const", "8",
+                        "--out", str(model)]) == 0
+            assert run(["eval", "--model", str(model), "--test", str(src),
+                        "--out", str(scores)]) == 0
+            files[src.suffix] = [_without_timestamp(model), _without_timestamp(scores)]
+        assert files[".csv"] == files[".json"]
+
+        doc = json.loads((tmp_path / "train-csv-model.json").read_text())
+        assert doc["stages"]
+        classifier = classifier_from_dict(doc)
+        want = score_partial(classifier.evaluate(data.base.points), data.labels,
+                             classifier.default_label)
+        assert evaluate_classifier(classifier, data) == want
+
+    def test_eval_scores_each_distinct_line_once(self, tmp_path, monkeypatch):
+        model, test = tmp_path / "model.json", tmp_path / "test.csv"
+        model.write_text(json.dumps(_plane_model()))
+        rows = ("3,1,1", "-2,5,-1", "4,-1,1")
+        test.write_text("".join(rows[i % 3] + "\n" for i in range(10_000)))
+        seen = []
+        evaluate = PartialClassifier.evaluate
+
+        def spy(self, X):
+            seen.append(len(X))
+            return evaluate(self, X)
+
+        monkeypatch.setattr(PartialClassifier, "evaluate", spy)
+        assert run(["eval", "--model", str(model), "--test", str(test),
+                    "--out", str(tmp_path / "eval.json")]) == 0
+        assert seen and max(seen) <= 3
+        doc = json.loads((tmp_path / "eval.json").read_text())
+        assert doc["n_test"] == 10_000 and doc["total_error"] == 0.0
 
 
 def _plane_model(**stage):

@@ -13,6 +13,7 @@ the order ragged row, non-integer cell, bad label, coordinate outside int64,
 zero point.
 """
 
+import codecs
 import csv
 import os
 import re
@@ -21,7 +22,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fdc.dataset import (
     CSV_WRITE_ROWS,
@@ -145,25 +146,45 @@ def csv_file(draw):
     return text
 
 
-@settings(max_examples=300, deadline=None)
-@given(csv_file())
-def test_loaders_match_reference(text):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "pts.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
-        for labeled in (False, True):
-            want = reference_load(text, labeled)
-            got = loader_result(path, labeled)
-            if isinstance(want[0], type):
-                assert got == want, (labeled, text)
-            else:
+def reader_indexes(text):
+    """Whether the reader keeps a file as its distinct lines and an index:
+    when at most half of its lines are distinct."""
+    lines = text.encode().removeprefix(codecs.BOM_UTF8).splitlines()
+    return 2 * len(set(lines)) <= len(lines)
+
+
+def test_loaders_match_reference():
+    sides = set()  # reader_indexes of the files whose labeled load succeeded
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_file())
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "pts.csv")
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+            for labeled in (False, True):
+                want = reference_load(text, labeled)
+                got = loader_result(path, labeled)
+                if isinstance(want[0], type):
+                    assert got == want, (labeled, text)
+                    continue
                 assert not isinstance(got[0], type), (labeled, text, got)
                 X = np.array(want[0], dtype=np.int64).reshape(len(want[0]), -1)
                 np.testing.assert_array_equal(got[0], X)
                 assert got[0].dtype == np.int64
                 if labeled:
                     np.testing.assert_array_equal(got[1], want[1])
+                    # The weighted support, expanded by its index.
+                    ds = load_labeled(path)
+                    indexed = reader_indexes(text)
+                    assert (ds.support is not ds.base) == indexed
+                    np.testing.assert_array_equal(ds.support.points[ds.index], X)
+                    np.testing.assert_array_equal(ds.support_labels[ds.index], want[1])
+                    sides.add(indexed)
+
+    check()
+    assert sides == {False, True}
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -207,6 +228,18 @@ def test_cell_grammar(tmp_path, text, error, line):
     with pytest.raises(error) as ei:
         load_points(p)
     assert ei.value.line == line
+
+
+@pytest.mark.parametrize("bad, error", [("0,0,1", ZeroPoint), ("3,4,2", ParseError)])
+def test_fault_in_an_indexed_file_names_its_first_line(tmp_path, bad, error):
+    # The faulty line is the second distinct line but the fifth line; the
+    # checks run on the distinct lines and name the line in the file.
+    text = "1,2,1\n" * 4 + (bad + "\n") * 3 + "1,2,1\n" * 3
+    assert reader_indexes(text)
+    p = tmp_path / "pts.csv"
+    p.write_text(text, encoding="utf-8")
+    assert reference_load(text, labeled=True) == (error, 5)
+    assert loader_result(p, labeled=True) == (error, 5)
 
 
 def test_each_distinct_line_is_parsed_once(tmp_path, monkeypatch):

@@ -16,7 +16,7 @@ from fdc.dataset import (
     save_labeled_csv,
     sign_pm1,
 )
-from fdc.errors import NonInteger, ParseError, ZeroPoint
+from fdc.errors import EmptyInput, NonInteger, ParseError, ZeroPoint
 from fdc.exact import primitive_rows
 
 
@@ -26,6 +26,8 @@ class TestPointSet:
         assert ps.bit_complexity == 1
         ps = PointSet(3, np.array([[2 ** 40, 1, 1]]))
         assert ps.bit_complexity == 41
+        assert PointSet(2, np.array([[-(2 ** 40), 1], [3, 4]])).bit_complexity == 41
+        assert PointSet(2, np.array([[-1, -1]])).bit_complexity == 1
 
     def test_zero_point_rejected(self):
         with pytest.raises(ZeroPoint):
@@ -35,6 +37,61 @@ class TestPointSet:
         base = PointSet(2, np.array([[1, 0], [0, 1]]))
         with pytest.raises(ParseError):
             LabeledDataset(base, np.array([1, 2]))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_callers_array_left_writable_and_unchanged(self, dtype):
+        X = np.array([[3, 0], [1, 5], [7, 2]], dtype=dtype)
+        ps = PointSet(2, X)
+        assert X.flags.writeable and X.dtype == dtype
+        np.testing.assert_array_equal(X, [[3, 0], [1, 5], [7, 2]])
+        assert ps.points.dtype == np.int64 and not ps.points.flags.writeable
+        np.testing.assert_array_equal(ps.points, X)
+        with pytest.raises(ValueError):
+            ps.points[0, 0] = 1
+
+    @pytest.mark.parametrize("points, error", [
+        (np.array([[1.0, 2.0]]), NonInteger),
+        (np.array([[1, 2, 3]]), ParseError),
+        (np.zeros((0, 2), dtype=np.int64), EmptyInput),
+    ])
+    def test_errors(self, points, error):
+        with pytest.raises(error):
+            PointSet(2, points)
+
+    def test_take(self):
+        ps = PointSet(2, np.array([[1, 2], [2 ** 20, 3], [-5, 0]]))
+        sub = ps.take(np.array([2, 0, 2]))
+        np.testing.assert_array_equal(sub.points, [[-5, 0], [1, 2], [-5, 0]])
+        assert sub.dim == 2 and sub.n == 3 and sub.bit_complexity == 3
+        assert not sub.points.flags.writeable and ps.bit_complexity == 21
+        with pytest.raises(EmptyInput):
+            ps.take(np.array([], dtype=np.intp))
+
+
+class TestLabeledSupport:
+    def test_own_support_with_identity_index(self):
+        ds = LabeledDataset(PointSet(2, np.array([[1, 2], [1, 2], [3, 4]])),
+                            np.array([1, 1, -1]))
+        assert ds.support is ds.base
+        np.testing.assert_array_equal(ds.support_labels, ds.labels)
+        np.testing.assert_array_equal(ds.index, [0, 1, 2])
+
+    def test_from_support_expands_rows_and_labels(self):
+        support = PointSet(2, np.array([[1, 2], [3, 4], [1, 2]]))
+        ds = LabeledDataset.from_support(support, np.array([1, -1, -1]),
+                                         np.array([0, 1, 0, 2, 1]))
+        np.testing.assert_array_equal(ds.base.points, [[1, 2], [3, 4], [1, 2], [1, 2], [3, 4]])
+        np.testing.assert_array_equal(ds.labels, [1, -1, 1, -1, -1])
+        assert ds.n == 5 and ds.support is support
+        np.testing.assert_array_equal(ds.support_labels, [1, -1, -1])
+        for a in (ds.base.points, ds.labels, ds.support_labels, ds.index):
+            assert not a.flags.writeable
+        assert LabeledDataset.from_support(support, np.array([1, -1, -1])).support is support
+
+    def test_from_support_checks_the_support_labels(self):
+        support = PointSet(2, np.array([[1, 2], [3, 4]]))
+        with pytest.raises(ParseError):
+            LabeledDataset.from_support(support, np.array([1, 0]), np.array([0, 0, 0]))
 
 
 class TestLoaders:
