@@ -21,7 +21,7 @@ from .learner import (
     evaluate_classifier,
     learn_halfspace,
 )
-from .linalg import Subspace, inv_sqrt_psd, span_of, sym_eigen
+from .linalg import Subspace, span_of
 from .scaling import (
     ScalingWeights,
     ViolatedConstraint,
@@ -46,7 +46,7 @@ __all__ = [
     "HeavySubspaceResult", "find_heavy_subspace",
     "LearnerConfig", "ModelOracle", "PartialClassifier", "evaluate_classifier",
     "learn_halfspace",
-    "Subspace", "inv_sqrt_psd", "span_of", "sym_eigen",
+    "Subspace", "span_of",
     "ScalingWeights", "ViolatedConstraint",
     "recheck_certificate", "separation_oracle", "solve_scaling_sdp",
     "ForsterDecomposition", "ForsterPiece", "forster_decompose",

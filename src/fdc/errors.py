@@ -9,16 +9,8 @@ class FdcError(Exception):
     """Base class for all fdc errors."""
 
 
-class NonSymmetric(FdcError):
-    """Matrix failed the symmetry tolerance check."""
-
-
 class NonConvergent(FdcError):
     """Iterative eigensolver exhausted its sweep budget."""
-
-
-class NotPositiveDefinite(FdcError):
-    """Eigenvalue below the required floor in a PSD inverse square root."""
 
 
 class EmptyInput(FdcError):

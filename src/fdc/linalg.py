@@ -1,11 +1,11 @@
 """Deterministic dense linear algebra kernel.
 
-Symmetric eigendecomposition is a Jacobi iteration in round-robin order
-(vectorized over the disjoint pairs of each round and over a batch axis)
-rather than LAPACK: certificates must reproduce bit-for-bit across runs, and
-Jacobi has no pivoting heuristics or threading nondeterminism.  The
-independent certificate re-checks elsewhere in the package deliberately go
-through ``np.linalg.eigh`` so the two routes share no eigensolver code.
+The rule: factorizations (QR) come from LAPACK, certificate eigenvalues
+from Jacobi, and audit eigenvalues from LAPACK ``eigvalsh``, so construction
+and audit share no eigensolver code.  The Jacobi iteration runs in
+round-robin order, vectorized over the disjoint pairs of each round and over
+a batch axis: certificates must reproduce bit-for-bit across runs, and Jacobi
+has no pivoting heuristics or threading nondeterminism.
 
 Spans are of integer points only, and their rank decisions are exact
 (fraction-free elimination).
@@ -17,27 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .errors import (
-    EmptyInput,
-    NonConvergent,
-    NonInteger,
-    NonSymmetric,
-    NotPositiveDefinite,
-)
+from .errors import EmptyInput, NonConvergent, NonInteger
 
-SYM_TOL = 1e-12
 ORTHO_TOL = 1e-10
 JACOBI_SWEEPS = 100
-
-
-def check_symmetric(M):
-    M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonSymmetric(f"not square: shape {M.shape}")
-    scale = np.max(np.abs(M)) if M.size else 0.0
-    if np.max(np.abs(M - M.T)) > SYM_TOL * max(scale, 1e-300):
-        raise NonSymmetric("matrix exceeds symmetry tolerance")
-    return 0.5 * (M + M.T)
 
 
 @lru_cache(maxsize=None)
@@ -131,25 +114,6 @@ def jacobi_eigh(mats):
     w = np.take_along_axis(w, order, axis=1)
     V = np.take_along_axis(V, order[:, None, :], axis=2)
     return w.reshape(*batch_shape, k), V.reshape(*batch_shape, k, k)
-
-
-def sym_eigen(M):
-    """Eigendecomposition of one symmetric matrix: (eigenvalues descending, Q)."""
-    return jacobi_eigh(check_symmetric(M))
-
-
-def inv_sqrt_psd(M, floor):
-    """B with B @ M @ B = I for symmetric positive definite M.
-
-    Raises NotPositiveDefinite if any eigenvalue is below ``floor`` (> 0).
-    """
-    w, Q = sym_eigen(M)
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    if w.min() < floor:
-        raise NotPositiveDefinite(f"min eigenvalue {w.min():.3e} below floor {floor:.3e}")
-    B = (Q / np.sqrt(w)) @ Q.T
-    return 0.5 * (B + B.T)
 
 
 @dataclass

@@ -3,14 +3,17 @@
 ``forster_transform`` walks the heavy chain (span, then any heavy proper
 subspace, then a heavy subspace of that, ...) until the surviving point set
 has no heavy proper subspace, solves the scaling feasibility problem there,
-and returns the transform A = [ (1/|S cap V|) sum c^2(x) x x^T ]^{-1/2}
-together with a spectral certificate: all eigenvalues of the mapped
-second-moment matrix lie in [1/(k+delta), (1+delta)/(k+delta)], hence within
-delta of 1/k.  ``forster_decompose`` peels pieces until the set is exhausted.
+and returns the transform A = R^{-T}, where R is the triangular factor of a
+Householder QR of the weighted rows sqrt(c^2(x) / |S cap V|) x.  Then
+A Sigma_c A^T = I for Sigma_c = (1/|S cap V|) sum c^2(x) x x^T, which is never
+formed.  The piece carries a spectral certificate: all eigenvalues of the
+mapped second-moment matrix lie in [1/(k+delta), (1+delta)/(k+delta)], hence
+within delta of 1/k.  ``forster_decompose`` peels pieces until the set is
+exhausted.
 
-Certificates are computed with the deterministic Jacobi eigensolver;
-``verify_piece`` re-derives everything through LAPACK so the audit shares no
-eigensolver code with construction.
+The QR factor comes from LAPACK and certificates from the deterministic
+Jacobi eigensolver; ``verify_piece`` re-derives everything through LAPACK's
+``eigvalsh``, so the audit shares no eigensolver code with construction.
 """
 
 import hashlib
@@ -28,7 +31,7 @@ from .errors import (
     SingularTransform,
 )
 from .heavy import find_heavy_subspace
-from .linalg import Subspace, inv_sqrt_psd, jacobi_eigh, span_of
+from .linalg import Subspace, jacobi_eigh, span_of
 from .scaling import (
     ScalingWeights,
     fixed_point_scaling,
@@ -98,6 +101,19 @@ def _mapped_moment(A, coords, mult):
     return weighted_second_moment(f, np.ones(len(f)), mult) / mult.sum()
 
 
+def weighted_qr_transform(coords, c_sq, mult):
+    """A = R^{-T}, lower triangular with a positive diagonal, where R is the
+    triangular factor of the rows B = sqrt(c^2 m / M) x (M = sum m), sorted
+    by decreasing norm.  B^T B = Sigma_c = R^T R, so A Sigma_c A^T = I; and
+    Sigma_c, whose conditioning is the square of B's, is never formed (Cox
+    and Higham 1998 on row sorting for weighted least squares)."""
+    B = np.sqrt(c_sq * mult / mult.sum())[:, None] * coords
+    B = B[np.argsort(-np.linalg.norm(B, axis=1), kind="stable")]
+    R = np.linalg.qr(B, mode="r")
+    R *= np.sign(np.diag(R))[:, None]
+    return np.linalg.inv(R).T
+
+
 def _certificate_window_ok(lam_min, lam_max, k, delta):
     lo = 1.0 / (k + delta) - CERT_EPS
     hi = (1.0 + delta) / (k + delta) + CERT_EPS
@@ -157,7 +173,9 @@ def forster_transform(point_set, delta, counts=None):
 
     Follows the heavy chain downward from span(S) until no heavy proper
     subspace remains, solves the scaling problem there, and builds
-    A = Sigma_c^{-1/2}.  The returned piece satisfies the spectral certificate
+    A = R^{-T} from a QR factor of the weighted rows
+    (``weighted_qr_transform``).  The returned piece satisfies the spectral
+    certificate
     || (1/m) sum f_A(x) f_A(x)^T - I/k ||_2 <= delta and the exact fraction
     bound |members| * dim(span(S)) >= dim(V) * |S|.
 
@@ -188,8 +206,7 @@ def _forster_transform_once(pts, delta, counts=None):
     if pooled is None:
         pooled = solve_scaling_sdp(coords, delta, mults=sel_mult)
 
-    sigma = weighted_second_moment(coords, pooled.c_sq, sel_mult) / sel_mult.sum()
-    A = inv_sqrt_psd(sigma, floor=1e-250 * max(np.trace(sigma), 1e-250))
+    A = weighted_qr_transform(coords, pooled.c_sq, sel_mult)
     moment = _mapped_moment(A, coords, sel_mult)
     eigvals, _ = jacobi_eigh(moment)
     lam_max, lam_min = float(eigvals[0]), float(eigvals[-1])

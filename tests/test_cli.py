@@ -97,6 +97,44 @@ class TestTransformDecompose:
         assert run(["eval", "--verify-decomposition", str(out),
                     "--input", str(pts)]) == 2
 
+    # Six rows in the plane z = 0 and three rows off it: the first piece is
+    # that plane, and the other three are lines.
+    NINE = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, 1, 0), (1, -1, 0),
+            (1, 1, 1), (2, -1, 3), (-1, 2, 5)]
+
+    def _decompose_nine(self, tmp_path):
+        pts, out = tmp_path / "pts.csv", tmp_path / "dec.json"
+        save_points_csv(pts, PointSet(3, np.array(self.NINE)))
+        assert run(["decompose", "--input", str(pts), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["pieces"][0]["members"] == [0, 1, 2, 3, 4, 5]
+        doc.pop("source_digest")
+        return pts, out, doc
+
+    def test_verify_rejects_a_member_outside_its_subspace(self, tmp_path, capsys):
+        # Row 0 moves off the plane of its piece; without the digest only
+        # the membership test can notice, since the projection onto the
+        # plane is unchanged.
+        pts, out, doc = self._decompose_nine(tmp_path)
+        out.write_text(json.dumps(doc))
+        save_points_csv(pts, PointSet(3, np.array([(1, 0, 7)] + self.NINE[1:])))
+        capsys.readouterr()
+        assert run(["eval", "--verify-decomposition", str(out),
+                    "--input", str(pts)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("members outside its subspace: 1, FAIL")
+        assert all(line.endswith("pass") for line in lines[1:])
+
+    def test_proper_subspace_piece_without_int_rows_is_a_parse_error(self, tmp_path,
+                                                                      capsys):
+        pts, out, doc = self._decompose_nine(tmp_path)
+        doc["pieces"][0]["subspace_int_rows"] = []
+        out.write_text(json.dumps(doc))
+        assert run(["eval", "--verify-decomposition", str(out),
+                    "--input", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert "'subspace_int_rows'" in err and "Traceback" not in err
+
     def test_missing_input_usage_error(self, tmp_path):
         assert run(["transform", "--out", str(tmp_path / "x.json")]) == 1
         assert run(["transform", "--input", str(tmp_path / "nope.csv"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdc.dataset import PointSet
-from fdc.errors import FdcError, RankDeficient
+from fdc.errors import PrecisionLimit, RankDeficient
 from fdc.exact import directions, exact_pivot_indices, exact_rank, membership_mask
 from fdc.harness import (
     brute_force_heavy_subspace,
@@ -419,15 +419,15 @@ class TestNearHeavyProbe:
     def test_decided_at_every_bit_size(self, bits):
         assert not find_heavy_subspace(near_plane_probe(bits)).found
 
-    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("bits", [8, 16, 24, 32, 40])
     def test_decomposes(self, bits):
         S = PointSet(6, near_plane_probe(bits))
         dec = forster_decompose(S, 1e-3)
         assert all(verify_piece(p, S).passed for p in dec.pieces)
 
-    @pytest.mark.parametrize("bits", [24, 32, 40, 52])
+    @pytest.mark.parametrize("bits", [48, 52])
     def test_beyond_binary64_raises_typed_error(self, bits):
-        with pytest.raises(FdcError):
+        with pytest.raises(PrecisionLimit):
             forster_decompose(PointSet(6, near_plane_probe(bits)), 1e-3)
 
 

@@ -538,7 +538,8 @@ class TestPinnedDatasetRun:
     def test_hard_file_run(self):
         # An fdc gen --marginal hard file, plus negated copies of its first
         # 700 rows so that lines carry both signs.  Draw count, stages, w
-        # bytes and thresholds are those of the per-support-row learner.
+        # bytes and thresholds are those of the per-support-row learner with
+        # A = R^{-T} from the weighted rows' QR factor.
         model, _ = gen_hard_instance(5, 80, 24, 0.1, 11)
         data = massart_draw(model, 4000, 11)
         X = np.concatenate([data.base.points, -data.base.points[:700]])
@@ -549,14 +550,23 @@ class TestPinnedDatasetRun:
         assert oracle.count == 6_162_264
         assert [s.subspace.dim for s in clf.stages] == [5, 1, 1]
         assert [s.w.tobytes().hex() for s in clf.stages] == [
-            "3ab95d98d00eea3f8071ba67a6e9c7bfa326b5b159d3aa3f"
-            "d142cd665447b6bfd4130eae4d48e13f",
+            "178d29d8b770ea3f04b56ef0e249cb3f7207d4e0b12d93bf"
+            "285d2d8421cbc1bf42d96a57bb11e03f",
             "000000000000f03f",
             "000000000000f03f",
         ]
-        assert [s.threshold for s in clf.stages] == [0.053170705416273695, 0.0, 0.0]
+        assert [s.threshold for s in clf.stages] == [0.05317070541627173, 0.0, 0.0]
         assert [t["piece"]["lambda_min"] for t in telemetry if "piece" in t] == [
-            0.19950124675556752, 1.0, 1.0]
+            0.19950124675556527, 1.0, 1.0]
+        # A is a rotation of the symmetric inverse square root of Sigma_c and
+        # w rotates with it, so the rule x -> w . A coords(x) is the one the
+        # symmetric root gave.
+        symmetric_root_rule = [0.025883000052434282, -0.0041487527922250585,
+                               0.04207462566969528, -0.023893234817547952,
+                               0.0770006664631398]
+        rule = clf.stages[0].ambient_map.T @ clf.stages[0].w
+        assert (np.linalg.norm(rule - symmetric_root_rule)
+                <= 1e-12 * np.linalg.norm(symmetric_root_rule))
 
 
 class TestIterationCap:

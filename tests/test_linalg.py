@@ -3,30 +3,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdc import linalg
-from fdc.errors import (
-    EmptyInput,
-    NonConvergent,
-    NonInteger,
-    NonSymmetric,
-    NotPositiveDefinite,
-)
-from fdc.linalg import (
-    Subspace,
-    inv_sqrt_psd,
-    jacobi_eigh,
-    span_of,
-    sym_eigen,
-)
+from fdc.errors import EmptyInput, NonConvergent, NonInteger
+from fdc.linalg import Subspace, jacobi_eigh, span_of
 
 
 class TestSymEigen:
     def test_diagonal(self):
-        w, Q = sym_eigen(np.diag([3.0, 1.0]))
+        w, Q = jacobi_eigh(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(w, [3.0, 1.0])
         np.testing.assert_allclose(np.abs(Q), np.eye(2), atol=1e-12)
 
     def test_offdiagonal_symmetry_forced(self):
-        w, Q = sym_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        w, Q = jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(w, [1.0, -1.0], atol=1e-12)
         s = 1.0 / np.sqrt(2.0)
         # eigenvectors up to sign
@@ -36,7 +24,7 @@ class TestSymEigen:
     def test_random_5x5_reconstruction(self, rng_np):
         M = rng_np.randn(5, 5)
         M = M + M.T
-        w, Q = sym_eigen(M)
+        w, Q = jacobi_eigh(M)
         rec = (Q * w) @ Q.T
         scale = np.linalg.norm(M)
         assert np.linalg.norm(rec - M) <= 1e-9 * scale
@@ -46,7 +34,7 @@ class TestSymEigen:
             k = rng_np.randint(1, 8)
             M = rng_np.randn(k, k)
             M = M + M.T
-            w, Q = sym_eigen(M)
+            w, Q = jacobi_eigh(M)
             assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-9
             norm = max(np.abs(w).max(), 1e-300)
             assert np.abs(Q.T @ M @ Q - np.diag(w)).max() <= 1e-9 * norm
@@ -58,16 +46,12 @@ class TestSymEigen:
         with pytest.raises(NonConvergent):
             jacobi_eigh(M + M.T)
 
-    def test_nonsymmetric_raises(self):
-        with pytest.raises(NonSymmetric):
-            sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
     def test_batched_agrees_with_single(self, rng_np):
         mats = rng_np.randn(7, 4, 4)
         mats = mats + np.transpose(mats, (0, 2, 1))
         wb, _ = jacobi_eigh(mats)
         for i in range(7):
-            wi, _ = sym_eigen(mats[i])
+            wi, _ = jacobi_eigh(mats[i])
             np.testing.assert_allclose(wb[i], wi, atol=1e-10)
 
     @settings(max_examples=20, deadline=None)
@@ -77,36 +61,8 @@ class TestSymEigen:
         k = r.randint(1, 11)   # odd k: one index sits out each round
         M = r.randn(k, k) * 10.0 ** r.randint(-3, 4)
         M = M + M.T
-        w, Q = sym_eigen(M)
+        w, Q = jacobi_eigh(M)
         assert np.linalg.norm((Q * w) @ Q.T - M) <= 1e-9 * max(np.linalg.norm(M), 1e-300)
-
-
-class TestInvSqrtPsd:
-    def test_identity_fixed_point(self):
-        np.testing.assert_allclose(inv_sqrt_psd(np.eye(3), 1e-6), np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        B = inv_sqrt_psd(np.diag([4.0, 9.0]), 1e-9)
-        np.testing.assert_allclose(B, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
-
-    def test_random_psd_multiply_back(self, rng_np):
-        A = rng_np.randn(6, 6)
-        M = A @ A.T + 0.5 * np.eye(6)
-        B = inv_sqrt_psd(M, 1e-9)
-        np.testing.assert_allclose(B @ M @ B, np.eye(6), atol=1e-8)
-
-    def test_floor_violation_raises(self):
-        with pytest.raises(NotPositiveDefinite):
-            inv_sqrt_psd(np.diag([1.0, 1e-12]), 1e-6)
-
-    def test_involution_consistency(self, rng_np):
-        A = rng_np.randn(4, 4)
-        M = A @ A.T + np.eye(4)
-        B = inv_sqrt_psd(M, 1e-9)
-        B2 = inv_sqrt_psd(np.linalg.matrix_power(B, 2), 1e-12)
-        # inv_sqrt(inv_sqrt(M)^2) recovers sqrt(M); applying once more gives B back
-        B3 = inv_sqrt_psd(np.linalg.matrix_power(B2, 2), 1e-12)
-        np.testing.assert_allclose(B3, B, atol=1e-6)
 
 
 class TestSpanOf:

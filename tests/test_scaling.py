@@ -278,12 +278,10 @@ class TestSolve:
         np.testing.assert_allclose(w1.c_sq, w2.c_sq, rtol=1e-9)
         ok, _, _ = recheck_certificate(2.0 * FOUR_POINTS, w2)
         assert ok
-        s1 = weighted_second_moment(FOUR_POINTS, w1.c_sq) / 4.0
-        s2 = weighted_second_moment(2.0 * FOUR_POINTS, w2.c_sq) / 4.0
-        from fdc.linalg import inv_sqrt_psd
+        from fdc.transform import weighted_qr_transform
 
-        A1 = inv_sqrt_psd(s1, 1e-12)
-        A2 = inv_sqrt_psd(s2, 1e-12)
+        A1 = weighted_qr_transform(FOUR_POINTS, w1.c_sq, np.ones(4))
+        A2 = weighted_qr_transform(2.0 * FOUR_POINTS, w2.c_sq, np.ones(4))
         np.testing.assert_allclose(A2, 0.5 * A1, rtol=1e-8)
 
     def test_newton_certifies_when_no_heavy_subspace(self):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fdc import transform
 from fdc.dataset import PointSet
-from fdc.errors import FdcError, SingularTransform
+from fdc.errors import PrecisionLimit, SingularTransform
 from fdc.linalg import span_of
 from fdc.transform import (
     ENUM_COMBO_CAP,
@@ -18,6 +19,7 @@ from fdc.transform import (
     piece_from_dict,
     piece_to_dict,
     verify_piece,
+    weighted_qr_transform,
 )
 from tests.conftest import seeded_point_set, seeded_points
 
@@ -101,18 +103,61 @@ def _near_line_set(bits):
 
 class TestNearLine:
     """Newton on Barthe's potential reaches weight ranges the fixed point
-    cannot; past binary64's reach the transform ends in a typed error."""
+    cannot, and the QR factor keeps the transform accurate there; past
+    binary64's reach the transform ends in a typed error."""
 
-    @pytest.mark.parametrize("bits", [8, 12, 16, 24])
+    @pytest.mark.parametrize("bits", [8, 12, 16, 24, 32, 40])
     def test_decomposes_and_every_piece_verifies(self, bits):
         S = _near_line_set(bits)
         dec = forster_decompose(S, 0.25)
         assert all(verify_piece(p, S).passed for p in dec.pieces)
 
-    @pytest.mark.parametrize("bits", [32, 40])
+    @pytest.mark.parametrize("bits", [48, 52])
     def test_beyond_binary64_raises_typed_error(self, bits):
-        with pytest.raises(FdcError):
+        with pytest.raises(PrecisionLimit):
             forster_decompose(_near_line_set(bits), 0.25)
+
+
+class TestWeightedQrTransform:
+    """A = R^{-T} from the QR factor of the rows sqrt(c^2 m / M) x meets
+    A Sigma_c A^T = I, lower triangular with a positive diagonal."""
+
+    def test_identity_fixed_point(self):
+        A = weighted_qr_transform(np.sqrt(3.0) * np.eye(3), np.ones(3), np.ones(3))
+        np.testing.assert_allclose(A, np.eye(3), atol=1e-12)
+
+    def test_diagonal(self):
+        # Rows (2, 0) and (0, 3): Sigma_c = diag(4, 9).
+        A = weighted_qr_transform(np.eye(2), np.array([8.0, 18.0]), np.ones(2))
+        np.testing.assert_allclose(A, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
+
+    def test_random_rows_multiply_back(self, rng_np):
+        X = rng_np.randn(9, 6)
+        c_sq = rng_np.uniform(1.0, 5.0, 9)
+        mult = rng_np.randint(1, 4, 9)
+        sigma = (X * (c_sq * mult)[:, None]).T @ X / mult.sum()
+        A = weighted_qr_transform(X, c_sq, mult)
+        np.testing.assert_allclose(A @ sigma @ A.T, np.eye(6), atol=1e-12)
+        assert np.all(np.triu(A, 1) == 0.0) and np.all(np.diag(A) > 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_piece_transform_whitens_its_weights(self, d, data):
+        n = data.draw(st.integers(d, 12))
+        entries = st.integers(-9, 9)
+        X = np.array(data.draw(st.lists(st.lists(entries, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)), dtype=np.int64)
+        assume(X.any(axis=1).all() and np.linalg.matrix_rank(X) == d)
+        piece = forster_transform(PointSet(d, X), 1e-3)
+        A = piece.transform
+        assert np.all(np.triu(A, 1) == 0.0) and np.all(np.diag(A) > 0)
+        coords = X[piece.member_indices].astype(np.float64) @ piece.subspace.basis
+        c_sq = piece.weights.c_sq
+        sigma = (coords * c_sq[:, None]).T @ coords
+        white = A @ sigma @ A.T
+        k = piece.subspace.dim
+        scale = np.trace(white) / k
+        assert np.abs(white / scale - np.eye(k)).max() <= 1e-9
 
 
 @pytest.fixture
