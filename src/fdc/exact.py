@@ -4,11 +4,12 @@ All decision-critical geometry (heavy-subspace counts, piece membership,
 classifier stage locality) is computed over the raw integer coordinates with
 fraction-free elimination, so decisions are unaffected by floating-point
 round-off.  A subspace W is held as an integer basis of its orthogonal
-complement, so membership of a whole point array is one product perp . X
-tested for zero: in int64 when no partial sum can overflow, else through a
-float prefilter and Python ints.  Python's arbitrary-precision ints carry the
-intermediate growth (entries stay the size of W's minors after per-row gcd
-reduction; dimensions here are <= ~20).
+complement (``IntSpan``, the one eliminator over Q), so membership of a whole
+point array is one product perp . X tested for zero: in int64 when no partial
+sum can overflow, else first modulo PRIME, where a nonzero residue proves a
+nonzero product, and in Python ints for the rows left.  Python's
+arbitrary-precision ints carry the intermediate growth (entries stay the size
+of W's minors after per-row gcd reduction; dimensions here are <= ~20).
 """
 
 import math
@@ -22,15 +23,6 @@ def as_int_rows(points):
     """Convert an (n, d) integer array (or row list) to tuples of Python ints."""
     arr = np.asarray(points)
     return [tuple(int(v) for v in row) for row in arr.reshape(arr.shape[0], -1)]
-
-
-def row_gcd(row):
-    g = 0
-    for v in row:
-        g = math.gcd(g, abs(int(v)))
-        if g == 1:
-            return 1
-    return g
 
 
 def primitive_rows(X):
@@ -107,7 +99,7 @@ def extend_perp(perp, x):
             g = math.gcd(y[i], yj)
             a, b = yj // g, y[i] // g
             row = [a * u - b * v for u, v in zip(row, rj)]
-            g = row_gcd(row)
+            g = math.gcd(*row)
             if g > 1:
                 row = [v // g for v in row]
         out.append(row)
@@ -115,6 +107,11 @@ def extend_perp(perp, x):
 
 
 INT64_LIMIT = 2 ** 63
+# The largest prime below 2^28: a product of two residues is below 2^56, so
+# int64 (whose numpy arithmetic wraps silently) holds a residue plus a sum of
+# RESIDUE_BLOCK such products.
+PRIME = 268_435_399
+RESIDUE_BLOCK = (INT64_LIMIT - PRIME) // (PRIME - 1) ** 2
 
 
 def annihilated(perp, X):
@@ -122,10 +119,10 @@ def annihilated(perp, X):
     i.e. of the points in the subspace whose complement ``perp`` spans.
 
     When d * max|perp| * max|X| < 2^63 no partial sum can overflow, and the
-    product runs in int64.  Otherwise a float product prefilters: with each
-    row of perp scaled into [-1, 1], a member's float residual is round-off,
-    below 1e-12 of |perp| . |x|, so only rows inside that band are converted
-    to Python ints and multiplied exactly.
+    product runs in int64.  Otherwise it runs modulo PRIME first, reduced
+    every RESIDUE_BLOCK columns: a row with a nonzero residue is not a
+    member, and only the rows whose residues all vanish are converted to
+    Python ints and multiplied exactly.
     """
     X = np.asarray(X)
     n, d = X.shape
@@ -135,25 +132,22 @@ def annihilated(perp, X):
     xmax = max(-int(X.min()), int(X.max()))
     if d * pmax * xmax < INT64_LIMIT:
         return ~(X @ np.array(perp, dtype=np.int64).T).any(axis=1)
-    # int / int rounds correctly however large the ints are.
-    pf = np.array([[v / (1 << max(abs(u) for u in row).bit_length()) for v in row]
-                   for row in perp])
-    xf = X.astype(np.float64)
-    resid = np.abs(xf @ pf.T)
-    band = np.abs(xf, out=xf) @ np.abs(pf).T
-    band *= 1e-12
-    band += 1e-290
-    cand = np.nonzero((resid <= band).all(axis=1))[0]
+    R = X % PRIME
+    P = np.array([[v % PRIME for v in row] for row in perp], dtype=np.int64).T
+    resid = np.zeros((n, len(perp)), dtype=np.int64)
+    for j in range(0, d, RESIDUE_BLOCK):
+        resid += R[:, j:j + RESIDUE_BLOCK] @ P[j:j + RESIDUE_BLOCK]
+        resid %= PRIME
+    cand = np.nonzero(~resid.any(axis=1))[0]
+    exact_rows = np.array(as_int_rows(X[cand]), dtype=object).reshape(-1, d)
     mask = np.zeros(n, dtype=bool)
-    if cand.size:
-        exact_rows = np.array(as_int_rows(X[cand]), dtype=object)
-        prod = exact_rows @ np.array(perp, dtype=object).T
-        mask[cand] = ~(prod != 0).any(axis=1)
+    mask[cand] = ~(exact_rows @ np.array(perp, dtype=object).T != 0).any(axis=1)
     return mask
 
 
 class IntSpan:
-    """Incrementally built integer subspace W of Q^dim with exact membership.
+    """The integer subspace W of Q^dim spanned by ``rows`` (an array or a
+    list of integer vectors, possibly empty), with exact membership.
 
     Held as ``perp``, integer rows spanning W^perp (the identity while W is
     zero), so x lies in W iff perp . x == 0: ``contains(x)`` tests one point,
@@ -162,9 +156,11 @@ class IntSpan:
     whether it grew.
     """
 
-    def __init__(self, dim):
+    def __init__(self, dim, rows=()):
         self.dim = dim
         self.perp = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for x in rows:
+            self.add(x)
 
     @property
     def rank(self):
@@ -201,26 +197,15 @@ def exact_pivot_indices(rows, dim=None):
     span = IntSpan(dim)
     out = []
     for i in range(len(rows)):
-        if span.add([int(v) for v in rows[i]]):
+        if span.add(rows[i]):
             out.append(i)
             if span.rank == dim:
                 break
     return out
 
 
-def span_of_rows(rows, dim=None):
-    """IntSpan of the given rows."""
-    if not rows:
-        raise EmptyInput("span of empty set")
-    dim = dim if dim is not None else len(rows[0])
-    span = IntSpan(dim)
-    for r in rows:
-        span.add(r)
-    return span
-
-
 def membership_mask(basis_rows, points):
     """Exact membership of every point (rows of an integer array) in
-    span(basis_rows)."""
+    span(basis_rows); the basis may be an array, and an empty one spans 0."""
     pts = np.asarray(points)
-    return span_of_rows(basis_rows, dim=pts.shape[1]).members(pts)
+    return IntSpan(pts.shape[1], basis_rows).members(pts)

@@ -530,15 +530,6 @@ def run_learning_trial(model, config, seed, test_n=100_000):
     )
 
 
-def _thread_count():
-    raw = os.environ.get("FDC_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
 STUDY_COLUMNS = ("b", "trial", "error", "coverage", "draws", "seconds")
 
 
@@ -550,7 +541,7 @@ def bit_independence_study(dim, bits_list, eta, eps, trials, seed, delta=0.1,
     For each b the instance shares its direction seed across the b column, so
     only per-point scales differ; the learner's budget comes from
     LearnerConfig alone.  Returns rows in STUDY_COLUMNS order; trials run on
-    up to FDC_THREADS workers (per-trial seeds, merged deterministically).
+    one worker per core (per-trial seeds, merged deterministically).
     """
 
     def one_cell(b, trial):
@@ -572,7 +563,7 @@ def bit_independence_study(dim, bits_list, eta, eps, trials, seed, delta=0.1,
         }
 
     cells = [(b, trial) for b in bits_list for trial in range(trials)]
-    workers = min(_thread_count(), max(1, len(cells)))
+    workers = min(os.cpu_count() or 1, max(1, len(cells)))
     if workers == 1:
         return [one_cell(b, t) for b, t in cells]
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -12,11 +12,12 @@ directions the last path search reached span the winner; with all demand
 met, the flats of excess 0 are the sets the exchange graph cannot leave.
 ``harness.lp_heavy_subspace`` decides the same predicate by the literal LP.
 
-The packing first runs over F_p (``ModPacking``): a set independent mod p is
-independent over Q, so its sets, arcs and sinks are genuine ones, and each
-answer it gives is certified by exact spans before it is returned.  When a
-certificate fails (p divides a minor that matters) the packing reruns over
-Q.
+The packing first runs over F_p (``ModPacking``, p = ``exact.PRIME``): a
+set independent mod p is independent over Q, so its sets, arcs and sinks are
+genuine ones, and each answer it gives is certified by exact spans before it
+is returned.  When a certificate fails (p divides a minor that matters) the
+packing reruns over Q, where every span is an ``exact.IntSpan``: B - b + u
+is independent exactly when u lies in span B and not in span(B - b).
 """
 
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ import numpy as np
 from . import exact
 from .dataset import as_point_array
 from .errors import InternalInvariantViolated
+from .exact import PRIME
 from .linalg import Subspace, span_of
 
 
@@ -34,32 +36,6 @@ class HeavySubspaceResult:
     found: bool
     subspace: Subspace = None
     member_indices: list = None
-
-
-def _pivot_inverse(rows):
-    """Pivot columns P and an integer r x r matrix E with E . B[:, P] = t I,
-    t != 0, for r independent integer rows B (lists of Python ints), by
-    fraction-free (Bareiss) Gauss-Jordan elimination on [B | I]: every entry
-    stays a minor of [B | I], so each division is exact."""
-    r = len(rows)
-    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(rows)]
-    cols, prev = [], 1
-    for c in range(len(rows[0])):
-        p = next((i for i in range(len(cols), r) if a[i][c]), None)
-        if p is None:
-            continue
-        j = len(cols)
-        a[j], a[p] = a[p], a[j]
-        piv = a[j]
-        for i in range(r):
-            if i != j:
-                f = a[i][c]
-                a[i] = [(piv[c] * x - f * y) // prev for x, y in zip(a[i], piv)]
-        prev = piv[c]
-        cols.append(c)
-        if len(cols) == r:
-            return cols, [row[-r:] for row in a]
-    raise InternalInvariantViolated("a packed set is not independent")
 
 
 class BasisPacking:
@@ -101,20 +77,16 @@ class BasisPacking:
 
     def _exchange(self, B):
         """(arcs, outside) for set B: arcs[u, a] when u is not in B, lies in
-        span B and needs B[a] in its expansion over B (so B - B[a] + u is
-        independent); outside[u] when u is not in span B."""
+        span B and not in span(B - B[a]) (so B - B[a] + u is independent);
+        outside[u] when u is not in span B."""
         if B not in self._exchanges:
-            rows = exact.as_int_rows(self.dirs[list(B)])
-            cols, E = _pivot_inverse(rows)
-            # u's coefficient on B[a] is u[P] . E[:, a] / t.
-            arcs = np.stack([~exact.annihilated([list(col)], self.dirs[:, cols])
-                             for col in zip(*E)], axis=1)
-            outside = np.zeros(self.dirs.shape[0], dtype=bool)
-            if len(B) < self.k:
-                outside = ~exact.membership_mask(rows, self.dirs)
-            arcs[outside] = False
+            def in_span(rows):
+                return exact.membership_mask(self.dirs[list(rows)], self.dirs)
+            inside = in_span(B)
+            arcs = np.stack([inside & ~in_span(B[:a] + B[a + 1:]) for a in range(len(B))],
+                            axis=1)
             arcs[list(B)] = False
-            self._exchanges[B] = arcs, outside
+            self._exchanges[B] = arcs, ~inside
         return self._exchanges[B]
 
     def _change(self, B, eps):
@@ -178,19 +150,14 @@ class BasisPacking:
         return None
 
 
-# The largest prime below 2^28: a product of two residues is below 2^56, and
-# every step of ``_mod_echelon`` reduces one such product, so int64 (whose
-# numpy arithmetic wraps silently) never overflows.
-PRIME = 268_435_399
-
-
 def _mod_echelon(A, m, k):
     """Gauss-Jordan elimination mod PRIME on the columns of A (residues, in
     place), pivoting left to right among the first m columns until k pivots.
     Returns the pivot columns P: the first m columns' lexicographically first
     independent set mod p.  Afterwards rows :|P| of column j hold its
     coefficients on the columns P, and rows |P|: are zero exactly when
-    column j lies in their span mod p."""
+    column j lies in their span mod p.  Each step reduces products of two
+    residues, below 2^56, so int64 never overflows."""
     p, cols, c = PRIME, [], 0
     while len(cols) < k and c < m:
         j = len(cols)
@@ -271,11 +238,24 @@ def _decide(packing, mult, inverse):
     With demand left unmet, the flat W spanned by the reached directions of
     the first set must have excess k*m(W) - M*dim W equal to the unmet
     demand: by weak duality no flat has more, and the reached directions lie
-    in the smallest flat of the largest excess, so W is that flat.  With all
-    demand met, each least-mass candidate must span a flat of excess 0 whose
-    positive-mass directions are exactly the candidate; over Q both hold by
-    the exchange argument, and over F_p (whose arcs are rational arcs of the
-    same packing) they make the candidates the rational ones.
+    in the smallest flat of the largest excess, so W is that flat.
+
+    With all demand met, every packed set has k directions (the cover kM
+    fills weight at most M), and each least-mass candidate R must give its
+    flat F, the exact span of B1 & R for the first set B1, excess 0.  That
+    alone makes the positive-mass directions of F exactly R, over Q and over
+    F_p alike:
+    - B1 & R is not empty: a primitive direction is nonzero mod p, so it is
+      in B1 or has an arc into it;
+    - excess 0 forces |B & F| = dim F for every packed B (the sets cover
+      k*m(F) = M*dim F with weight M), so B & F spans F and no arc leads
+      from F out of it; then reach(x) lies in R & F for x in B1 & R, and it
+      is R because R has the least mass;
+    - R is closed, so it lies in the span mod p of B & R, which then holds
+      dim F directions: B & R = B & F for every packed B, and every
+      positive-mass direction of F, held by some set, is in R.
+    Over F_p, whose arcs are rational arcs of the same packing, that makes
+    the candidates the rational ones.
     """
     dirs, k = packing.dirs, packing.k
     M = int(mult.sum())
@@ -305,9 +285,8 @@ def _decide(packing, mult, inverse):
     first, best = next(iter(packing.sets)), None
     for sel in cands:
         basis = [i for i in first if sel[i]]
-        mask = exact.membership_mask(exact.as_int_rows(dirs[basis]), dirs)
-        if (k * int(mult[mask].sum()) - M * len(basis) != excess
-                or (reached is None and (mask != sel)[mult > 0].any())):
+        mask = exact.membership_mask(dirs[basis], dirs)
+        if k * int(mult[mask].sum()) - M * len(basis) != excess:
             return None
         members = np.nonzero(mask[inverse])[0].tolist()
         if best is None or members < best[0]:

@@ -48,7 +48,7 @@ from .errors import (
     SingularTransform,
 )
 from .exact import distinct_rows, membership_mask, primitive_rows
-from .linalg import Subspace
+from .linalg import Subspace, check_int_rows
 from .transform import forster_transform, mapped_unit_rows
 
 TAG_LEARN = 101
@@ -604,7 +604,8 @@ def classifier_to_dict(classifier, config=None, telemetry=None):
 
 def classifier_from_dict(doc):
     """Inverse of ``classifier_to_dict``.  Checks keys, types, shapes (basis
-    (d, k), transform (k, k), w (k,), one d for all stages) and finiteness,
+    (d, k), transform (k, k), w (k,), one d for all stages), finiteness and
+    that each stage's int_rows are its subspace's (``check_int_rows``),
     raising ParseError; a transform that is not invertible raises
     SingularTransform."""
     try:
@@ -623,8 +624,10 @@ def classifier_from_dict(doc):
             threshold = s["threshold"]
             if type(threshold) not in (int, float) or not math.isfinite(threshold):
                 raise ParseError("model field 'threshold' is not a finite number")
-            stages.append(Stage(Subspace(d, basis, int_rows=rows or None), A,
-                                finite_array(s["w"], "w", (k,)), float(threshold)))
+            subspace = Subspace(d, basis, int_rows=rows or None)
+            check_int_rows(subspace, "model stage")
+            stages.append(Stage(subspace, A, finite_array(s["w"], "w", (k,)),
+                                float(threshold)))
         if label not in (-1, 1):
             raise ParseError("model field 'default_label' is not -1 or 1")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

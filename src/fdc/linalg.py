@@ -17,9 +17,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
-from .errors import EmptyInput, NonConvergent, NonInteger
+from .errors import EmptyInput, NonConvergent, NonInteger, ParseError
 
 ORTHO_TOL = 1e-10
+# How far (relative) a document's integer row may sit from its float basis.
+INT_ROWS_TOL = 1e-9
 JACOBI_SWEEPS = 100
 
 
@@ -142,6 +144,25 @@ class Subspace:
     @property
     def dim(self):
         return self.basis.shape[1]
+
+
+def check_int_rows(subspace, what):
+    """ParseError naming ``subspace_int_rows`` unless the subspace a
+    document gives (``what`` says whose) has no integer rows, or exactly dim
+    rows of exact rank dim, each within INT_ROWS_TOL (relative) of the span
+    of its float basis."""
+    rows, k = subspace.int_rows, subspace.dim
+    if not rows:
+        return
+    name = f"{what} field 'subspace_int_rows'"
+    if len(rows) != k or exact.exact_rank(rows, subspace.ambient_dim) != k:
+        raise ParseError(f"{name} does not hold {k} independent rows")
+    # int / int rounds correctly however large the ints are.
+    R = np.array([[v / max(map(abs, row)) for v in row] for row in rows])
+    off = R - (R @ subspace.basis) @ subspace.basis.T
+    if (np.linalg.norm(off, axis=1) > INT_ROWS_TOL * np.linalg.norm(R, axis=1)).any():
+        raise ParseError(f"{name} holds a row outside the span of 'subspace_basis'")
+
 
 def span_of(points):
     """Subspace spanned by the given nonzero integer points.

@@ -31,7 +31,7 @@ from .errors import (
     SingularTransform,
 )
 from .heavy import find_heavy_subspace
-from .linalg import Subspace, jacobi_eigh, span_of
+from .linalg import Subspace, check_int_rows, jacobi_eigh, span_of
 from .scaling import (
     ScalingWeights,
     fixed_point_scaling,
@@ -329,8 +329,9 @@ def piece_to_dict(piece):
 def piece_from_dict(doc):
     """Inverse of ``piece_to_dict``.  Checks keys, types, shapes (basis
     (d, k), transform (k, k), one weight per member, integer members and
-    int_rows of length d) and finiteness, raising ParseError naming the
-    field; a transform that is not invertible raises SingularTransform."""
+    int_rows of length d) and finiteness, and that the int_rows are the
+    subspace's (``check_int_rows``), raising ParseError naming the field; a
+    transform that is not invertible raises SingularTransform."""
     try:
         basis = finite_array(doc["subspace_basis"], "subspace_basis")
         d, k = basis.shape if basis.ndim == 2 else (0, 0)
@@ -349,9 +350,11 @@ def piece_from_dict(doc):
         if not all(type(v) in (int, float) and math.isfinite(v) for v in bounds):
             raise ParseError("piece field 'certificate' is not finite numbers")
         weights = finite_array(doc["weights"], "weights", (len(members),))
+        subspace = Subspace(d, basis, int_rows=rows or None)
+        check_int_rows(subspace, "piece")
         return ForsterPiece(
             member_indices=members,
-            subspace=Subspace(d, basis, int_rows=rows or None),
+            subspace=subspace,
             transform=A,
             weights=ScalingWeights(weights, float(bounds[2])),
             certificate=tuple(map(float, bounds)),

@@ -125,6 +125,25 @@ class TestTransformDecompose:
         assert lines[0].endswith("members outside its subspace: 1, FAIL")
         assert all(line.endswith("pass") for line in lines[1:])
 
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                      [[1, 0, 0], [2, 0, 0]],
+                                      [[1, 0, 0], [0, 0, 1]]],
+                             ids=["three-rows", "rank-one", "off-the-plane"])
+    def test_verify_rejects_int_rows_that_are_not_the_subspace(self, tmp_path, capsys,
+                                                               rows):
+        # With row 0 moved to (1, 0, 7), the identity rows and e1, e3 would
+        # each pass the membership test, so only a check of the rows against
+        # the piece's basis can notice.
+        pts, out, doc = self._decompose_nine(tmp_path)
+        doc["pieces"][0]["subspace_int_rows"] = rows
+        out.write_text(json.dumps(doc))
+        save_points_csv(pts, PointSet(3, np.array([(1, 0, 7)] + self.NINE[1:])))
+        capsys.readouterr()
+        assert run(["eval", "--verify-decomposition", str(out),
+                    "--input", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert "'subspace_int_rows'" in err and "Traceback" not in err
+
     def test_proper_subspace_piece_without_int_rows_is_a_parse_error(self, tmp_path,
                                                                       capsys):
         pts, out, doc = self._decompose_nine(tmp_path)
@@ -440,6 +459,35 @@ class TestEvalRejectsBadModels:
         code, out = self._eval(tmp_path, capsys, doc)
         assert code == 2
         assert message in out.err and "Traceback" not in out.err
+
+    @staticmethod
+    def _plane_stage_model(rows):
+        """A one-stage model on the plane x3 = 0 of R^3 with the given
+        integer rows."""
+        return {"default_label": 1, "stages": [{
+            "subspace_basis": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]],
+            "subspace_int_rows": rows, "transform": [[1.0, 0.0], [0.0, 1.0]],
+            "w": [1.0, 0.0], "threshold": 0.1}]}
+
+    PLANE_ROWS = ("3,1,0,1", "-2,5,0,-1", "4,-1,7,1")
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0]], [[2, 1, 0], [1, -1, 0]]])
+    def test_plane_stage_model_is_scored(self, tmp_path, capsys, rows):
+        code, out = self._eval(tmp_path, capsys, self._plane_stage_model(rows),
+                               rows=self.PLANE_ROWS)
+        assert code == 0
+        assert json.loads(out.out)["coverage"] == pytest.approx(2 / 3)
+
+    @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                      [[1, 0, 0], [2, 0, 0]],
+                                      [[1, 0, 0], [0, 0, 1]]],
+                             ids=["three-rows", "rank-one", "off-the-plane"])
+    def test_int_rows_that_are_not_the_stage_subspace_exit_2(self, tmp_path, capsys,
+                                                             rows):
+        code, out = self._eval(tmp_path, capsys, self._plane_stage_model(rows),
+                               rows=self.PLANE_ROWS)
+        assert code == 2
+        assert "'subspace_int_rows'" in out.err and "Traceback" not in out.err
 
     def test_test_file_of_another_dimension_exits_2(self, tmp_path, capsys):
         code, out = self._eval(tmp_path, capsys, _plane_model(),

@@ -13,7 +13,6 @@ from fdc.exact import (
     exact_rank,
     membership_mask,
     primitive_rows,
-    span_of_rows,
 )
 from tests.conftest import seeded_points
 
@@ -166,6 +165,55 @@ def test_membership_converts_only_prefilter_candidates(monkeypatch):
     assert 12 <= sum(converted) <= 15
 
 
+def test_membership_at_d_130_with_62_bit_coordinates():
+    # 130 columns are more than one int64 block of residue products holds,
+    # so the residues are reduced block by block; an unreduced sum of 130
+    # products below 2^56 would wrap.
+    gen = np.random.default_rng(11)
+    d = 130
+    basis = gen.integers(-2 ** 60, 2 ** 60, size=(3, d))
+    members = gen.integers(-1, 2, size=(6, 3)) @ basis
+    near = members.copy()
+    near[np.arange(6), gen.integers(0, d, size=6)] += 1
+    others = gen.integers(-2 ** 62, 2 ** 62, size=(4, d))
+    pts = np.vstack([members, near, others])
+    assert np.abs(pts).max() >= 2 ** 61
+    want = [_frac_rank(basis.tolist() + [row]) == 3 for row in pts.tolist()]
+    assert sum(want) == 6
+    np.testing.assert_array_equal(membership_mask(basis, pts), want)
+    # The hyperplane x0 = x1 + ... + x129, with every coordinate past x0 at
+    # -1 mod p: all 129 residue products are (p - 1)^2, about 2^56, and
+    # their unreduced sum would wrap past 2^63.
+    from fdc import exact
+
+    p = exact.PRIME
+    tail = p * gen.integers(2 ** 26, 2 ** 27, size=(4, d - 1)) - 1
+    members = np.c_[tail.sum(axis=1), tail]
+    pts = np.vstack([members, members + np.eye(d, dtype=np.int64)[0]])
+    assert 2 ** 61 < np.abs(pts).max() < 2 ** 62
+    np.testing.assert_array_equal(exact.annihilated([[1] + [-1] * (d - 1)], pts),
+                                  [True] * 4 + [False] * 4)
+
+
+def test_rows_with_zero_residues_are_decided_exactly(monkeypatch):
+    # p * y has residue 0 mod p whatever y is, so every such row passes the
+    # residue prefilter; the exact product keeps p * y out of the plane when
+    # y is off it, and in it when y is on it.
+    from fdc import exact
+
+    p = exact.PRIME
+    basis = [(1, 0, 2 ** 30 + 3), (0, 1, 2 ** 30 - 5)]
+    on = [(1, 1, 2 ** 31 - 2), (2, -1, 2 ** 30 + 11)]
+    off = [(1, 1, 0), (0, 0, 1), (3, -2, 5)]
+    pts = p * np.array(on + off, dtype=np.int64)
+    converted = []
+    real = exact.as_int_rows
+    monkeypatch.setattr(exact, "as_int_rows",
+                        lambda rows: converted.append(len(rows)) or real(rows))
+    np.testing.assert_array_equal(membership_mask(basis, pts), [1, 1, 0, 0, 0])
+    assert converted == [5]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5).flatmap(lambda d: st.tuples(
     st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=d, max_size=d),
@@ -187,13 +235,13 @@ def test_membership_mask_matches_reference(case):
                for combo in combos]
     near = [[v + (j == 0) for j, v in enumerate(row)] for row in members]
     pts = np.array(members + near + others, dtype=np.int64)
-    span = span_of_rows(basis, dim=d)
+    span = IntSpan(d, basis)
     want = [_frac_rank(basis + [list(row)]) == _frac_rank(basis) for row in pts.tolist()]
     np.testing.assert_array_equal(membership_mask(basis, pts), want)
     np.testing.assert_array_equal([span.contains(row) for row in pts.tolist()], want)
 
 
 def test_span_of_rows():
-    span = span_of_rows([(1, 2), (2, 4)])
+    span = IntSpan(2, [(1, 2), (2, 4)])
     assert span.rank == 1
     assert span.contains((3, 6))

@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from itertools import combinations
 
@@ -305,6 +306,30 @@ class TestBasisPacking:
         assert 1.4e6 < mult.sum() < 1.55e6
         assert check_packing(dirs, mult, 10, self.packing_cls) is None
 
+    def test_exchange_matches_fraction_rank(self):
+        # For an independent B of every size 1..k: u is outside when B + u
+        # is independent, and has an arc to B[a] when it is in span B, not
+        # in B, and B - B[a] + u is independent.
+        gen = np.random.default_rng(8)
+        sizes = []
+        for family in FAMILIES * 2:
+            dirs, mult, _ = directions(family(gen, 4, 12))
+            k = fraction_rank(dirs)
+            packing = self.packing_cls(dirs, mult, k)
+            for size in range(1, k + 1):
+                order = gen.permutation(len(dirs))
+                B = tuple(sorted(int(order[i]) for i in fraction_basis(dirs[order])[:size]))
+                arcs, outside = packing._exchange(B)
+                sizes.append((size, k))
+                rows = [dirs[i] for i in B]
+                for u, x in enumerate(dirs):
+                    assert outside[u] == (fraction_rank(rows + [x]) > size)
+                    for a in range(size):
+                        swap = rows[:a] + rows[a + 1:] + [x]
+                        assert arcs[u, a] == (u not in B and not outside[u]
+                                              and fraction_rank(swap) == size)
+        assert (1, 4) in sizes and any(1 < size < k for size, k in sizes)
+
 
 class TestModPacking(TestBasisPacking):
     """The same Fraction re-checks of the packing over F_p: its sets are
@@ -374,8 +399,16 @@ def count_routes(monkeypatch):
     return routes
 
 
+@functools.cache
+def brute_force_decisions():
+    """(found, members) of the brute force on the unweighted instances of at
+    most 12 rows, the brute force's limit."""
+    return [(r.found, r.member_indices) for r in (
+        brute_force_heavy_subspace(X) for X, _ in weighted_instances() if X.shape[0] <= 12)]
+
+
 class TestModRoute:
-    @pytest.mark.parametrize("p", [5, 7, 11])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_small_primes_agree_with_the_exact_route(self, monkeypatch, p):
         cases = [(X, m, exact_route(X, m)) for X, m in weighted_instances()]
         routes = count_routes(monkeypatch)
@@ -385,6 +418,15 @@ class TestModRoute:
             assert (got.found, got.member_indices) == (want.found, want.member_indices)
         fallbacks = routes.count((BasisPacking, True))
         assert 0 < fallbacks < len(cases)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_small_primes_agree_with_the_brute_force(self, monkeypatch, p):
+        cases = [X for X, _ in weighted_instances() if X.shape[0] <= 12]
+        wants = brute_force_decisions()
+        monkeypatch.setattr(heavy, "PRIME", p)
+        for X, want in zip(cases, wants):
+            got = find_heavy_subspace(X)
+            assert (got.found, got.member_indices) == want
 
     def test_rows_dependent_mod_the_prime(self, monkeypatch):
         # Independent over Q, dependent mod p: (1, 0, 0) = (1, p, 0) mod p.
