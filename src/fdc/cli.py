@@ -164,7 +164,7 @@ def _cmd_gen(args):
     data = massart_draw(model, args.n, draw_seed)
     save_labeled_csv(args.out, data)
     print(f"wrote {args.n} labeled examples (dim={args.dim}, "
-          f"b={data.base.bit_complexity}) to {args.out}")
+          f"b={data.support.bit_complexity}) to {args.out}")
     return 0
 
 
@@ -211,7 +211,7 @@ def _cmd_learn(args):
     config = LearnerConfig(eta=args.eta, eps=args.eps, delta=args.delta,
                            C=args.c_const)
     oracle = DatasetOracle(data, args.seed)
-    classifier, telemetry = learn_halfspace(oracle, config, dim=data.base.dim)
+    classifier, telemetry = learn_halfspace(oracle, config, dim=data.support.dim)
     doc = classifier_to_dict(classifier, config=config, telemetry=telemetry)
     doc["timestamp"] = time.time()
     dump_json(doc, args.out)
@@ -264,9 +264,9 @@ def _cmd_eval(args):
     doc = load_json(args.model)
     classifier = classifier_from_dict(doc)
     test = load_labeled(args.test, format=args.format)
-    if any(st.subspace.ambient_dim != test.base.dim for st in classifier.stages):
+    if any(st.subspace.ambient_dim != test.support.dim for st in classifier.stages):
         raise ParseError(f"model dimension {classifier.stages[0].subspace.ambient_dim} "
-                         f"does not match the test file's {test.base.dim}")
+                         f"does not match the test file's {test.support.dim}")
     report = evaluate_classifier(classifier, test)
     out = {
         "error_claimed": report.error_claimed,

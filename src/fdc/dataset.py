@@ -8,7 +8,6 @@ draws is reproducible byte for byte and parallel draws match serial draws.
 """
 
 import codecs
-import copy
 import csv
 import json
 import re
@@ -64,15 +63,20 @@ class PointSet:
         if pts.shape[0] == 0:
             raise EmptyInput("PointSet must contain at least one point")
         pts.flags.writeable = False
-        self.points = pts
+        self.dim, self.points = pts.shape[1], pts
         self.bit_complexity = max(-int(pts.min()), int(pts.max())).bit_length()
+
+    @classmethod
+    def _checked(cls, pts):
+        """The PointSet of int64 rows known to be nonzero, checked no more."""
+        out = cls.__new__(cls)
+        out._set_points(pts)
+        return out
 
     def take(self, index):
         """The PointSet of the rows points[index]; they passed this set's
         checks, so only the bit complexity is found again."""
-        out = copy.copy(self)
-        out._set_points(self.points[index])
-        return out
+        return self._checked(self.points[index])
 
     @property
     def n(self):
@@ -88,41 +92,44 @@ def as_point_array(point_set):
     return pts
 
 
-@dataclass
 class LabeledDataset:
     """PointSet plus one label in {-1, +1} per point, also held as a
     weighted support: point i and its label are row index[i] of ``support``
     (a PointSet) and of ``support_labels``.  Built from its points, a
     dataset is its own support with the identity index; ``from_support``
-    builds one from a support and an index."""
+    builds one from a support and an index, and its ``base`` is built only
+    when asked for."""
 
-    base: PointSet
-    labels: np.ndarray
-    support: PointSet = field(init=False, repr=False)
-    support_labels: np.ndarray = field(init=False, repr=False)
-    _index: np.ndarray = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        y = np.asarray(self.labels).astype(np.int64)
-        if y.shape != (self.base.n,):
-            raise ParseError(f"labels shape {y.shape} vs {self.base.n} points")
+    def __init__(self, base, labels):
+        y = np.asarray(labels).astype(np.int64)
+        if y.shape != (base.n,):
+            raise ParseError(f"labels shape {y.shape} vs {base.n} points")
         if not np.all(np.isin(y, (-1, 1))):
             raise ParseError("labels must be -1 or +1")
         y.flags.writeable = False
-        self.labels = y
-        self.support, self.support_labels = self.base, y
+        self.labels = self.support_labels = y
+        self.support, self._base, self._index = base, base, None
 
     @classmethod
     def from_support(cls, support, labels, index=None):
         """The dataset whose point i is support row index[i] with label
         labels[index[i]]; index None is the identity.  The labels are
-        checked on the support."""
+        checked on the support, and every support row should be some
+        point's, so that the support's bit complexity is the dataset's."""
         data = cls(support, labels)
         if index is not None:
             data._index, data.labels = np.asarray(index).view(), data.labels[index]
             data._index.flags.writeable = data.labels.flags.writeable = False
-            data.base = support.take(index)
+            data._base = None
         return data
+
+    @property
+    def base(self):
+        """The PointSet of every point; support.take(index), made when
+        first asked for."""
+        if self._base is None:
+            self._base = self.support.take(self._index)
+        return self._base
 
     @property
     def index(self):
@@ -131,7 +138,7 @@ class LabeledDataset:
 
     @property
     def n(self):
-        return self.base.n
+        return self.labels.shape[0]
 
 
 @dataclass
@@ -232,11 +239,22 @@ def massart_draw(model, n, seed, start_index=0):
 
     x uniform over the support; y = sign(w*.x) flipped independently with
     probability eta(x); sign(0) = +1.
+
+    Held as ``load_labeled`` reads its CSV file back: when at most half of
+    the draws are distinct (support row, label) pairs, the support is those
+    pairs in order of first draw, with an index; else its own support.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rows, y = massart_draw_rows(model, seed, range(start_index, start_index + n))
-    return LabeledDataset(model.support.take(rows), y)
+    pair = 2 * rows + (y > 0)  # each draw's (support row, label) pair
+    slot = np.full(2 * model.support.n, n)
+    np.minimum.at(slot, pair, np.arange(n))  # each pair's first draw; n if none
+    first = np.sort(slot[slot < n])  # the drawn pairs' first draws, in order
+    if 2 * len(first) > n:
+        return LabeledDataset(model.support.take(rows), y)
+    slot[pair[first]] = np.arange(len(first))  # each drawn pair's support row
+    return LabeledDataset.from_support(model.support.take(rows[first]), y[first], slot[pair])
 
 
 def massart_draw_rows(model, seed, indices, rows=None, labeled=True):
@@ -370,16 +388,17 @@ def _read_csv_rows(path):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        data.decode("utf-8")
+        if not data.isascii():  # ASCII bytes are UTF-8 text
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((data[:exc.start] + b".").splitlines())  # breaks before it, + 1
         raise ParseError(f"not UTF-8 text: {exc.reason}", line=line) from None
     lines = data.removeprefix(codecs.BOM_UTF8).splitlines()  # at LF, CRLF and CR only
-    distinct, code = lines, None  # code: each line's index among the distinct lines
-    if 2 * len(set(lines)) <= len(lines):  # else the index costs more than it saves
-        distinct = list(dict.fromkeys(lines))
+    distinct, code = list(dict.fromkeys(lines)), None  # code: each line's index in it
+    if 2 * len(distinct) <= len(lines):  # else the index costs more than it saves
         ids = dict(zip(distinct, range(len(distinct))))
         code = np.fromiter(map(ids.__getitem__, lines), dtype=np.intp, count=len(lines))
+    distinct = lines if code is None else distinct
     keep = np.fromiter(map(bool, map(bytes.lstrip, distinct, repeat(_BLANK))),
                        dtype=bool, count=len(distinct))
     if code is not None:
@@ -580,7 +599,7 @@ def load_points(path, format=None):
     fmt = format or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "csv":
         X, _, index = _rows_to_array(_read_csv_rows(path), labeled=False)
-        support = PointSet(X.shape[1], X)
+        support = PointSet._checked(X)
         return support if index is None else support.take(index)
     X, _, dim = _json_to_arrays(path, labeled=False)
     return PointSet(dim, X)
@@ -594,7 +613,7 @@ def load_labeled(path, format=None):
     fmt = format or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "csv":
         X, y, index = _rows_to_array(_read_csv_rows(path), labeled=True)
-        return LabeledDataset.from_support(PointSet(X.shape[1], X), y, index)
+        return LabeledDataset.from_support(PointSet._checked(X), y, index)
     X, y, dim = _json_to_arrays(path, labeled=True)
     return LabeledDataset(PointSet(dim, X), y)
 
@@ -602,18 +621,28 @@ def load_labeled(path, format=None):
 CSV_WRITE_ROWS = 4096  # rows formatted per write
 
 
-def _write_csv(path, rows, header=None):
+def _write_csv(path, rows, header=None, index=None):
     """Integer rows as CSV, byte for byte what ``csv.writer`` writes: no
-    quoting, every line ending in CRLF.  Rows are written CSV_WRITE_ROWS at
-    a time, so only one block's text is in memory, and each block is one
-    ``%`` format of a repeated ``%d,...,%d\\r\\n`` line."""
+    quoting, every line ending in CRLF.  Rows are formatted by one ``%``
+    format of a repeated ``%d,...,%d\\r\\n`` line.  Without an index the
+    file is ``rows``, formatted and written CSV_WRITE_ROWS rows at a time, so
+    only one block's text is in memory; with one, each row is formatted once
+    and the file's lines rows[index] are written CSV_WRITE_ROWS at a time."""
     line = ",".join(["%d"] * rows.shape[1]) + "\r\n"
+
+    def text(block):
+        return line * len(block) % tuple(block.ravel().tolist())
+
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(",".join(header) + "\r\n")
-        for s in range(0, len(rows), CSV_WRITE_ROWS):
-            block = rows[s:s + CSV_WRITE_ROWS]
-            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+        if index is None:
+            for s in range(0, len(rows), CSV_WRITE_ROWS):
+                fh.write(text(rows[s:s + CSV_WRITE_ROWS]))
+            return
+        lines = text(rows).splitlines(keepends=True)
+        for s in range(0, len(index), CSV_WRITE_ROWS):
+            fh.write("".join(map(lines.__getitem__, index[s:s + CSV_WRITE_ROWS].tolist())))
 
 
 def save_points_csv(path, point_set):
@@ -621,6 +650,6 @@ def save_points_csv(path, point_set):
 
 
 def save_labeled_csv(path, dataset, header=False):
-    names = [f"x{i}" for i in range(dataset.base.dim)] + ["y"]
-    _write_csv(path, np.column_stack([dataset.base.points, dataset.labels]),
-               header=names if header else None)
+    names = [f"x{i}" for i in range(dataset.support.dim)] + ["y"]
+    _write_csv(path, np.column_stack([dataset.support.points, dataset.support_labels]),
+               header=names if header else None, index=dataset._index)

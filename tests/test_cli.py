@@ -3,13 +3,22 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fdc
 from fdc.cli import run
-from fdc.dataset import load_labeled, save_points_csv, PointSet
+from fdc.dataset import (
+    LabeledDataset,
+    PointSet,
+    gen_hard_instance,
+    load_labeled,
+    massart_draw,
+    save_points_csv,
+)
+from fdc.harness import general_position_model
 from fdc.learner import (
     PartialClassifier,
     classifier_from_dict,
@@ -50,6 +59,51 @@ class TestGen:
                     "--seed", "3", "--support", "400", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "bed22bb254d429f472059cb3945fc26d1bc0ddaa10e16a629a98d983355a80cf")
+
+    @pytest.mark.parametrize("marginal", ["hard", "general"])
+    @pytest.mark.parametrize("support", [60, 2000])
+    def test_gen_file_reads_back_as_massart_draw(self, tmp_path, marginal, support):
+        # 60 support points give at most 120 distinct lines of 1,500, so the
+        # reader keeps an index; 2,000 give more than 750, so the file is
+        # its own support.
+        out = tmp_path / "data.csv"
+        assert run(["gen", "--marginal", marginal, "--dim", "4", "--n", "1500",
+                    "--bits", "16", "--eta", "0.2", "--seed", "3",
+                    "--support", str(support), "--out", str(out)]) == 0
+        if marginal == "hard":
+            model, _ = gen_hard_instance(4, support, 16, 0.2, 3)
+        else:
+            model = general_position_model(4, support, 0.2, 3, bits=16)
+        want, got = massart_draw(model, 1500, 3), load_labeled(out)
+        assert (want.support is want.base) == (got.support is got.base) == (support > 1500)
+        np.testing.assert_array_equal(got.support.points, want.support.points)
+        np.testing.assert_array_equal(got.support_labels, want.support_labels)
+        np.testing.assert_array_equal(got.index, want.index)
+
+    def test_gen_traced_peak_stays_below_its_rows(self, tmp_path):
+        # 100,000 rows of 400 support points: their int64 points and labels
+        # alone take 8.8 MB, so a writer that expands them to rows exceeds
+        # the bound.  Written from its distinct lines, the peak is about 4 MB.
+        tracemalloc.start()
+        try:
+            assert run(["gen", "--dim", "10", "--n", "100000", "--bits", "48",
+                        "--eta", "0.2", "--seed", "5",
+                        "--out", str(tmp_path / "big.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"traced peak {peak / 1e6:.1f} MB"
+
+    def test_gen_learn_eval_never_ask_for_every_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(LabeledDataset, "base",
+                            property(lambda self: pytest.fail("base asked for")))
+        data, model = tmp_path / "data.csv", tmp_path / "model.json"
+        assert run(["gen", "--dim", "3", "--n", "3000", "--bits", "12", "--eta", "0.1",
+                    "--seed", "3", "--support", "150", "--out", str(data)]) == 0
+        assert run(["learn", "--train-oracle", str(data), "--eta", "0.1", "--eps", "0.15",
+                    "--delta", "0.2", "--seed", "7", "--c-const", "8",
+                    "--out", str(model)]) == 0
+        assert run(["eval", "--model", str(model), "--test", str(data)]) == 0
 
     def test_gen_requires_seed(self, tmp_path):
         code = run(["gen", "--dim", "3", "--n", "10", "--bits", "8", "--eta", "0.1",

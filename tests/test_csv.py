@@ -331,3 +331,10 @@ def test_writers_match_csv_writer(tmp_path, header):
         assert (tmp_path / "a.csv").read_bytes() == want
         save_points_csv(tmp_path / "c.csv", ds.base)
         assert (tmp_path / "c.csv").read_bytes() == _csv_writer_bytes(tmp_path / "d.csv", X)
+    # An indexed dataset: 8,197 lines, three write blocks, of 50 support rows.
+    index = g.integers(0, 50, size=n)
+    ds = LabeledDataset.from_support(PointSet(3, X[:50]), y[:50], index)
+    save_labeled_csv(tmp_path / "a.csv", ds, header=header)
+    want = _csv_writer_bytes(tmp_path / "b.csv", np.column_stack([X, y])[:50][index],
+                             header=["x0", "x1", "x2", "y"] if header else None)
+    assert (tmp_path / "a.csv").read_bytes() == want

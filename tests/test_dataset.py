@@ -13,6 +13,7 @@ from fdc.dataset import (
     load_labeled,
     load_points,
     massart_draw,
+    massart_draw_rows,
     save_labeled_csv,
     sign_pm1,
 )
@@ -87,6 +88,14 @@ class TestLabeledSupport:
         for a in (ds.base.points, ds.labels, ds.support_labels, ds.index):
             assert not a.flags.writeable
         assert LabeledDataset.from_support(support, np.array([1, -1, -1])).support is support
+
+    def test_indexed_base_is_the_support_rows_of_the_index(self):
+        support = PointSet(2, np.array([[1, 2], [3, 4], [-5, 6]]))
+        index = np.array([2, 0, 2, 1])
+        ds = LabeledDataset.from_support(support, np.array([1, -1, 1]), index)
+        assert ds.n == 4
+        np.testing.assert_array_equal(ds.base.points, support.points[index])
+        assert ds.base is ds.base and ds.base.bit_complexity == support.bit_complexity
 
     def test_from_support_checks_the_support_labels(self):
         support = PointSet(2, np.array([[1, 2], [3, 4]]))
@@ -253,6 +262,19 @@ class TestMassartDraw:
             a.base.points, np.vstack([head.base.points, tail.base.points])
         )
         np.testing.assert_array_equal(a.labels, np.concatenate([head.labels, tail.labels]))
+
+    def test_support_is_the_distinct_pairs_in_order_of_first_draw(self):
+        pts = np.array([[1, 1], [2, -1], [-3, 1]])
+        model = _uniform_model(pts, np.array([1.0, 2.0]), 0.3)
+        ds = massart_draw(model, 1000, seed=5)
+        rows, y = massart_draw_rows(model, 5, range(1000))
+        drawn = list(zip(rows.tolist(), y.tolist()))
+        pairs = list(dict.fromkeys(drawn))
+        np.testing.assert_array_equal(ds.support.points, pts[[r for r, _ in pairs]])
+        np.testing.assert_array_equal(ds.support_labels, [label for _, label in pairs])
+        np.testing.assert_array_equal(ds.index, list(map(pairs.index, drawn)))
+        one = massart_draw(model, 1, seed=5)  # 1 distinct pair of 1 draw
+        assert one.support is one.base and one.n == 1
 
     def test_margin_inverse_eta_bounded(self):
         pts = np.array([[1, 1], [5, -3], [-2, 7]])
