@@ -87,4 +87,5 @@ class IterationCapExceeded(FdcError):
 
 
 class SizeLimit(FdcError):
-    """Brute-force oracle invoked beyond its documented instance size."""
+    """An exact route invoked beyond its documented instance size: the
+    brute-force oracle, or ``exact.exact_prime`` past its largest prime."""

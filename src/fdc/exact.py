@@ -10,13 +10,14 @@ sum can overflow, else first modulo PRIME, where a nonzero residue proves a
 nonzero product, and in Python ints for the rows left.  Python's
 arbitrary-precision ints carry the intermediate growth (entries stay the size
 of W's minors after per-row gcd reduction; dimensions here are <= ~20).
+Modulo ``exact_prime(rows)`` every set of the rows has its rank over Q.
 """
 
 import math
 
 import numpy as np
 
-from .errors import EmptyInput
+from .errors import EmptyInput, SizeLimit
 
 
 def as_int_rows(points):
@@ -139,10 +140,32 @@ def annihilated(perp, X):
         resid += R[:, j:j + RESIDUE_BLOCK] @ P[j:j + RESIDUE_BLOCK]
         resid %= PRIME
     cand = np.nonzero(~resid.any(axis=1))[0]
-    exact_rows = np.array(as_int_rows(X[cand]), dtype=object).reshape(-1, d)
     mask = np.zeros(n, dtype=bool)
-    mask[cand] = ~(exact_rows @ np.array(perp, dtype=object).T != 0).any(axis=1)
+    if cand.size:
+        exact_rows = np.array(as_int_rows(X[cand]), dtype=object)
+        mask[cand] = ~(exact_rows @ np.array(perp, dtype=object).T != 0).any(axis=1)
     return mask
+
+
+# Exponents q of the Mersenne primes 2^q - 1 from 2^31 - 1 to 2^132049 - 1.
+MERSENNE_EXPONENTS = (31, 61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+                      9689, 9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049)
+
+
+def exact_prime(rows):
+    """The least Mersenne prime above Hadamard's bound on every minor of
+    the integer rows, the product of their d largest norms (d columns).
+    Every nonzero minor is then nonzero modulo it, so every subset of the
+    rows has the same rank over F_p as over Q (Cabay and Lam 1977).  Raises
+    SizeLimit past the last exponent of MERSENNE_EXPONENTS."""
+    rows = np.asarray(rows)
+    norms = sorted((math.isqrt(sum(v * v for v in row)) + 1 for row in as_int_rows(rows)),
+                   reverse=True)
+    bound = math.prod(norms[:rows.shape[1]])
+    for q in MERSENNE_EXPONENTS:
+        if 2 ** q - 1 > bound:
+            return 2 ** q - 1
+    raise SizeLimit(f"Hadamard's bound on the minors exceeds 2^{MERSENNE_EXPONENTS[-1]} - 1")
 
 
 class IntSpan:

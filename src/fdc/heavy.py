@@ -12,12 +12,14 @@ directions the last path search reached span the winner; with all demand
 met, the flats of excess 0 are the sets the exchange graph cannot leave.
 ``harness.lp_heavy_subspace`` decides the same predicate by the literal LP.
 
-The packing first runs over F_p (``ModPacking``, p = ``exact.PRIME``): a
-set independent mod p is independent over Q, so its sets, arcs and sinks are
-genuine ones, and each answer it gives is certified by exact spans before it
-is returned.  When a certificate fails (p divides a minor that matters) the
-packing reruns over Q, where every span is an ``exact.IntSpan``: B - b + u
-is independent exactly when u lies in span B and not in span(B - b).
+The packing runs over F_p: a set independent mod p is independent over Q,
+so its sets, arcs and sinks are genuine rational ones.  It runs first mod
+p = ``exact.PRIME`` in int64, and each answer it gives is certified by exact
+spans before it is returned.  When a certificate fails (p divides a minor
+that matters) the packing reruns mod ``exact.exact_prime(dirs)``, a prime
+above Hadamard's bound on every minor, in Python ints.  There every set of
+directions has the same rank as over Q, so the packing, its exchange graph
+and its answer are the rational ones (Cabay and Lam 1977).
 """
 
 from dataclasses import dataclass
@@ -39,13 +41,21 @@ class HeavySubspaceResult:
 
 
 class BasisPacking:
-    """Integer-weighted independent sets of the directions: ``sets`` maps an
-    independent set (a sorted index tuple) to its weight, the weights sum to
-    at most M, and ``cover[i]``, the weight of the sets holding direction i,
-    never exceeds its demand k*mult[i]."""
+    """Integer-weighted independent sets of the directions mod a prime p:
+    ``sets`` maps an independent set (a sorted index tuple) to its weight,
+    the weights sum to at most M, and ``cover[i]``, the weight of the sets
+    holding direction i, never exceeds its demand k*mult[i].
 
-    def __init__(self, dirs, mult, k):
+    ``prime`` None means PRIME, with int64 residues.  A set independent mod
+    p is independent over Q, so the arcs and sinks are arcs and sinks of the
+    rational exchange graph of the same sets, but the packing may fall short
+    of the rational maximum.  A prime from ``exact.exact_prime`` (residues
+    in Python ints) gives the rational packing itself."""
+
+    def __init__(self, dirs, mult, k, prime=None):
         self.dirs, self.k = dirs, k
+        self.prime = PRIME if prime is None else prime
+        self.residues = (dirs if prime is None else dirs.astype(object)) % self.prime
         self.demand = k * np.asarray(mult, dtype=np.int64)
         self.cover = np.zeros(dirs.shape[0], dtype=np.int64)
         self.sets = {}
@@ -60,33 +70,37 @@ class BasisPacking:
             rest = order[left[order] > 0]
             if not rest.size:
                 break
-            B = self._grow(rest)
+            B, data = self._eliminate(rest, k)
+            self._exchanges.setdefault(B, data)
             eps = min(free, int(left[list(B)].min()))
             self._change(B, eps)
             free -= eps
 
-    def _grow(self, rest):
-        """The greedy set of ``rest``, as a sorted tuple: each direction, in
-        order, that extends the span of those before it, up to k."""
-        span, members = exact.IntSpan(self.dirs.shape[1]), []
-        while rest.size and span.rank < self.k:
-            members.append(int(rest[0]))
-            span.add(self.dirs[rest[0]])
-            rest = rest[~span.members(self.dirs[rest])]
-        return tuple(sorted(members))
+    def _eliminate(self, lead, k):
+        """(B, (arcs, outside)): the greedy set B of the directions ``lead``
+        mod p, up to k of them, and its exchange data from one elimination
+        of all directions with ``lead`` in front.  arcs[u, a] when u is not
+        in B, lies in span B and has a nonzero coefficient on B[a] (so
+        B - B[a] + u is independent); outside[u] when u is not in span B."""
+        n = self.dirs.shape[0]
+        others = np.ones(n, dtype=bool)
+        others[lead] = False
+        order = np.concatenate([lead, np.flatnonzero(others)])
+        A = self.residues[order].T.copy()
+        P = _mod_echelon(A, len(lead), k, self.prime)
+        back = np.argsort(order)
+        coef, outside = A[:len(P)].T[back], (A[len(P):] != 0).any(axis=0)[back]
+        members = order[P]
+        arcs = coef[:, np.argsort(members)] != 0
+        arcs[outside] = False
+        arcs[members] = False
+        return tuple(sorted(members.tolist())), (arcs, outside)
 
     def _exchange(self, B):
-        """(arcs, outside) for set B: arcs[u, a] when u is not in B, lies in
-        span B and not in span(B - B[a]) (so B - B[a] + u is independent);
-        outside[u] when u is not in span B."""
         if B not in self._exchanges:
-            def in_span(rows):
-                return exact.membership_mask(self.dirs[list(rows)], self.dirs)
-            inside = in_span(B)
-            arcs = np.stack([inside & ~in_span(B[:a] + B[a + 1:]) for a in range(len(B))],
-                            axis=1)
-            arcs[list(B)] = False
-            self._exchanges[B] = arcs, ~inside
+            got, self._exchanges[B] = self._eliminate(np.array(B), len(B))
+            if got != B:
+                raise InternalInvariantViolated("a packed set is not independent mod p")
         return self._exchanges[B]
 
     def _change(self, B, eps):
@@ -150,18 +164,19 @@ class BasisPacking:
         return None
 
 
-def _mod_echelon(A, m, k):
-    """Gauss-Jordan elimination mod PRIME on the columns of A (residues, in
+def _mod_echelon(A, m, k, p):
+    """Gauss-Jordan elimination mod p on the columns of A (residues, in
     place), pivoting left to right among the first m columns until k pivots.
     Returns the pivot columns P: the first m columns' lexicographically first
     independent set mod p.  Afterwards rows :|P| of column j hold its
     coefficients on the columns P, and rows |P|: are zero exactly when
-    column j lies in their span mod p.  Each step reduces products of two
-    residues, below 2^56, so int64 never overflows."""
-    p, cols, c = PRIME, [], 0
+    column j lies in their span mod p.  With int64 residues below 2^28 each
+    step reduces products of two residues, below 2^56, so nothing overflows;
+    object residues are Python ints."""
+    cols, c = [], 0
     while len(cols) < k and c < m:
         j = len(cols)
-        live = A[j:, c:m].any(axis=0)
+        live = (A[j:, c:m] != 0).any(axis=0)
         t = int(live.argmax())
         if not live[t]:
             break
@@ -176,47 +191,6 @@ def _mod_echelon(A, m, k):
         cols.append(c)
         c += 1
     return cols
-
-
-class ModPacking(BasisPacking):
-    """``BasisPacking`` in the matroid of the directions over F_p.  A set
-    independent mod p is independent over Q, so this is a rational packing
-    whose arcs and sinks are arcs and sinks of the rational exchange graph of
-    the same sets; it may fall short of the rational maximum."""
-
-    def __init__(self, dirs, mult, k):
-        self.residues = dirs % PRIME
-        super().__init__(dirs, mult, k)
-
-    def _eliminate(self, lead, k):
-        """(B, (arcs, outside)): the greedy set B of the directions ``lead``
-        mod p, up to k of them, and its exchange data, from one elimination
-        of all directions with ``lead`` in front."""
-        n = self.dirs.shape[0]
-        others = np.ones(n, dtype=bool)
-        others[lead] = False
-        order = np.concatenate([lead, np.flatnonzero(others)])
-        A = self.residues[order].T.copy()
-        P = _mod_echelon(A, len(lead), k)
-        back = np.argsort(order)
-        coef, outside = A[:len(P)].T[back], A[len(P):].any(axis=0)[back]
-        members = order[P]
-        arcs = coef[:, np.argsort(members)] != 0
-        arcs[outside] = False
-        arcs[members] = False
-        return tuple(sorted(members.tolist())), (arcs, outside)
-
-    def _grow(self, rest):
-        B, data = self._eliminate(rest, self.k)
-        self._exchanges.setdefault(B, data)
-        return B
-
-    def _exchange(self, B):
-        if B not in self._exchanges:
-            got, self._exchanges[B] = self._eliminate(np.array(B), len(B))
-            if got != B:
-                raise InternalInvariantViolated("a packed set is not independent mod p")
-        return self._exchanges[B]
 
 
 def _reach(adj, start):
@@ -303,9 +277,10 @@ def find_heavy_subspace(point_set, V=None, mults=None):
     exact membership, so a zero-count row in W is one.  The winner has the
     largest count excess, then the least dimension, then the least member
     list: a rule invariant under per-point positive rescaling and global
-    invertible maps.  Decided from a maximum ``ModPacking`` when its answer
-    is certified (a greedy set of dim V directions also shows the points
-    span V), else from a maximum ``BasisPacking``.
+    invertible maps.  Decided from a maximum packing mod PRIME when its
+    answer is certified (a greedy set of dim V directions also shows the
+    points span V), else from a maximum packing mod ``exact.exact_prime``,
+    which is the rational one.
     """
     pts = as_point_array(point_set)
     span_S = span_of(pts) if V is None else None
@@ -315,7 +290,7 @@ def find_heavy_subspace(point_set, V=None, mults=None):
         mult = np.zeros(dirs.shape[0], dtype=np.int64)
         np.add.at(mult, inverse, np.asarray(mults, dtype=np.int64))
     if k > 1:
-        packing = ModPacking(dirs, mult, k)
+        packing = BasisPacking(dirs, mult, k)
         if any(len(B) == k for B in packing.sets):
             result = _decide(packing, mult, inverse)
             if result is not None:
@@ -326,7 +301,7 @@ def find_heavy_subspace(point_set, V=None, mults=None):
         return HeavySubspaceResult(True, span_S, list(range(pts.shape[0])))
     if k == 1:
         return HeavySubspaceResult(False)
-    result = _decide(BasisPacking(dirs, mult, k), mult, inverse)
+    result = _decide(BasisPacking(dirs, mult, k, exact.exact_prime(dirs)), mult, inverse)
     if result is None:
         raise InternalInvariantViolated("heavy flat and packing disagree on the excess")
     return result

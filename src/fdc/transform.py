@@ -134,7 +134,8 @@ def _chain_to_solvable(dirs, mult, V, delta):
     """
     members = np.arange(dirs.shape[0])
     heavy_first = int(mult.sum()) <= HEAVY_FIRST_CAP
-    while True:
+    # A line has no proper nonzero subspace, so the chain stops there.
+    while V.dim > 1:
         sub = dirs[members]
         sub_mult = mult[members]
         weights = None
@@ -146,7 +147,7 @@ def _chain_to_solvable(dirs, mult, V, delta):
             return members, V, weights
         hs = find_heavy_subspace(sub, V, mults=sub_mult)
         if not hs.found:
-            return members, V, None
+            break
         new_members = members[np.asarray(hs.member_indices, dtype=np.int64)]
         if not (
             int(mult[new_members].sum()) * V.dim
@@ -157,6 +158,7 @@ def _chain_to_solvable(dirs, mult, V, delta):
             raise InternalInvariantViolated("heavy subspace is not proper")
         members = new_members
         V = hs.subspace
+    return members, V, None
 
 
 def _expand_weights(member_pts, member_dir_pos, pooled_c_sq):

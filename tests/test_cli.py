@@ -179,6 +179,31 @@ class TestTransformDecompose:
         assert lines[0].endswith("members outside its subspace: 1, FAIL")
         assert all(line.endswith("pass") for line in lines[1:])
 
+    def test_verify_rejects_swapped_pieces_of_41_bit_points(self, tmp_path, capsys):
+        # The plane of the first six rows has 41-bit coordinates, so its
+        # membership test runs modulo exact.PRIME.  With the first two
+        # pieces' members and weights swapped, the plane's one member
+        # (1, 1, 1) has a nonzero residue, and no row is left to recheck.
+        t = 2 ** 39
+        rows = [(t + 1, 3, 7), (5, t + 7, 11), (t + 6, t + 10, 18), (t - 4, -t - 4, -4),
+                (2 * t + 7, t + 13, 25), (t + 11, 2 * t + 17, 29),
+                (1, 1, 1), (2, -1, 3), (-1, 2, 5)]
+        pts, out = tmp_path / "points41.csv", tmp_path / "dec.json"
+        save_points_csv(pts, PointSet(3, np.array(rows)))
+        assert run(["decompose", "--input", str(pts), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        first, second = doc["pieces"][:2]
+        assert [first["members"], second["members"]] == [[0, 1, 2, 3, 4, 5], [6]]
+        for key in ("members", "weights"):
+            first[key], second[key] = second[key], first[key]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["eval", "--verify-decomposition", str(out),
+                    "--input", str(pts)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("members outside its subspace: 1, FAIL")
+        assert lines[1].endswith("members outside its subspace: 6, FAIL")
+
     @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                       [[1, 0, 0], [2, 0, 0]],
                                       [[1, 0, 0], [0, 0, 1]]],

@@ -1,15 +1,17 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fdc.errors import EmptyInput
+from fdc.errors import EmptyInput, SizeLimit
 from fdc.exact import (
     IntSpan,
     directions,
     exact_pivot_indices,
+    exact_prime,
     exact_rank,
     membership_mask,
     primitive_rows,
@@ -215,6 +217,9 @@ def test_rows_with_zero_residues_are_decided_exactly(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None)
+# All rows outside the span and past int64's guard: none survives the
+# residue prefilter, so no row is rechecked in Python ints.
+@example(([[1, 2 ** 61]], [], [[2 ** 62, 3], [5, 7]]))
 @given(st.integers(2, 5).flatmap(lambda d: st.tuples(
     st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=d, max_size=d),
              min_size=1, max_size=d - 1),
@@ -239,6 +244,51 @@ def test_membership_mask_matches_reference(case):
     want = [_frac_rank(basis + [list(row)]) == _frac_rank(basis) for row in pts.tolist()]
     np.testing.assert_array_equal(membership_mask(basis, pts), want)
     np.testing.assert_array_equal([span.contains(row) for row in pts.tolist()], want)
+
+
+def _frac_det(rows):
+    mat = [[Fraction(int(v)) for v in r] for r in rows]
+    det = Fraction(1)
+    for col in range(len(mat)):
+        piv = next((i for i in range(col, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            mat[col], mat[piv], det = mat[piv], mat[col], -det
+        det *= mat[col][col]
+        for i in range(col + 1, len(mat)):
+            f = mat[i][col] / mat[col][col]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    return det
+
+
+def test_exact_prime_exceeds_every_minor(monkeypatch):
+    from fdc import exact
+
+    mersenne = {2 ** q - 1 for q in exact.MERSENNE_EXPONENTS}
+    gen = np.random.default_rng(12)
+    cases = []
+    for _ in range(40):
+        d, n, bits = int(gen.integers(1, 5)), int(gen.integers(1, 7)), int(gen.integers(1, 63))
+        cases.append(gen.integers(-2 ** bits, 2 ** bits, size=(n, d), endpoint=True))
+    # A Hadamard matrix meets the bound: |det| = 16 (2^62 - 1)^4.
+    cases.append((2 ** 62 - 1) * np.array([[1, 1, 1, 1], [1, -1, 1, -1],
+                                           [1, 1, -1, -1], [1, -1, -1, 1]]))
+    primes = set()
+    for rows in cases:
+        p = exact_prime(rows)
+        assert p in mersenne
+        primes.add(p)
+        n, d = rows.shape
+        for r in range(1, min(n, d) + 1):
+            for R in combinations(range(n), r):
+                for C in combinations(range(d), r):
+                    assert abs(_frac_det(rows[np.ix_(R, C)].tolist())) < p
+    assert len(primes) >= 4
+    assert exact_prime(np.array([[1, 0], [0, 1]])) == 2 ** 31 - 1
+    monkeypatch.setattr(exact, "MERSENNE_EXPONENTS", (31, 61))
+    with pytest.raises(SizeLimit):
+        exact_prime(cases[-1])
 
 
 def test_span_of_rows():

@@ -7,7 +7,7 @@ import pytest
 
 from fdc.dataset import PointSet
 from fdc.errors import PrecisionLimit, RankDeficient
-from fdc.exact import directions, exact_pivot_indices, exact_rank, membership_mask
+from fdc.exact import directions, exact_pivot_indices, exact_prime, exact_rank, membership_mask
 from fdc.harness import (
     brute_force_heavy_subspace,
     extract_subspace,
@@ -18,7 +18,7 @@ from fdc.harness import (
     pair_swap_search,
 )
 from fdc import heavy
-from fdc.heavy import BasisPacking, ModPacking, find_heavy_subspace
+from fdc.heavy import BasisPacking, find_heavy_subspace
 from fdc.transform import forster_decompose, verify_piece
 from tests.conftest import seeded_points
 
@@ -259,13 +259,13 @@ def fraction_basis(rows):
     return basis
 
 
-def check_packing(dirs, mult, k, packing_cls=BasisPacking):
-    """Re-check a maximum BasisPacking (or ModPacking) with Fraction ranks:
-    independent sets, weights within M, coverage as reported and within
-    demand; bases only when every demand is met, else a flat whose excess
-    k*m - M*dim is the unmet demand spanned by the reached directions.
-    Returns the reached mask."""
-    packing = packing_cls(dirs, mult, k)
+def check_packing(dirs, mult, k, prime=None):
+    """Re-check a maximum BasisPacking mod ``prime`` (None for heavy.PRIME)
+    with Fraction ranks: independent sets, weights within M, coverage as
+    reported and within demand; bases only when every demand is met, else a
+    flat whose excess k*m - M*dim is the unmet demand spanned by the reached
+    directions.  Returns the reached mask."""
+    packing = BasisPacking(dirs, mult, k, prime)
     reached = packing.maximize()
     M = int(mult.sum())
     assert sum(packing.sets.values()) <= M
@@ -285,7 +285,9 @@ def check_packing(dirs, mult, k, packing_cls=BasisPacking):
 
 
 class TestBasisPacking:
-    packing_cls = BasisPacking
+    """Fraction re-checks of the packing mod exact_prime(dirs), which is the
+    rational packing."""
+    prime = staticmethod(exact_prime)
 
     def test_certificate_on_families(self):
         gen = np.random.default_rng(3)
@@ -294,7 +296,7 @@ class TestBasisPacking:
             for d, n in ((4, 12), (5, 40), (6, 60)):
                 dirs, mult, _ = directions(family(gen, d, n))
                 for m in (mult, mult * gen.integers(1, 5, size=mult.size)):
-                    reached = check_packing(dirs, m, fraction_rank(dirs), self.packing_cls)
+                    reached = check_packing(dirs, m, fraction_rank(dirs), self.prime(dirs))
                     met.append(reached is None)
         assert 0 < sum(met) < len(met)   # both outcomes are re-checked
 
@@ -304,7 +306,7 @@ class TestBasisPacking:
         dirs, _, _ = directions(X)
         mult = np.random.default_rng(4).integers(2, 7350, size=dirs.shape[0])
         assert 1.4e6 < mult.sum() < 1.55e6
-        assert check_packing(dirs, mult, 10, self.packing_cls) is None
+        assert check_packing(dirs, mult, 10, self.prime(dirs)) is None
 
     def test_exchange_matches_fraction_rank(self):
         # For an independent B of every size 1..k: u is outside when B + u
@@ -315,7 +317,7 @@ class TestBasisPacking:
         for family in FAMILIES * 2:
             dirs, mult, _ = directions(family(gen, 4, 12))
             k = fraction_rank(dirs)
-            packing = self.packing_cls(dirs, mult, k)
+            packing = BasisPacking(dirs, mult, k, self.prime(dirs))
             for size in range(1, k + 1):
                 order = gen.permutation(len(dirs))
                 B = tuple(sorted(int(order[i]) for i in fraction_basis(dirs[order])[:size]))
@@ -332,10 +334,10 @@ class TestBasisPacking:
 
 
 class TestModPacking(TestBasisPacking):
-    """The same Fraction re-checks of the packing over F_p: its sets are
-    independent over Q, and on these inputs it reaches the rational
+    """The same Fraction re-checks of the packing mod heavy.PRIME: its sets
+    are independent over Q, and on these inputs it reaches the rational
     maximum."""
-    packing_cls = ModPacking
+    prime = staticmethod(lambda dirs: None)
 
 
 def weighted_instances():
@@ -379,21 +381,22 @@ def in_span(subspace, X):
 
 def exact_route(X, m):
     """The heavy decision of X with counts m from the rational packing
-    alone."""
+    (mod the exact prime) alone."""
     dirs, _, inverse = directions(X)
     mult = np.zeros(dirs.shape[0], dtype=np.int64)
     np.add.at(mult, inverse, m)
-    return heavy._decide(BasisPacking(dirs, mult, fraction_rank(dirs)), mult, inverse)
+    packing = BasisPacking(dirs, mult, fraction_rank(dirs), exact_prime(dirs))
+    return heavy._decide(packing, mult, inverse)
 
 
 def count_routes(monkeypatch):
-    """Patch heavy._decide to record, per decision, the packing class and
+    """Patch heavy._decide to record, per decision, the packing's prime and
     whether its answer was certified."""
     routes, decide = [], heavy._decide
 
     def counted(packing, *args):
         result = decide(packing, *args)
-        routes.append((type(packing), result is not None))
+        routes.append((packing.prime, result is not None))
         return result
     monkeypatch.setattr(heavy, "_decide", counted)
     return routes
@@ -407,6 +410,26 @@ def brute_force_decisions():
         brute_force_heavy_subspace(X) for X, _ in weighted_instances() if X.shape[0] <= 12)]
 
 
+@functools.cache
+def wide_instances():
+    """(X, brute-force (found, members)): the unweighted instances of at most
+    12 rows, each mapped by an invertible matrix with entries as large as
+    keep its coordinates below 2^62."""
+    gen, out = np.random.default_rng(9), []
+    for X, _ in weighted_instances():
+        if X.shape[0] > 12:
+            continue
+        top = 2 ** (62 - int(np.abs(X).sum(axis=1).max()).bit_length())
+        F = gen.integers(-top, top, size=(X.shape[1],) * 2, endpoint=True)
+        while fraction_rank(F) < X.shape[1]:
+            F = gen.integers(-top, top, size=(X.shape[1],) * 2, endpoint=True)
+        X = X @ F
+        brute = brute_force_heavy_subspace(X)
+        out.append((X, (brute.found, brute.member_indices)))
+    assert max(int(np.abs(X).max()) for X, _ in out) >= 2 ** 61
+    return out
+
+
 class TestModRoute:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
     def test_small_primes_agree_with_the_exact_route(self, monkeypatch, p):
@@ -416,7 +439,7 @@ class TestModRoute:
         for X, m, want in cases:
             got = find_heavy_subspace(X, mults=m)
             assert (got.found, got.member_indices) == (want.found, want.member_indices)
-        fallbacks = routes.count((BasisPacking, True))
+        fallbacks = sum(ok for prime, ok in routes if prime != p)
         assert 0 < fallbacks < len(cases)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -427,6 +450,16 @@ class TestModRoute:
         for X, want in zip(cases, wants):
             got = find_heavy_subspace(X)
             assert (got.found, got.member_indices) == want
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_small_primes_agree_with_the_brute_force_at_62_bits(self, monkeypatch, p):
+        cases = wide_instances()
+        routes = count_routes(monkeypatch)
+        monkeypatch.setattr(heavy, "PRIME", p)
+        for X, want in cases:
+            got = find_heavy_subspace(X)
+            assert (got.found, got.member_indices) == want
+        assert any(prime != p for prime, _ in routes)
 
     def test_rows_dependent_mod_the_prime(self, monkeypatch):
         # Independent over Q, dependent mod p: (1, 0, 0) = (1, p, 0) mod p.
@@ -441,7 +474,7 @@ class TestModRoute:
             X *= gen.integers(1, 3, size=(len(idx), 1))
             got, brute = find_heavy_subspace(X), brute_force_heavy_subspace(X)
             assert (got.found, got.member_indices) == (brute.found, brute.member_indices)
-        assert (ModPacking, False) in routes   # a certificate failed and fell back
+        assert (p, False) in routes   # a certificate failed and fell back
 
 
 def near_plane_probe(bits):
