@@ -31,6 +31,12 @@ TAG_HARD_MIX = 7
 TAG_HARD_COMBO = 8
 TAG_WSTAR = 9
 
+_INT64 = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+# A point's direction is found by gcds and negations in int64, which cannot
+# hold +2^63; a coordinate of -2^63 is refused where points enter, masked
+# only when an array's minimum is -2^63.
+_NO_NEGATION = f"coordinate {_INT64[0]} has no int64 negation"
+
 
 def sign_pm1(t):
     """sign with sign(0) = +1, the boundary-label convention used throughout."""
@@ -39,9 +45,10 @@ def sign_pm1(t):
 
 @dataclass
 class PointSet:
-    """Finite multiset of nonzero integer points in Z^d.  ``points`` is a
-    read-only int64 array; it shares memory with an int64 array it is given,
-    and the given array stays writable."""
+    """Finite multiset of nonzero integer points in Z^d, none with a
+    coordinate -2^63 (ParseError naming the 1-based row).  ``points`` is a
+    read-only int64 array; it shares memory with an int64 array it is
+    given, and the given array stays writable."""
 
     dim: int
     points: np.ndarray
@@ -54,9 +61,12 @@ class PointSet:
         pts = pts.astype(np.int64, copy=False).view()
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ParseError(f"points shape {pts.shape} does not match dim {self.dim}")
-        zero_rows = np.nonzero(~pts.any(axis=1))[0]
-        if zero_rows.size:
-            raise ZeroPoint(line=int(zero_rows[0]) + 1)
+        bad = ~pts.any(axis=1)
+        if pts.min(initial=0) == _INT64[0]:
+            bad |= (pts == _INT64[0]).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad)) + 1
+            raise ParseError(_NO_NEGATION, line=i) if pts[i - 1].any() else ZeroPoint(line=i)
         self._set_points(pts)
 
     def _set_points(self, pts):
@@ -356,7 +366,6 @@ def gen_hard_instance(dim, n, bits, eta, seed, eta_kind="constant"):
 _BLANK = b" \t\x0b\x0c\x1c\x1d\x1e\x1f,"  # the bytes a skipped line consists of
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _NUMERIC_START = re.compile(r"[+-]?[\d.]")  # a cell that begins like a number
-_INT64 = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
 
 
 def _int64_array(points):
@@ -424,11 +433,11 @@ def _read_csv_rows(path):
 def _rows_to_array(rows, labeled):
     """(X, y, index) from ``_read_csv_rows``' output: one np.loadtxt pass
     over the lines to parse gives the support rows X and labels y, and data
-    line i is support row index[i] (index None: the identity).  The label
-    and zero-row checks run on the support, and a fault names the first
-    data line that has one.  np.loadtxt joins a line whose '"' is left open
-    to the next one; a row count that differs from the line count is a
-    fault, never a row spread over two lines."""
+    line i is support row index[i] (index None: the identity).  The label,
+    zero-row and -2^63 checks run on the support, and a fault names the
+    first data line that has one.  np.loadtxt joins a line whose '"' is
+    left open to the next one; a row count that differs from the line count
+    is a fault, never a row spread over two lines."""
     lines, index, line_no = rows
     if not lines:
         raise ParseError("no data rows")
@@ -451,19 +460,23 @@ def _rows_to_array(rows, labeled):
     X, y = (A[:, :-1], A[:, -1]) if labeled else (A, None)
     bad_label = (y != 1) & (y != -1) if labeled else np.zeros(len(A), dtype=bool)
     bad = bad_label | ~X.any(axis=1)
+    if X.min(initial=0) == _INT64[0]:
+        bad |= (X == _INT64[0]).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad if index is None else bad[index]))  # first data line
         r = i if index is None else index[i]
         if bad_label[r]:
             raise ParseError(f"label must be -1 or 1, got {y[r]}", line=int(line_no[i]))
+        if X[r].any():
+            raise ParseError(_NO_NEGATION, line=int(line_no[i]))
         raise ZeroPoint(line=int(line_no[i]))
     return X, y, index
 
 
 def _csv_fault(lines, line_no, labeled, exc):
     """The typed error of the first data line that is ragged, holds a cell
-    that is not an int64 integer, has a bad label or is zero.  Called only
-    once np.loadtxt has rejected the lines."""
+    that is not an int64 integer, has a bad label, holds -2^63 or is zero.
+    Called only once np.loadtxt has rejected the lines."""
     width = None
     for line, n in zip(lines, line_no.tolist()):
         try:
@@ -490,6 +503,8 @@ def _csv_fault(lines, line_no, labeled, exc):
         for v in vals:
             if not _INT64[0] <= v <= _INT64[1]:
                 return ParseError(f"coordinate {v} is outside the int64 range", line=n)
+        if _INT64[0] in vals:
+            return ParseError(_NO_NEGATION, line=n)
         if not any(vals):
             return ZeroPoint(line=n)
     return ParseError(f"unreadable CSV data: {exc}")

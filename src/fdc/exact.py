@@ -29,7 +29,8 @@ def as_int_rows(points):
 def primitive_rows(X):
     """Each row of an integer array divided by the gcd of its entries, sign
     kept.  Returns (P, g) with X == g[:, None] * P; raises EmptyInput on a zero
-    row, which has no direction."""
+    row, which has no direction.  No entry may be -2^63, whose absolute value
+    int64 cannot hold (the readers and PointSet refuse it)."""
     X = np.asarray(X, dtype=np.int64)
     g = np.gcd.reduce(np.abs(X), axis=1)
     if not g.all():

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact, rng
-from .dataset import PointSet, finite_array, sign_pm1
+from .dataset import finite_array, sign_pm1
 from .errors import (
     CoverageFailure,
     DegenerateSecondMoment,
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .exact import distinct_rows, membership_mask, primitive_rows
 from .linalg import Subspace, check_int_rows
-from .transform import forster_transform, mapped_unit_rows
+from .transform import _forster_transform_once, mapped_unit_rows
 
 TAG_LEARN = 101
 # The Forster relaxation of every stage's transform (certificate lambda_min
@@ -434,12 +434,12 @@ def _rejection_hits(oracle, accept, need, budget_draws):
 
 
 def _line_sample(lines, line_of, hits):
-    """Compressed Forster input of a sample that hit row i hits[i] times,
-    where row i lies on the line lines[line_of[i]]: one row per line hit,
-    with its summed hits, ordered by the line's first hit row.
-    exact.directions gives the hit rows themselves the same rows,
-    multiplicities and order, so the transform and its certificate are the
-    ones the per-row sample would get."""
+    """Pooled directions, the input of ``_forster_transform_once``, of a
+    sample that hit row i hits[i] times, where row i lies on the line
+    lines[line_of[i]]: one row per line hit, with its summed hits, ordered
+    by the line's first hit row.  These are the rows, multiplicities and
+    order exact.directions gives the per-draw rows, so the transform and
+    its certificate are the ones the per-draw sample would get."""
     present = np.flatnonzero(hits)
     hit_lines, first = np.unique(line_of[present], return_index=True)
     hit_lines = hit_lines[np.argsort(first)]
@@ -501,14 +501,10 @@ def learn_halfspace(oracle, config, dim):
             record["exit"] = "rejection_budget"
             telemetry.append(record)
             return classifier, telemetry
-        sample, counts = _line_sample(lines, line_of, hits)
-        piece = forster_transform(PointSet(d, sample), TRANSFORM_DELTA, counts=counts)
-        V, A, k = piece.subspace, piece.transform, piece.subspace.dim
-        record["piece"] = {
-            "dim": k,
-            "lambda_min": piece.certificate[0],
-            "lambda_max": piece.certificate[1],
-        }
+        _, V, A, _, (lam_min, lam_max, _) = _forster_transform_once(
+            *_line_sample(lines, line_of, hits), TRANSFORM_DELTA)
+        k = V.dim
+        record["piece"] = {"dim": k, "lambda_min": lam_min, "lambda_max": lam_max}
 
         # Weak pool, compressed: distinct canonical rows, a per-draw index
         # into them, and the per-draw labels.  Rows that share a primitive

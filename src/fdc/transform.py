@@ -11,6 +11,12 @@ mapped second-moment matrix lie in [1/(k+delta), (1+delta)/(k+delta)], hence
 within delta of 1/k.  ``forster_decompose`` peels pieces until the set is
 exhausted.
 
+A piece is a union of whole directions, and rescaling a point changes no
+transform, so ``_forster_transform_once`` builds every piece from pooled
+directions (``exact.directions``): ``forster_transform`` pools its points,
+``forster_decompose`` pools once and peels on the directions left, and the
+learner passes its sampled lines.
+
 The QR factor comes from LAPACK and certificates from the deterministic
 Jacobi eigensolver; ``verify_piece`` re-derives everything through LAPACK's
 ``eigvalsh``, so the audit shares no eigensolver code with construction.
@@ -48,7 +54,7 @@ FLOAT_EXACT = 2 ** 53
 # at most HEAVY_FIRST_CAP, or at most ENUM_COMBO_CAP direction subsets of
 # size below dim V.  Larger steps (a learner's 1.47M draws on 400 lines) try
 # the fixed point first, which takes milliseconds where the exact decision
-# takes about 80 ms (400 lines in d = 10 with 1.52M weight, one core of a
+# takes 0.09-0.11 s (400 lines in d = 10 with 1.52M weight, one core of a
 # 2-core x86-64 machine, numpy 2.4).
 HEAVY_FIRST_CAP = 50_000
 ENUM_COMBO_CAP = 4096
@@ -161,50 +167,21 @@ def _chain_to_solvable(dirs, mult, V, delta):
     return members, V, None
 
 
-def _expand_weights(member_pts, member_dir_pos, pooled_c_sq):
-    """Per-point weights from pooled per-direction weights: points are
-    g * (+-direction), and c^2(x) = c_dir^2 / g^2 keeps every constraint
-    matrix c^2(x) x x^T identical to the pooled one."""
-    g = exact.primitive_rows(member_pts)[1].astype(np.float64)
-    c = pooled_c_sq[member_dir_pos] / (g * g)
-    return c / c.min()
-
-
-def forster_transform(point_set, delta, counts=None):
-    """Certified Forster piece for the point set at relaxation delta.
-
-    Follows the heavy chain downward from span(S) until no heavy proper
-    subspace remains, solves the scaling problem there, and builds
-    A = R^{-T} from a QR factor of the weighted rows
-    (``weighted_qr_transform``).  The returned piece satisfies the spectral
-    certificate
-    || (1/m) sum f_A(x) f_A(x)^T - I/k ||_2 <= delta and the exact fraction
-    bound |members| * dim(span(S)) >= dim(V) * |S|.
-
-    ``counts`` treats row i as appearing counts[i] times (a compressed
-    multiset); all fractions and second moments are weighted accordingly.
-    """
-    return _forster_transform_once(as_point_array(point_set), delta, counts=counts)
-
-
-def _forster_transform_once(pts, delta, counts=None):
-    counts = (np.ones(pts.shape[0], dtype=np.int64) if counts is None
-              else np.asarray(counts, dtype=np.int64))
-    dirs, _, inverse = exact.directions(pts)
+def _forster_transform_once(dirs, mult, delta):
+    """The certified piece of the pooled directions ``dirs`` (rows of
+    ``exact.directions``, direction i carrying mult[i] points): returns
+    (member direction indices, V, A, per-direction c^2, certificate)."""
     for v in dirs[np.abs(dirs) > FLOAT_EXACT].tolist():
         if float(v) != v:
             raise PrecisionLimit(
                 f"primitive direction coordinate {v} is past 2^53 and not "
                 "exactly representable in binary64"
             )
-    mult = np.zeros(dirs.shape[0], dtype=np.int64)
-    np.add.at(mult, inverse, counts)
     span = span_of(dirs)
-    dir_members, V, pooled = _chain_to_solvable(dirs, mult, span, delta)
+    members, V, pooled = _chain_to_solvable(dirs, mult, span, delta)
     k = V.dim
-    sel_dirs = dirs[dir_members]
-    sel_mult = mult[dir_members]
-    coords = sel_dirs.astype(np.float64) @ V.basis
+    sel_mult = mult[members]
+    coords = dirs[members].astype(np.float64) @ V.basis
     if pooled is None:
         pooled = solve_scaling_sdp(coords, delta, mults=sel_mult)
 
@@ -218,56 +195,61 @@ def _forster_transform_once(pts, delta, counts=None):
         )
     if abs(float(np.trace(moment)) - 1.0) > TRACE_EPS:
         raise InternalInvariantViolated("mapped second moment lost unit trace")
-
-    dir_pos = np.full(dirs.shape[0], -1, dtype=np.int64)
-    dir_pos[dir_members] = np.arange(dir_members.size)
-    member_mask = dir_pos[inverse] >= 0
-    members = np.nonzero(member_mask)[0]
-    if not (int(counts[members].sum()) * span.dim >= k * int(counts.sum())):
+    if not (int(sel_mult.sum()) * span.dim >= k * int(mult.sum())):
         raise InternalInvariantViolated("piece lost the dimension-fraction bound")
+    return members, V, A, pooled.c_sq, (lam_min, lam_max, float(delta))
 
-    weights = ScalingWeights(
-        _expand_weights(pts[members], dir_pos[inverse[members]], pooled.c_sq),
-        delta,
-    )
-    return ForsterPiece(
-        member_indices=[int(i) for i in members],
-        subspace=V,
-        transform=A,
-        weights=weights,
-        certificate=(lam_min, lam_max, float(delta)),
-    )
+
+def _point_piece(pts, inverse, dir_ids, V, A, c_sq, certificate):
+    """The ForsterPiece of the points pts[i] whose direction inverse[i] is
+    one of ``dir_ids``, direction dir_ids[j] carrying the weight c_sq[j].
+    A point is g * (+-direction), and c^2(x) = c_sq / g^2 keeps every
+    constraint matrix c^2(x) x x^T identical to the pooled one."""
+    dir_pos = np.full(inverse.max() + 1, -1, dtype=np.int64)
+    dir_pos[dir_ids] = np.arange(dir_ids.size)
+    members = np.flatnonzero(dir_pos[inverse] >= 0)
+    g = exact.primitive_rows(pts[members])[1].astype(np.float64)
+    c = c_sq[dir_pos[inverse[members]]] / (g * g)
+    return ForsterPiece(members.tolist(), V, A, ScalingWeights(c / c.min(), certificate[2]),
+                        certificate)
+
+
+def forster_transform(point_set, delta):
+    """Certified Forster piece for the point set at relaxation delta.
+
+    Follows the heavy chain downward from span(S) until no heavy proper
+    subspace remains, solves the scaling problem there, and builds
+    A = R^{-T} from a QR factor of the weighted rows
+    (``weighted_qr_transform``).  The returned piece satisfies the spectral
+    certificate
+    || (1/m) sum f_A(x) f_A(x)^T - I/k ||_2 <= delta and the exact fraction
+    bound |members| * dim(span(S)) >= dim(V) * |S|.
+    """
+    pts = as_point_array(point_set)
+    dirs, mult, inverse = exact.directions(pts)
+    return _point_piece(pts, inverse, *_forster_transform_once(dirs, mult, delta))
 
 
 def forster_decompose(point_set, delta):
     """Partition the point set into certified Forster pieces.
 
-    Repeatedly transforms the residual set and removes each piece's members;
-    the piece count never exceeds d * (ceil(ln n) + 1), asserted.
+    Pools the points into directions once, then repeatedly transforms the
+    directions left and removes each piece's; the piece count never exceeds
+    d * (ceil(ln n) + 1), asserted.
     """
     source = point_set if isinstance(point_set, PointSet) else PointSet(
         np.asarray(point_set).shape[1], np.asarray(point_set, dtype=np.int64)
     )
     pts = source.points
     n, d = pts.shape
-    remaining = np.arange(n)
+    dirs, mult, inverse = exact.directions(pts)
+    left = np.arange(dirs.shape[0])
     pieces = []
     bound = d * (math.ceil(math.log(n)) + 1) if n > 1 else d
-    while remaining.size:
-        rel = forster_transform(pts[remaining], delta)
-        abs_members = remaining[np.asarray(rel.member_indices, dtype=np.int64)]
-        pieces.append(
-            ForsterPiece(
-                member_indices=[int(i) for i in abs_members],
-                subspace=rel.subspace,
-                transform=rel.transform,
-                weights=rel.weights,
-                certificate=rel.certificate,
-            )
-        )
-        keep = np.ones(remaining.size, dtype=bool)
-        keep[np.asarray(rel.member_indices, dtype=np.int64)] = False
-        remaining = remaining[keep]
+    while left.size:
+        members, *piece = _forster_transform_once(dirs[left], mult[left], delta)
+        pieces.append(_point_piece(pts, inverse, left[members], *piece))
+        left = np.delete(left, members)
         if len(pieces) > bound:
             raise InternalInvariantViolated(
                 f"piece count exceeded d*(ceil(ln n)+1) = {bound}"

@@ -294,6 +294,33 @@ def test_coordinate_outside_int64_exits_2(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
+def test_coordinate_minus_2_63_exits_2(tmp_path, capsys):
+    # Its negation, +2^63, is not an int64, so the point's direction cannot
+    # be found; the reader refuses the line.
+    data = tmp_path / "pts.csv"
+    data.write_text("1,2,0\n-9223372036854775808,1,0\n0,1,1\n")
+    out = tmp_path / "out.json"
+    assert run(["decompose", "--input", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "-9223372036854775808 has no int64 negation" in err and "line 2" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_learn_with_one_line_past_binary64_exits_2(tmp_path, capsys):
+    # 60 labeled rows and one (2^53 + 1, 1, 0), whose line binary64 cannot
+    # hold; the first stage's Forster sample hits it.
+    X = np.random.default_rng(4).integers(-9, 10, size=(60, 3))
+    X[~X.any(axis=1), 0] = 1
+    rows = [f"{a},{b},{c},{1 if a >= 0 else -1}" for a, b, c in X.tolist()]
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(rows + ["9007199254740993,1,0,1"]) + "\n")
+    assert run(["learn", "--train-oracle", str(data), "--eta", "0.1", "--eps", "0.2",
+                "--delta", "0.2", "--seed", "1", "--out", str(tmp_path / "m.json")]) == 2
+    captured = capsys.readouterr()
+    assert "past 2^53" in captured.out + captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("verb", ["decompose", "learn"])
 def test_direction_past_binary64_exits_2(tmp_path, capsys, verb):
     # Rows (2^62 - i, 2^61 + 3i, i + 1): valid int64 points whose primitive

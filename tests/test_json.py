@@ -6,7 +6,8 @@ file.  A point is a list of JSON integers (true and false are not) of one
 common width, not all zero; a coordinate lies inside int64; a label is the
 integer -1 or 1.  A fault names its record's 1-based position; the checks run
 in the order: every point's shape, type and zero test, then the labels, then
-the int64 range of the coordinates.
+the int64 range of the coordinates, then "dim", then the coordinate -2^63,
+which has no int64 negation.
 """
 
 import json
@@ -14,6 +15,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdc.dataset import load_labeled, load_points
@@ -50,6 +52,9 @@ def reference_load(doc, labeled):
     dim = doc.get("dim", len(pts[0]))
     if type(dim) is not int or dim != len(pts[0]):
         return ParseError, None
+    for i, row in enumerate(pts, start=1):
+        if INT64[0] in row:  # -2^63 has no int64 negation
+            return ParseError, i
     if labeled and len(y) != len(pts):
         return ParseError, None
     return pts, y
@@ -134,3 +139,15 @@ def test_loaders_match_reference(doc):
                 assert got[0].dtype == np.int64
                 if labeled:
                     np.testing.assert_array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_minus_2_63_names_its_record(tmp_path, labeled):
+    # Its negation, +2^63, is not an int64, so its direction cannot be found.
+    doc = {"points": [[1, 2], [-(2 ** 63), 1], [3, 4]], "labels": [1, -1, 1]}
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert reference_load(doc, labeled) == (ParseError, 2)
+    with pytest.raises(ParseError, match="-9223372036854775808") as ei:
+        (load_labeled if labeled else load_points)(path)
+    assert ei.value.line == 2

@@ -36,7 +36,7 @@ from fdc.learner import (
     weak_partial_learner,
 )
 from fdc.linalg import full_space
-from fdc.transform import forster_transform, mapped_unit_rows
+from fdc.transform import _forster_transform_once, forster_transform, mapped_unit_rows
 
 
 class TestCanonicalize:
@@ -516,22 +516,21 @@ class TestForsterInputPerLine:
         hits[::7] = 0
         canonical = primitive_rows(support)[0]
         present = np.flatnonzero(hits)
-        per_row = forster_transform(PointSet(4, canonical[present]), 0.25,
-                                    counts=hits[present])
+        per_row = forster_transform(np.repeat(canonical[present], hits[present], axis=0),
+                                    0.25)
 
         dirs, direction_of = distinct_rows(canonical)
         lines, _, line_of = directions(dirs)
         sample, counts = _line_sample(lines, line_of[direction_of], hits)
-        per_line = forster_transform(PointSet(4, sample), 0.25, counts=counts)
+        _, V, A, _, certificate = _forster_transform_once(sample, counts, 0.25)
 
         assert sample.shape[0] < dirs.shape[0] < present.size
         assert counts.sum() == hits.sum()
         assert (per_row.subspace.dim < 4) == planted
-        assert per_line.subspace.basis.tobytes() == per_row.subspace.basis.tobytes()
-        assert per_line.subspace.int_rows == per_row.subspace.int_rows
-        assert per_line.transform.tobytes() == per_row.transform.tobytes()
-        assert (np.array(per_line.certificate).tobytes()
-                == np.array(per_row.certificate).tobytes())
+        assert V.basis.tobytes() == per_row.subspace.basis.tobytes()
+        assert V.int_rows == per_row.subspace.int_rows
+        assert A.tobytes() == per_row.transform.tobytes()
+        assert np.array(certificate).tobytes() == np.array(per_row.certificate).tobytes()
 
 
 class TestPinnedDatasetRun:

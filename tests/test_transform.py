@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fdc import transform
+from fdc import exact, transform
 from fdc.dataset import PointSet
 from fdc.errors import PrecisionLimit, SingularTransform
 from fdc.linalg import span_of
@@ -12,6 +12,7 @@ from fdc.transform import (
     ENUM_COMBO_CAP,
     HEAVY_FIRST_CAP,
     ForsterPiece,
+    _forster_transform_once,
     decomposition_to_dict,
     forster_decompose,
     forster_transform,
@@ -181,6 +182,12 @@ def chain_calls(monkeypatch):
     return calls
 
 
+def _pooled(rows, counts):
+    """The pooled directions of rows of which row i appears counts[i] times."""
+    dirs, _, inverse = exact.directions(rows)
+    return dirs, np.bincount(inverse, weights=counts).astype(np.int64)
+
+
 def test_seed52_fifteen_line_stage_certified_by_scale_first_fixed_point(chain_calls):
     # 15 lines with 1,473,655 hits in d = 10, from a learner stage on the
     # first file of bench learn-cli seed 52: too much weight for the
@@ -200,12 +207,13 @@ def test_seed52_fifteen_line_stage_certified_by_scale_first_fixed_point(chain_ca
     ])
     counts = [104693, 99018, 94534, 103023, 93556, 103602, 91756, 100021, 99243,
               101776, 97724, 98774, 86701, 87367, 111867]
-    piece = forster_transform(PointSet(10, rows), 0.25, counts=counts)
+    dirs, mult = _pooled(rows, counts)
+    assert dirs.tobytes() == rows.tobytes()
+    members, V, _, _, (lam_min, lam_max, _) = _forster_transform_once(dirs, mult, 0.25)
     assert chain_calls == {"fixed_point_scaling": 1, "find_heavy_subspace": 0,
                            "solve_scaling_sdp": 0}
-    assert piece.subspace.dim == 10
-    assert piece.member_indices == list(range(15))
-    lam_min, lam_max, delta = piece.certificate
+    assert V.dim == 10
+    assert members.tolist() == list(range(15))
     assert 1.0 / 10.25 - 1e-8 <= lam_min <= lam_max <= 1.25 / 10.25 + 1e-8
 
 
@@ -224,15 +232,16 @@ def test_scale_first_step_with_a_heavy_flat_is_decided_exactly(chain_calls):
     counts = [5000] * 10 + [1000] * 20
     assert sum(counts) > HEAVY_FIRST_CAP
     assert sum(math.comb(30, j) for j in range(1, 4)) > ENUM_COMBO_CAP
-    piece = forster_transform(PointSet(4, rows), 0.25, counts=counts)
+    dirs, mult = _pooled(rows, counts)
+    assert dirs.shape[0] == 30 and mult.sum() == sum(counts)
+    members, V, _, _, (lam_min, lam_max, _) = _forster_transform_once(dirs, mult, 0.25)
     # One fixed point for the one scale-first step; the exact decision on
     # it and on the plane; the scaling problem solved once, on the plane.
     assert chain_calls == {"fixed_point_scaling": 1, "find_heavy_subspace": 2,
                            "solve_scaling_sdp": 1}
-    assert piece.member_indices == list(range(10))
-    assert piece.subspace.dim == 2
-    assert sorted(piece.subspace.int_rows) == [(0, 1, 0, 0), (1, 0, 0, 0)]
-    lam_min, lam_max, delta = piece.certificate
+    assert members.tolist() == list(range(10))
+    assert V.dim == 2
+    assert sorted(V.int_rows) == [(0, 1, 0, 0), (1, 0, 0, 0)]
     assert 1.0 / 2.25 - 1e-8 <= lam_min <= lam_max <= 1.25 / 2.25 + 1e-8
 
 
@@ -288,19 +297,43 @@ class TestDecompose:
                 assert verify_piece(piece, S).passed
 
     def test_fraction_guarantee_each_peel(self):
-        # piece produced from residual R has |piece| * dim(span(R)) >= dim(V) * |R|
-        S = PointSet(3, np.array(
-            [[1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-        ))
-        remaining = np.arange(S.n)
-        pts = S.points
-        while remaining.size:
-            piece = forster_transform(PointSet(3, pts[remaining]), 1e-3)
-            r_span = span_of(pts[remaining]).dim
-            assert len(piece.member_indices) * r_span >= piece.subspace.dim * remaining.size
-            keep = np.ones(remaining.size, dtype=bool)
-            keep[np.asarray(piece.member_indices)] = False
-            remaining = remaining[keep]
+        # The piece transformed from the residual R has |piece| * dim(span(R))
+        # >= dim(V) * |R|, and forster_decompose, which pools the points
+        # once, peels the same pieces byte for byte.  Besides the fixed set,
+        # seeded sets whose rows repeat scaled (times 2 and 5) and negated
+        # (times -1 and -3), 36 of their 60 rows in a planted heavy plane.
+        sets = [np.array(
+            [[1, 0, 0], [2, 0, 0], [3, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])]
+        for seed in (1, 2, 3):
+            g = np.random.default_rng(seed)
+            base = seeded_points(4, 24, 6, seed)
+            base[:12, 2:] = 0
+            base[~base.any(axis=1), 0] = 1
+            row = np.concatenate([g.integers(0, 12, size=36), g.integers(12, 24, size=24)])
+            scale = g.choice([1, 2, 5, -1, -3], size=60)
+            sets.append(base[g.permutation(row)] * scale[:, None])
+        for pts in sets:
+            dec = forster_decompose(PointSet(pts.shape[1], pts), 1e-3)
+            remaining = np.arange(pts.shape[0])
+            peeled = []
+            while remaining.size:
+                piece = forster_transform(pts[remaining], 1e-3)
+                r_span = span_of(pts[remaining]).dim
+                assert len(piece.member_indices) * r_span >= piece.subspace.dim * remaining.size
+                keep = np.ones(remaining.size, dtype=bool)
+                keep[np.asarray(piece.member_indices)] = False
+                piece.member_indices = remaining[~keep].tolist()
+                peeled.append(piece)
+                remaining = remaining[keep]
+            assert len(dec.pieces) == len(peeled) > 1
+            for got, want in zip(dec.pieces, peeled):
+                assert got.member_indices == want.member_indices
+                assert got.subspace.basis.tobytes() == want.subspace.basis.tobytes()
+                assert got.subspace.int_rows == want.subspace.int_rows
+                assert got.transform.tobytes() == want.transform.tobytes()
+                assert got.weights.c_sq.tobytes() == want.weights.c_sq.tobytes()
+                assert (np.array(got.certificate).tobytes()
+                        == np.array(want.certificate).tobytes())
 
     def test_equivariance_member_indices(self):
         T = np.array([[1, 2, 0], [0, 1, 1], [0, 0, 1]])  # unimodular
