@@ -25,7 +25,6 @@ from .dataset import (
     save_labeled_csv,
 )
 from .errors import FdcError, ParseError
-from .exact import membership_mask
 from .harness import general_position_model
 from .learner import (
     DatasetOracle,
@@ -241,14 +240,8 @@ def _cmd_eval(args):
             if not all(0 <= j < pts.n for j in piece.member_indices):
                 raise ParseError(f"piece {i} field 'members' holds an index outside "
                                  f"the input's {pts.n} points")
-            outside = 0
-            if piece.subspace.dim < pts.dim:
-                if not piece.subspace.int_rows:
-                    raise ParseError(f"piece {i} field 'subspace_int_rows' is empty "
-                                     "for a proper subspace")
-                in_V = membership_mask(piece.subspace.int_rows,
-                                       pts.points[piece.member_indices])
-                outside = int(np.count_nonzero(~in_V))
+            in_V = piece.subspace.members(pts.points[piece.member_indices])
+            outside = int(np.count_nonzero(~in_V))
             report = verify_piece(piece, pts)
             passed = report.passed and not outside
             all_members.extend(piece.member_indices)

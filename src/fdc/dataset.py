@@ -19,6 +19,7 @@ import numpy as np
 
 from . import rng
 from .errors import EmptyInput, NonInteger, ParseError, ZeroPoint
+from .exact import NO_NEGATION
 
 # Stream tags.  Each named purpose owns a tag so draws never alias.
 TAG_MARGINAL = 1
@@ -32,10 +33,8 @@ TAG_HARD_COMBO = 8
 TAG_WSTAR = 9
 
 _INT64 = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
-# A point's direction is found by gcds and negations in int64, which cannot
-# hold +2^63; a coordinate of -2^63 is refused where points enter, masked
-# only when an array's minimum is -2^63.
-_NO_NEGATION = f"coordinate {_INT64[0]} has no int64 negation"
+# A coordinate of -2^63 (exact.NO_NEGATION) is refused where points enter,
+# masked only when an array's minimum is -2^63.
 
 
 def sign_pm1(t):
@@ -66,7 +65,7 @@ class PointSet:
             bad |= (pts == _INT64[0]).any(axis=1)
         if bad.any():
             i = int(np.argmax(bad)) + 1
-            raise ParseError(_NO_NEGATION, line=i) if pts[i - 1].any() else ZeroPoint(line=i)
+            raise ParseError(NO_NEGATION, line=i) if pts[i - 1].any() else ZeroPoint(line=i)
         self._set_points(pts)
 
     def _set_points(self, pts):
@@ -468,7 +467,7 @@ def _rows_to_array(rows, labeled):
         if bad_label[r]:
             raise ParseError(f"label must be -1 or 1, got {y[r]}", line=int(line_no[i]))
         if X[r].any():
-            raise ParseError(_NO_NEGATION, line=int(line_no[i]))
+            raise ParseError(NO_NEGATION, line=int(line_no[i]))
         raise ZeroPoint(line=int(line_no[i]))
     return X, y, index
 
@@ -504,7 +503,7 @@ def _csv_fault(lines, line_no, labeled, exc):
             if not _INT64[0] <= v <= _INT64[1]:
                 return ParseError(f"coordinate {v} is outside the int64 range", line=n)
         if _INT64[0] in vals:
-            return ParseError(_NO_NEGATION, line=n)
+            return ParseError(NO_NEGATION, line=n)
         if not any(vals):
             return ZeroPoint(line=n)
     return ParseError(f"unreadable CSV data: {exc}")

@@ -1,15 +1,17 @@
-"""Exact integer linear algebra: rank, span membership, primitive directions.
+"""Exact integer linear algebra: rank, pivots, span membership, primitive
+directions.
 
 All decision-critical geometry (heavy-subspace counts, piece membership,
 classifier stage locality) is computed over the raw integer coordinates with
 fraction-free elimination, so decisions are unaffected by floating-point
 round-off.  A subspace W is held as an integer basis of its orthogonal
-complement (``IntSpan``, the one eliminator over Q), so membership of a whole
-point array is one product perp . X tested for zero: in int64 when no partial
-sum can overflow, else first modulo PRIME, where a nonzero residue proves a
-nonzero product, and in Python ints for the rows left.  Python's
-arbitrary-precision ints carry the intermediate growth (entries stay the size
-of W's minors after per-row gcd reduction; dimensions here are <= ~20).
+complement (``IntSpan``, the one eliminator over Q, which also gives a
+span's rank and pivot rows), so membership of a whole point array is one
+product perp . X tested for zero: in int64 when no partial sum can overflow,
+else first modulo PRIME, where a nonzero residue proves a nonzero product,
+and in Python ints for the rows left.  Python's arbitrary-precision ints
+carry the intermediate growth (entries stay the size of W's minors after
+per-row gcd reduction; dimensions here are <= ~20).
 Modulo ``exact_prime(rows)`` every set of the rows has its rank over Q.
 """
 
@@ -17,7 +19,11 @@ import math
 
 import numpy as np
 
-from .errors import EmptyInput, SizeLimit
+from .errors import EmptyInput, ParseError, SizeLimit
+
+INT64_LIMIT = 2 ** 63
+# Finding a direction negates in int64, where -2^63 has no negation.
+NO_NEGATION = f"coordinate {-INT64_LIMIT} has no int64 negation"
 
 
 def as_int_rows(points):
@@ -29,9 +35,12 @@ def as_int_rows(points):
 def primitive_rows(X):
     """Each row of an integer array divided by the gcd of its entries, sign
     kept.  Returns (P, g) with X == g[:, None] * P; raises EmptyInput on a zero
-    row, which has no direction.  No entry may be -2^63, whose absolute value
-    int64 cannot hold (the readers and PointSet refuse it)."""
+    row, which has no direction, and ParseError naming the 1-based row on an
+    entry -2^63, whose absolute value int64 cannot hold."""
     X = np.asarray(X, dtype=np.int64)
+    if X.min(initial=0) == -INT64_LIMIT:
+        row = int(np.argmax((X == -INT64_LIMIT).any(axis=1))) + 1
+        raise ParseError(NO_NEGATION, line=row)
     g = np.gcd.reduce(np.abs(X), axis=1)
     if not g.all():
         raise EmptyInput("zero vector has no direction")
@@ -108,7 +117,6 @@ def extend_perp(perp, x):
     return out
 
 
-INT64_LIMIT = 2 ** 63
 # The largest prime below 2^28: a product of two residues is below 2^56, so
 # int64 (whose numpy arithmetic wraps silently) holds a residue plus a sum of
 # RESIDUE_BLOCK such products.
@@ -174,17 +182,23 @@ class IntSpan:
     list of integer vectors, possibly empty), with exact membership.
 
     Held as ``perp``, integer rows spanning W^perp (the identity while W is
-    zero), so x lies in W iff perp . x == 0: ``contains(x)`` tests one point,
-    ``members(X)`` every row of an array at once (``annihilated``), and
-    ``add(x)`` extends W by x with one ``extend_perp`` step and reports
-    whether it grew.
+    zero), so x lies in W iff perp . x == 0: ``contains(x)`` tests one point
+    (``annihilated`` tests every row of an array at once), and ``add(x)``
+    extends W by x with one ``extend_perp`` step and reports whether it grew.
+    ``pivots`` lists the indices of the given rows that grew W, the first
+    maximal independent subset in their order; rows after W reaches full
+    rank are never read.
     """
 
     def __init__(self, dim, rows=()):
         self.dim = dim
         self.perp = [[int(i == j) for j in range(dim)] for i in range(dim)]
-        for x in rows:
-            self.add(x)
+        self.pivots = []
+        for i, x in enumerate(rows):
+            if self.add(x):
+                self.pivots.append(i)
+                if not self.perp:
+                    break
 
     @property
     def rank(self):
@@ -194,9 +208,6 @@ class IntSpan:
         x = [int(v) for v in x]
         return not any(sum(a * b for a, b in zip(row, x)) for row in self.perp)
 
-    def members(self, X):
-        return annihilated(self.perp, X)
-
     def add(self, x):
         perp = extend_perp(self.perp, [int(v) for v in x])
         if perp is None:
@@ -205,31 +216,8 @@ class IntSpan:
         return True
 
 
-def exact_rank(rows, dim=None):
-    return len(exact_pivot_indices(rows, dim))
-
-
-def exact_pivot_indices(rows, dim=None):
-    """Indices of the first (in given order) maximal independent subset.
-
-    Rows are converted lazily, so early full-rank termination never touches
-    the tail of a large array.
-    """
-    if len(rows) == 0:
-        return []
-    dim = dim if dim is not None else len(rows[0])
-    span = IntSpan(dim)
-    out = []
-    for i in range(len(rows)):
-        if span.add(rows[i]):
-            out.append(i)
-            if span.rank == dim:
-                break
-    return out
-
-
 def membership_mask(basis_rows, points):
     """Exact membership of every point (rows of an integer array) in
     span(basis_rows); the basis may be an array, and an empty one spans 0."""
     pts = np.asarray(points)
-    return IntSpan(pts.shape[1], basis_rows).members(pts)
+    return annihilated(IntSpan(pts.shape[1], basis_rows).perp, pts)

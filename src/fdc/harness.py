@@ -279,8 +279,7 @@ def lp_feasible(points, subspace_dim):
 
 
 def _members(W, pts):
-    mask = exact.membership_mask(W.int_rows, pts)
-    return [int(i) for i in np.nonzero(mask)[0]]
+    return [int(i) for i in np.nonzero(W.members(pts))[0]]
 
 
 def extract_subspace(points, subspace_dim, feasible_v):
@@ -356,7 +355,7 @@ def pair_swap_search(points, subspace_dim):
                 continue
             mod = pts.copy()
             mod[j] = pts[i]
-            if exact.exact_rank(exact.as_int_rows(mod)) < k:
+            if exact.IntSpan(mod.shape[1], mod).rank < k:
                 # Swap collapsed the span: the span itself is the candidate.
                 W = span_of(mod)
             else:

@@ -47,8 +47,8 @@ from .errors import (
     ParseError,
     SingularTransform,
 )
-from .exact import distinct_rows, membership_mask, primitive_rows
-from .linalg import Subspace, check_int_rows
+from .exact import distinct_rows, primitive_rows
+from .linalg import Subspace, subspace_from_dict, subspace_to_dict
 from .transform import _forster_transform_once, mapped_unit_rows
 
 TAG_LEARN = 101
@@ -123,7 +123,7 @@ class PartialClassifier:
 
     def evaluate(self, X):
         Xc, _ = primitive_rows(X)
-        n, d = Xc.shape
+        n = Xc.shape[0]
         out = np.zeros(n, dtype=np.int64)
         remaining = np.ones(n, dtype=bool)
         for stage in self.stages:
@@ -131,10 +131,7 @@ class PartialClassifier:
                 break
             idx = np.nonzero(remaining)[0]
             Xi = Xc[idx]
-            if stage.subspace.dim == d:
-                member = np.ones(idx.size, dtype=bool)
-            else:
-                member = membership_mask(stage.subspace.int_rows, Xi)
+            member = stage.subspace.members(Xi)
             imgs = Xi.astype(np.float64) @ stage.ambient_map.T
             norms = np.linalg.norm(imgs, axis=1)
             scores = imgs @ stage.w
@@ -509,10 +506,7 @@ def learn_halfspace(oracle, config, dim):
         # Weak pool, compressed: distinct canonical rows, a per-draw index
         # into them, and the per-draw labels.  Rows that share a primitive
         # direction share one distinct row.
-        keep_row = (
-            (star_dir & membership_mask(V.int_rows, directions))[direction_of]
-            if k < d else star_row
-        )
+        keep_row = (star_dir & V.members(directions))[direction_of]
         pool = _rejection_draw(oracle, lambda rows: keep_row[rows], weak_n,
                                weak_n * budget_fac * 2 * d)
         if pool is None:
@@ -579,8 +573,7 @@ def classifier_to_dict(classifier, config=None, telemetry=None):
         "default_label": classifier.default_label,
         "stages": [
             {
-                "subspace_basis": s.subspace.basis.tolist(),
-                "subspace_int_rows": [list(map(int, r)) for r in (s.subspace.int_rows or [])],
+                **subspace_to_dict(s.subspace),
                 "transform": np.asarray(s.transform).tolist(),
                 "w": np.asarray(s.w).tolist(),
                 "threshold": float(s.threshold),
@@ -599,20 +592,16 @@ def classifier_to_dict(classifier, config=None, telemetry=None):
 
 
 def classifier_from_dict(doc):
-    """Inverse of ``classifier_to_dict``.  Checks keys, types, shapes (basis
-    (d, k), transform (k, k), w (k,), one d for all stages), finiteness and
-    that each stage's int_rows are its subspace's (``check_int_rows``),
-    raising ParseError; a transform that is not invertible raises
-    SingularTransform."""
+    """Inverse of ``classifier_to_dict``.  Checks each stage's subspace
+    (``subspace_from_dict``), keys, types, shapes (transform (k, k), w (k,),
+    one d for all stages) and finiteness, raising ParseError; a transform
+    that is not invertible raises SingularTransform."""
     try:
         stages, label = [], doc.get("default_label", 1)
         for s in doc["stages"]:
-            basis = finite_array(s["subspace_basis"], "subspace_basis")
-            d, k = basis.shape if basis.ndim == 2 else (0, 0)
-            rows = [tuple(r) for r in s.get("subspace_int_rows", [])]
-            if (not 1 <= k <= d or (stages and d != stages[0].subspace.ambient_dim)
-                    or (k < d and not rows) or any(len(r) != d for r in rows)
-                    or not all(type(v) is int for r in rows for v in r)):
+            subspace = subspace_from_dict(s, "model stage")
+            k = subspace.dim
+            if stages and subspace.ambient_dim != stages[0].subspace.ambient_dim:
                 raise ParseError("model stage subspace is malformed")
             A = finite_array(s["transform"], "transform", (k, k))
             if np.linalg.matrix_rank(A) < k:
@@ -620,8 +609,6 @@ def classifier_from_dict(doc):
             threshold = s["threshold"]
             if type(threshold) not in (int, float) or not math.isfinite(threshold):
                 raise ParseError("model field 'threshold' is not a finite number")
-            subspace = Subspace(d, basis, int_rows=rows or None)
-            check_int_rows(subspace, "model stage")
             stages.append(Stage(subspace, A, finite_array(s["w"], "w", (k,)),
                                 float(threshold)))
         if label not in (-1, 1):

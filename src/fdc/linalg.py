@@ -1,4 +1,4 @@
-"""Deterministic dense linear algebra kernel.
+"""Deterministic dense linear algebra kernel, and subspaces.
 
 The rule: factorizations (QR) come from LAPACK, certificate eigenvalues
 from Jacobi, and audit eigenvalues from LAPACK ``eigvalsh``, so construction
@@ -8,7 +8,8 @@ a batch axis: certificates must reproduce bit-for-bit across runs, and Jacobi
 has no pivoting heuristics or threading nondeterminism.
 
 Spans are of integer points only, and their rank decisions are exact
-(fraction-free elimination).
+(``exact.IntSpan``).  ``Subspace`` holds the exact membership test and the
+document form of every piece's and learner stage's subspace.
 """
 
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import exact
+from .dataset import finite_array
 from .errors import EmptyInput, NonConvergent, NonInteger, ParseError
 
 ORTHO_TOL = 1e-10
@@ -145,23 +147,46 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
+    def members(self, X):
+        """Exact membership mask of the rows of the integer array X: all True
+        for the full space, else ``exact.membership_mask`` on ``int_rows``."""
+        if self.dim == self.ambient_dim:
+            return np.ones(len(X), dtype=bool)
+        return exact.membership_mask(self.int_rows, X)
 
-def check_int_rows(subspace, what):
-    """ParseError naming ``subspace_int_rows`` unless the subspace a
-    document gives (``what`` says whose) has no integer rows, or exactly dim
-    rows of exact rank dim, each within INT_ROWS_TOL (relative) of the span
-    of its float basis."""
-    rows, k = subspace.int_rows, subspace.dim
-    if not rows:
-        return
-    name = f"{what} field 'subspace_int_rows'"
-    if len(rows) != k or exact.exact_rank(rows, subspace.ambient_dim) != k:
-        raise ParseError(f"{name} does not hold {k} independent rows")
-    # int / int rounds correctly however large the ints are.
-    R = np.array([[v / max(map(abs, row)) for v in row] for row in rows])
-    off = R - (R @ subspace.basis) @ subspace.basis.T
-    if (np.linalg.norm(off, axis=1) > INT_ROWS_TOL * np.linalg.norm(R, axis=1)).any():
-        raise ParseError(f"{name} holds a row outside the span of 'subspace_basis'")
+
+def subspace_to_dict(V):
+    """The document fields of a subspace: its float basis and integer rows."""
+    return {
+        "subspace_basis": V.basis.tolist(),
+        "subspace_int_rows": [list(map(int, r)) for r in (V.int_rows or [])],
+    }
+
+
+def subspace_from_dict(doc, what):
+    """Inverse of ``subspace_to_dict`` on the document ``doc`` of a piece or
+    a stage (``what`` says which).  ParseError naming the field unless
+    ``subspace_basis`` is a finite (d, k) array with 1 <= k <= d and
+    ``subspace_int_rows`` holds rows of d integers: none for the full space,
+    else exactly k rows of exact rank k, each within INT_ROWS_TOL (relative)
+    of the span of the basis.  Other faults (a missing key, a wrong JSON
+    type, a basis that is not orthonormal) raise for the reader to report."""
+    basis = finite_array(doc["subspace_basis"], "subspace_basis")
+    d, k = basis.shape if basis.ndim == 2 else (0, 0)
+    rows = [tuple(r) for r in doc.get("subspace_int_rows", [])]
+    if (not 1 <= k <= d or any(len(r) != d for r in rows)
+            or not all(type(v) is int for r in rows for v in r)):
+        raise ParseError(f"{what} field 'subspace_basis' or 'subspace_int_rows' is malformed")
+    if rows or k < d:
+        name = f"{what} field 'subspace_int_rows'"
+        if len(rows) != k or exact.IntSpan(d, rows).rank != k:
+            raise ParseError(f"{name} does not hold {k} independent rows")
+        # int / int rounds correctly however large the ints are.
+        R = np.array([[v / max(map(abs, row)) for v in row] for row in rows])
+        off = R - (R @ basis) @ basis.T
+        if (np.linalg.norm(off, axis=1) > INT_ROWS_TOL * np.linalg.norm(R, axis=1)).any():
+            raise ParseError(f"{name} holds a row outside the span of 'subspace_basis'")
+    return Subspace(d, basis, int_rows=rows or None)
 
 
 def span_of(points):
@@ -179,7 +204,7 @@ def span_of(points):
     if pts.shape[0] == 0:
         raise EmptyInput("span of empty point set")
     d = pts.shape[1]
-    piv = exact.exact_pivot_indices(pts, dim=d)
+    piv = exact.IntSpan(d, pts).pivots
     if not piv:
         raise EmptyInput("all points are zero")
     Q, _ = np.linalg.qr(pts[piv].astype(np.float64).T)

@@ -242,13 +242,7 @@ def solve_scaling_sdp(points, delta, mults=None):
     Infeasible (a heavy subspace, or numerics).
     """
     raw = np.asarray(points, dtype=np.float64)
-    n, k = raw.shape
-    m = np.ones(n) if mults is None else np.asarray(mults, dtype=np.float64)
-    unit, norms2 = _unit_rows(raw)
-    if k == 1 or n == 1:
-        if separation_oracle(unit, ScalingWeights(np.ones(n), delta), mults=m) is None:
-            return ScalingWeights(_normalized(1.0 / norms2), delta)
-        raise Infeasible("degenerate instance fails the 1-d constraint")
+    m = np.ones(raw.shape[0]) if mults is None else np.asarray(mults, dtype=np.float64)
     w = (fixed_point_scaling(raw, delta, max_iters=4000, mults=m)
          or _newton_scaling(raw, delta, m))
     if w is not None:

@@ -37,7 +37,7 @@ from .errors import (
     SingularTransform,
 )
 from .heavy import find_heavy_subspace
-from .linalg import Subspace, check_int_rows, jacobi_eigh, span_of
+from .linalg import Subspace, jacobi_eigh, span_of, subspace_from_dict, subspace_to_dict
 from .scaling import (
     ScalingWeights,
     fixed_point_scaling,
@@ -297,8 +297,7 @@ def source_digest(point_set):
 
 def piece_to_dict(piece):
     return {
-        "subspace_basis": piece.subspace.basis.tolist(),
-        "subspace_int_rows": [list(map(int, r)) for r in (piece.subspace.int_rows or [])],
+        **subspace_to_dict(piece.subspace),
         "transform": np.asarray(piece.transform).tolist(),
         "weights": np.asarray(piece.weights.c_sq).tolist(),
         "members": list(piece.member_indices),
@@ -311,18 +310,14 @@ def piece_to_dict(piece):
 
 
 def piece_from_dict(doc):
-    """Inverse of ``piece_to_dict``.  Checks keys, types, shapes (basis
-    (d, k), transform (k, k), one weight per member, integer members and
-    int_rows of length d) and finiteness, and that the int_rows are the
-    subspace's (``check_int_rows``), raising ParseError naming the field; a
-    transform that is not invertible raises SingularTransform."""
+    """Inverse of ``piece_to_dict``.  Checks the subspace
+    (``subspace_from_dict``), keys, types, shapes (transform (k, k), one
+    weight per member, integer members) and finiteness, raising ParseError
+    naming the field; a transform that is not invertible raises
+    SingularTransform."""
     try:
-        basis = finite_array(doc["subspace_basis"], "subspace_basis")
-        d, k = basis.shape if basis.ndim == 2 else (0, 0)
-        rows = [tuple(r) for r in doc.get("subspace_int_rows", [])]
-        if (not 1 <= k <= d or any(len(r) != d for r in rows)
-                or not all(type(v) is int for r in rows for v in r)):
-            raise ParseError("piece field 'subspace_basis' or 'subspace_int_rows' is malformed")
+        subspace = subspace_from_dict(doc, "piece")
+        k = subspace.dim
         members = doc["members"]
         if not members or type(members) is not list or {*map(type, members)} != {int}:
             raise ParseError("piece field 'members' is not a list of integers")
@@ -334,8 +329,6 @@ def piece_from_dict(doc):
         if not all(type(v) in (int, float) and math.isfinite(v) for v in bounds):
             raise ParseError("piece field 'certificate' is not finite numbers")
         weights = finite_array(doc["weights"], "weights", (len(members),))
-        subspace = Subspace(d, basis, int_rows=rows or None)
-        check_int_rows(subspace, "piece")
         return ForsterPiece(
             member_indices=members,
             subspace=subspace,

@@ -206,28 +206,20 @@ class TestTransformDecompose:
 
     @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                       [[1, 0, 0], [2, 0, 0]],
-                                      [[1, 0, 0], [0, 0, 1]]],
-                             ids=["three-rows", "rank-one", "off-the-plane"])
+                                      [[1, 0, 0], [0, 0, 1]],
+                                      []],
+                             ids=["three-rows", "rank-one", "off-the-plane", "empty"])
     def test_verify_rejects_int_rows_that_are_not_the_subspace(self, tmp_path, capsys,
                                                                rows):
         # With row 0 moved to (1, 0, 7), the identity rows and e1, e3 would
         # each pass the membership test, so only a check of the rows against
-        # the piece's basis can notice.
+        # the piece's basis can notice.  A proper subspace with no rows has
+        # no exact membership test at all.
         pts, out, doc = self._decompose_nine(tmp_path)
         doc["pieces"][0]["subspace_int_rows"] = rows
         out.write_text(json.dumps(doc))
         save_points_csv(pts, PointSet(3, np.array([(1, 0, 7)] + self.NINE[1:])))
         capsys.readouterr()
-        assert run(["eval", "--verify-decomposition", str(out),
-                    "--input", str(pts)]) == 2
-        err = capsys.readouterr().err
-        assert "'subspace_int_rows'" in err and "Traceback" not in err
-
-    def test_proper_subspace_piece_without_int_rows_is_a_parse_error(self, tmp_path,
-                                                                      capsys):
-        pts, out, doc = self._decompose_nine(tmp_path)
-        doc["pieces"][0]["subspace_int_rows"] = []
-        out.write_text(json.dumps(doc))
         assert run(["eval", "--verify-decomposition", str(out),
                     "--input", str(pts)]) == 2
         err = capsys.readouterr().err
@@ -586,8 +578,9 @@ class TestEvalRejectsBadModels:
 
     @pytest.mark.parametrize("rows", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                       [[1, 0, 0], [2, 0, 0]],
-                                      [[1, 0, 0], [0, 0, 1]]],
-                             ids=["three-rows", "rank-one", "off-the-plane"])
+                                      [[1, 0, 0], [0, 0, 1]],
+                                      []],
+                             ids=["three-rows", "rank-one", "off-the-plane", "empty"])
     def test_int_rows_that_are_not_the_stage_subspace_exit_2(self, tmp_path, capsys,
                                                              rows):
         code, out = self._eval(tmp_path, capsys, self._plane_stage_model(rows),
@@ -611,9 +604,10 @@ def _member_999(doc):
 
 
 def _basis_of_another_dimension(doc):
+    # The same subspace, embedded in one more dimension.
     piece = doc["pieces"][0]
     piece["subspace_basis"].append([0.0] * len(piece["subspace_basis"][0]))
-    piece["subspace_int_rows"] = []
+    piece["subspace_int_rows"] = [row + [0] for row in piece["subspace_int_rows"]]
 
 
 @pytest.mark.parametrize("message, tamper", [

@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdc.errors import EmptyInput, SizeLimit
+from fdc.errors import EmptyInput, ParseError, SizeLimit
 from fdc.exact import (
     IntSpan,
     directions,
-    exact_pivot_indices,
     exact_prime,
-    exact_rank,
     membership_mask,
     primitive_rows,
 )
@@ -27,6 +25,11 @@ def test_primitive_row():
     np.testing.assert_array_equal(primitive_rows(np.array([[5]]))[0], [[1]])
     with pytest.raises(EmptyInput):
         primitive_rows(np.array([[1, 2], [0, 0]]))
+    # -2^63 has no int64 negation; it used to flip the row's line.
+    with pytest.raises(ParseError, match=r"no int64 negation \(line 1\)"):
+        directions(np.array([[-2 ** 63, 1]]))
+    with pytest.raises(ParseError, match=r"no int64 negation \(line 2\)"):
+        primitive_rows(np.array([[1, 2], [3, -2 ** 63]]))
 
 
 def _pooled(rows):
@@ -77,9 +80,10 @@ def test_int_span_incremental():
 
 
 def test_exact_rank_and_pivots():
-    rows = [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 5)]
-    assert exact_rank(rows) == 3
-    assert exact_pivot_indices(rows) == [0, 2, 4]
+    # The last row would raise if read: rows after full rank are never read.
+    span = IntSpan(3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 5), None])
+    assert span.rank == 3
+    assert span.pivots == [0, 2, 4]
 
 
 def _frac_rank(rows):
@@ -104,7 +108,7 @@ def _frac_rank(rows):
 def test_rank_matches_fraction_reference():
     for seed in range(30):
         pts = seeded_points(4, 7, 3, seed)
-        assert exact_rank([tuple(r) for r in pts]) == _frac_rank(pts)
+        assert IntSpan(4, pts).rank == _frac_rank(pts)
 
 
 def test_membership_mask_exact_and_prefiltered():
@@ -234,13 +238,13 @@ def test_membership_mask_matches_reference(case):
     # are mostly not; entries this large take the Python-int fallback.
     basis, combos, others = case
     d = len(basis[0])
-    if exact_rank(basis) == 0:
+    span = IntSpan(d, basis)
+    if span.rank == 0:
         return
     members = [[sum(c * b[j] for c, b in zip(combo, basis)) for j in range(d)]
                for combo in combos]
     near = [[v + (j == 0) for j, v in enumerate(row)] for row in members]
     pts = np.array(members + near + others, dtype=np.int64)
-    span = IntSpan(d, basis)
     want = [_frac_rank(basis + [list(row)]) == _frac_rank(basis) for row in pts.tolist()]
     np.testing.assert_array_equal(membership_mask(basis, pts), want)
     np.testing.assert_array_equal([span.contains(row) for row in pts.tolist()], want)

@@ -7,7 +7,7 @@ import pytest
 
 from fdc.dataset import PointSet
 from fdc.errors import PrecisionLimit, RankDeficient
-from fdc.exact import directions, exact_pivot_indices, exact_prime, exact_rank, membership_mask
+from fdc.exact import IntSpan, directions, exact_prime, membership_mask
 from fdc.harness import (
     brute_force_heavy_subspace,
     extract_subspace,
@@ -27,7 +27,7 @@ def independent_subsets(pts, k):
     """All index k-subsets that are linearly independent (exact)."""
     out = []
     for comb in combinations(range(len(pts)), k):
-        if exact_rank([tuple(pts[i]) for i in comb]) == k:
+        if IntSpan(pts.shape[1], pts[list(comb)]).rank == k:
             out.append(comb)
     return out
 
@@ -56,7 +56,7 @@ class TestMaxWeightBasis:
     def test_matches_exhaustive_on_random(self):
         for seed in range(25):
             pts = seeded_points(3, 7, 3, seed)
-            k = exact_rank([tuple(r) for r in pts])
+            k = IntSpan(pts.shape[1], pts).rank
             v = np.round(np.linspace(0.9, 0.1, 7), 3)
             got = max_weight_basis(pts, k, v)
             best = max(independent_subsets(pts, k), key=lambda c: (v[list(c)].sum(),))
@@ -131,14 +131,14 @@ class TestFindHeavySubspace:
             pts = seeded_points(3, 9, 2, seed)
             r = find_heavy_subspace(pts)
             if r.found:
-                k = exact_rank([tuple(x) for x in pts])
+                k = IntSpan(pts.shape[1], pts).rank
                 assert len(r.member_indices) * k >= r.subspace.dim * len(pts)
                 assert r.subspace.dim < k
 
     def test_lp_engine_matches_auto(self):
         for seed in range(25):
             pts = seeded_points(3, 6, 2, seed)
-            if exact_rank([tuple(x) for x in pts]) < 3:
+            if IntSpan(pts.shape[1], pts).rank < 3:
                 continue
             auto = find_heavy_subspace(pts)
             lp = lp_heavy_subspace(pts)
@@ -189,7 +189,7 @@ class TestPairSwap:
     def test_agrees_with_auto_engine(self):
         for seed in range(15):
             pts = seeded_points(2, 4, 2, seed)
-            if exact_rank([tuple(x) for x in pts]) < 2:
+            if IntSpan(pts.shape[1], pts).rank < 2:
                 continue
             auto = find_heavy_subspace(pts)
             lp_full = lp_heavy_subspace(pts)
@@ -348,7 +348,7 @@ def weighted_instances():
         d = int(gen.integers(2, 5))
         X = family(gen, d, int(gen.integers(d + 2, 14)))
         m = gen.integers(0, 4, size=X.shape[0])
-        basis = exact_pivot_indices(X)
+        basis = IntSpan(X.shape[1], X).pivots
         m[basis] = np.maximum(m[basis], 1)
         yield X, m
 
@@ -369,7 +369,7 @@ class TestMultiplicities:
             origin = np.repeat(np.arange(X.shape[0]), m)
             assert sorted(set(origin[repeated.member_indices])) == \
                 [i for i in weighted.member_indices if m[i] > 0]
-            k, M = exact_rank([tuple(x) for x in X]), int(m.sum())
+            k, M = IntSpan(X.shape[1], X).rank, int(m.sum())
             excess = k * int(m[in_w].sum()) - M * weighted.subspace.dim
             stages["strict" if excess > 0 else "equality"] += 1
         assert min(stages.values()) > 0, stages

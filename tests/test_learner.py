@@ -16,7 +16,7 @@ from fdc.dataset import (
     massart_draw,
     sign_pm1,
 )
-from fdc.errors import CoverageFailure, DegenerateSecondMoment
+from fdc.errors import CoverageFailure, DegenerateSecondMoment, ParseError
 from fdc.exact import directions, distinct_rows, primitive_rows
 from fdc.harness import ModelOracle, general_position_model
 from fdc.learner import (
@@ -107,6 +107,10 @@ class TestPartialClassifier:
         full = full_space(2)
         h = PartialClassifier([_stage(full, np.eye(2), [0.0, 1.0], 0.0)])
         np.testing.assert_array_equal(h.evaluate(np.array([[1, 0], [-4, 0]])), [1, 1])
+        # -2^63 has no int64 negation; it used to flip the point's sign.
+        h = PartialClassifier([_stage(full, np.eye(2), [1.0, 0.0], 0.0)])
+        with pytest.raises(ParseError, match=r"no int64 negation \(line 1\)"):
+            h.evaluate(np.array([[-2 ** 63, 0], [-2 ** 62, 0]]))
 
 
 class TestWeakLearner:

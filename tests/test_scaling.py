@@ -238,18 +238,21 @@ class TestSolve:
 
     def test_single_point(self):
         w = solve_scaling_sdp(np.array([[5.0]]), 1e-3)
-        np.testing.assert_allclose(w.c_sq, [1.0])
+        np.testing.assert_array_equal(w.c_sq, [1.0])
 
     def test_one_dimensional_weights_certified(self):
-        # Unit weights on the unit rows are weights 1/x^2 on the points.
+        # Unit weights on the unit rows are weights 1/x^2 on the points: the
+        # fixed point certifies them at its first check.
         X = np.array([[1.0], [-2.0], [4.0]])
         w = solve_scaling_sdp(X, 1e-3)
-        np.testing.assert_allclose(w.c_sq, [16.0, 4.0, 1.0])
+        np.testing.assert_array_equal(w.c_sq, [16.0, 4.0, 1.0])
         assert recheck_certificate(X, w)[0]
 
     def test_heavy_raises_infeasible(self):
         with pytest.raises(Infeasible):
             solve_scaling_sdp(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1e-3)
+        with pytest.raises(Infeasible):
+            solve_scaling_sdp(np.array([[1.0, 2.0]]), 1e-3)
 
     def test_newton_fallback_certifies(self):
         w = scaling._newton_scaling(FOUR_POINTS, 0.05, np.ones(4))
