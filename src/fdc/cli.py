@@ -233,7 +233,7 @@ def _cmd_eval(args):
         all_members = []
         ok = True
         for i, pdoc in enumerate(pieces):
-            piece = piece_from_dict(pdoc)
+            piece = piece_from_dict(pdoc, f"piece {i}")
             if piece.subspace.ambient_dim != pts.dim:
                 raise ParseError(f"piece {i} field 'subspace_basis' has dimension "
                                  f"{piece.subspace.ambient_dim}, the input {pts.dim}")

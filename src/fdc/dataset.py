@@ -157,18 +157,14 @@ class EtaSpec:
     kind = "constant": eta(x) = value.
     kind = "margin_inverse": eta(x) = bound / (1 + |w*.x| / (s * ||x||)),
         larger flip rate close to the separator.
-    kind = "table": explicit per-point rates keyed by coordinate tuple, with
-        ``default`` elsewhere.
     """
 
     kind: str = "constant"
     value: float = 0.0
     margin_scale: float = 0.1
-    table: dict = None
-    default: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "margin_inverse", "table"):
+        if self.kind not in ("constant", "margin_inverse"):
             raise ValueError(f"unknown eta kind {self.kind!r}")
 
 
@@ -202,17 +198,11 @@ def eta_values(model, X):
     n = np.asarray(X).shape[0]
     if spec.kind == "constant":
         vals = np.full(n, spec.value, dtype=np.float64)
-    elif spec.kind == "margin_inverse":
+    else:
         Xf = np.asarray(X, dtype=np.float64)
         norms = np.linalg.norm(Xf, axis=1)
         margins = np.abs(Xf @ model.w_star) / np.maximum(norms, 1e-300)
         vals = model.eta_bound / (1.0 + margins / spec.margin_scale)
-    else:
-        table = spec.table or {}
-        vals = np.array(
-            [table.get(tuple(int(v) for v in row), spec.default) for row in np.asarray(X)],
-            dtype=np.float64,
-        )
     if np.any(vals > model.eta_bound + 1e-12):
         raise ValueError("eta(x) exceeds eta_bound")
     return np.minimum(vals, model.eta_bound)
@@ -225,6 +215,9 @@ def _draw_gaussian_grid(seed, indices, dim, scale, bits):
     substream (bounded retries, then a fixed unit vector).
     """
     idx = np.asarray(indices, dtype=np.uint64)
+    # 2^bits - 1 rounds to 2^bits in binary64 from bits 54 on, so the float
+    # clip only keeps the cast inside int64 and the int64 clip is the bound.
+    top = 2.0 ** int(bits)
     lim = 2 ** int(bits) - 1
     X = np.zeros((idx.size, dim), dtype=np.int64)
     todo = np.arange(idx.size)
@@ -232,7 +225,8 @@ def _draw_gaussian_grid(seed, indices, dim, scale, bits):
         if todo.size == 0:
             break
         z = rng.normals(seed, TAG_GAUSS + 16 * attempt, idx[todo], cols=dim)
-        cand = np.clip(np.rint(z * scale), -lim, lim).astype(np.int64)
+        cand = np.clip(np.rint(z * scale), -top, top).astype(np.int64)
+        np.clip(cand, -lim, lim, out=cand)
         ok = cand.any(axis=1)
         X[todo[ok]] = cand[ok]
         todo = todo[~ok]
@@ -520,13 +514,14 @@ def load_json(path):
                              line=getattr(exc, "lineno", None)) from None
 
 
-def finite_array(value, name, shape=None):
+def finite_array(value, what, name, shape=None):
     """A JSON field as a float array of finite numbers (of ``shape`` if
-    given); ParseError naming the field otherwise."""
+    given); ParseError naming the document ``what`` and the field
+    otherwise."""
     arr = np.asarray(value)
     if (arr.dtype.kind not in "iuf" or (shape is not None and arr.shape != shape)
             or not np.all(np.isfinite(arr))):
-        raise ParseError(f"field {name!r} is not finite numbers"
+        raise ParseError(f"{what} field {name!r} is not finite numbers"
                          + (f" of shape {shape}" if shape is not None else ""))
     return arr.astype(np.float64)
 
@@ -657,10 +652,6 @@ def _write_csv(path, rows, header=None, index=None):
         lines = text(rows).splitlines(keepends=True)
         for s in range(0, len(index), CSV_WRITE_ROWS):
             fh.write("".join(map(lines.__getitem__, index[s:s + CSV_WRITE_ROWS].tolist())))
-
-
-def save_points_csv(path, point_set):
-    _write_csv(path, point_set.points)
 
 
 def save_labeled_csv(path, dataset, header=False):

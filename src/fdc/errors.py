@@ -48,16 +48,6 @@ class NonInteger(FdcError):
         self.line = line
 
 
-class RankDeficient(FdcError):
-    """Point set does not span the claimed subspace."""
-
-
-class IterationBudgetExceeded(FdcError):
-    """The reference LP's central-cut loop (``harness.central_cut``)
-    exhausted its budget or lost definiteness before a sound verdict; signals
-    numerical failure, not infeasibility."""
-
-
 class InternalInvariantViolated(FdcError):
     """A condition guaranteed by construction failed; indicates numerical error
     upstream."""
@@ -87,5 +77,5 @@ class IterationCapExceeded(FdcError):
 
 
 class SizeLimit(FdcError):
-    """An exact route invoked beyond its documented instance size: the
-    brute-force oracle, or ``exact.exact_prime`` past its largest prime."""
+    """An exact route invoked beyond its documented instance size:
+    ``exact.exact_prime`` past its largest prime."""

@@ -10,7 +10,8 @@ kM + min f in all.  ``BasisPacking`` reaches that with integer weights, by
 shortest augmenting paths (Cunningham 1984).  With demand left unmet, the
 directions the last path search reached span the winner; with all demand
 met, the flats of excess 0 are the sets the exchange graph cannot leave.
-``harness.lp_heavy_subspace`` decides the same predicate by the literal LP.
+``tests/reference.py`` decides the same predicate by brute force and by the
+paper's literal feasibility LP.
 
 The packing runs over F_p: a set independent mod p is independent over Q,
 so its sets, arcs and sinks are genuine rational ones.  It runs first mod

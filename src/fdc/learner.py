@@ -594,25 +594,30 @@ def classifier_to_dict(classifier, config=None, telemetry=None):
 def classifier_from_dict(doc):
     """Inverse of ``classifier_to_dict``.  Checks each stage's subspace
     (``subspace_from_dict``), keys, types, shapes (transform (k, k), w (k,),
-    one d for all stages) and finiteness, raising ParseError; a transform
-    that is not invertible raises SingularTransform."""
+    one d for all stages) and finiteness, raising ParseError naming the
+    stage ("model stage 1") and the field; a transform that is not
+    invertible raises SingularTransform."""
+    what = "model"
     try:
         stages, label = [], doc.get("default_label", 1)
-        for s in doc["stages"]:
-            subspace = subspace_from_dict(s, "model stage")
+        for i, s in enumerate(doc["stages"]):
+            what = f"model stage {i}"
+            subspace = subspace_from_dict(s, what)
             k = subspace.dim
             if stages and subspace.ambient_dim != stages[0].subspace.ambient_dim:
-                raise ParseError("model stage subspace is malformed")
-            A = finite_array(s["transform"], "transform", (k, k))
+                raise ParseError(f"{what} field 'subspace_basis' has dimension "
+                                 f"{subspace.ambient_dim}, stage 0 "
+                                 f"{stages[0].subspace.ambient_dim}")
+            A = finite_array(s["transform"], what, "transform", (k, k))
             if np.linalg.matrix_rank(A) < k:
-                raise SingularTransform("model stage transform is not invertible")
+                raise SingularTransform(f"{what} field 'transform' is not invertible")
             threshold = s["threshold"]
             if type(threshold) not in (int, float) or not math.isfinite(threshold):
-                raise ParseError("model field 'threshold' is not a finite number")
-            stages.append(Stage(subspace, A, finite_array(s["w"], "w", (k,)),
+                raise ParseError(f"{what} field 'threshold' is not a finite number")
+            stages.append(Stage(subspace, A, finite_array(s["w"], what, "w", (k,)),
                                 float(threshold)))
         if label not in (-1, 1):
             raise ParseError("model field 'default_label' is not -1 or 1")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed model: {exc!r}") from None
+        raise ParseError(f"malformed {what}: {exc!r}") from None
     return PartialClassifier(stages, default_label=int(label))

@@ -165,13 +165,13 @@ def subspace_to_dict(V):
 
 def subspace_from_dict(doc, what):
     """Inverse of ``subspace_to_dict`` on the document ``doc`` of a piece or
-    a stage (``what`` says which).  ParseError naming the field unless
-    ``subspace_basis`` is a finite (d, k) array with 1 <= k <= d and
-    ``subspace_int_rows`` holds rows of d integers: none for the full space,
-    else exactly k rows of exact rank k, each within INT_ROWS_TOL (relative)
-    of the span of the basis.  Other faults (a missing key, a wrong JSON
+    a stage, which ``what`` names ("piece 1").  ParseError naming it and the
+    field unless ``subspace_basis`` is a finite (d, k) array with
+    1 <= k <= d and ``subspace_int_rows`` holds rows of d integers: none for
+    the full space, else exactly k rows of exact rank k, each within
+    INT_ROWS_TOL (relative) of the span of the basis.  Other faults (a missing key, a wrong JSON
     type, a basis that is not orthonormal) raise for the reader to report."""
-    basis = finite_array(doc["subspace_basis"], "subspace_basis")
+    basis = finite_array(doc["subspace_basis"], what, "subspace_basis")
     d, k = basis.shape if basis.ndim == 2 else (0, 0)
     rows = [tuple(r) for r in doc.get("subspace_int_rows", [])]
     if (not 1 <= k <= d or any(len(r) != d for r in rows)
@@ -210,7 +210,3 @@ def span_of(points):
     Q, _ = np.linalg.qr(pts[piv].astype(np.float64).T)
     int_rows = [tuple(int(v) for v in pts[i]) for i in piv]
     return Subspace(d, Q[:, : len(piv)], int_rows=int_rows)
-
-
-def full_space(d):
-    return Subspace(d, np.eye(d), int_rows=[tuple(int(v) for v in row) for row in np.eye(d, dtype=np.int64)])

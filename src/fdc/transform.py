@@ -309,26 +309,26 @@ def piece_to_dict(piece):
     }
 
 
-def piece_from_dict(doc):
+def piece_from_dict(doc, what="piece"):
     """Inverse of ``piece_to_dict``.  Checks the subspace
     (``subspace_from_dict``), keys, types, shapes (transform (k, k), one
     weight per member, integer members) and finiteness, raising ParseError
-    naming the field; a transform that is not invertible raises
-    SingularTransform."""
+    naming the piece (``what``, e.g. "piece 1") and the field; a transform
+    that is not invertible raises SingularTransform."""
     try:
-        subspace = subspace_from_dict(doc, "piece")
+        subspace = subspace_from_dict(doc, what)
         k = subspace.dim
         members = doc["members"]
         if not members or type(members) is not list or {*map(type, members)} != {int}:
-            raise ParseError("piece field 'members' is not a list of integers")
-        A = finite_array(doc["transform"], "transform", (k, k))
+            raise ParseError(f"{what} field 'members' is not a list of integers")
+        A = finite_array(doc["transform"], what, "transform", (k, k))
         if np.linalg.matrix_rank(A) < k:
-            raise SingularTransform("piece field 'transform' is not invertible")
+            raise SingularTransform(f"{what} field 'transform' is not invertible")
         cert = doc["certificate"]
         bounds = tuple(cert[key] for key in ("lambda_min", "lambda_max", "delta"))
         if not all(type(v) in (int, float) and math.isfinite(v) for v in bounds):
-            raise ParseError("piece field 'certificate' is not finite numbers")
-        weights = finite_array(doc["weights"], "weights", (len(members),))
+            raise ParseError(f"{what} field 'certificate' is not finite numbers")
+        weights = finite_array(doc["weights"], what, "weights", (len(members),))
         return ForsterPiece(
             member_indices=members,
             subspace=subspace,
@@ -337,7 +337,7 @@ def piece_from_dict(doc):
             certificate=tuple(map(float, bounds)),
         )
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed piece: {exc!r}") from None
+        raise ParseError(f"malformed {what}: {exc!r}") from None
 
 
 def decomposition_to_dict(dec):

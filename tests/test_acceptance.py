@@ -13,19 +13,14 @@ import pytest
 from fdc import rng, scaling
 from fdc.dataset import PointSet
 from fdc.errors import Infeasible
-from fdc.harness import (
-    bit_independence_study,
-    brute_force_heavy_subspace,
-    general_position_model,
-    lp_heavy_subspace,
-    run_learning_trial,
-)
+from fdc.harness import general_position_model, run_learning_trial
 from fdc.heavy import find_heavy_subspace
 from fdc.learner import LearnerConfig
 from fdc.linalg import span_of
 from fdc.scaling import recheck_certificate, solve_scaling_sdp
 from fdc.transform import forster_decompose, forster_transform, mapped_unit_rows, verify_piece
-from tests.conftest import seeded_points
+from tests.conftest import bit_independence_study, seeded_points
+from tests.reference import brute_force_heavy_subspace, lp_heavy_subspace
 
 pytestmark = pytest.mark.acceptance
 

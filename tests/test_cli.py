@@ -16,7 +16,6 @@ from fdc.dataset import (
     gen_hard_instance,
     load_labeled,
     massart_draw,
-    save_points_csv,
 )
 from fdc.harness import general_position_model
 from fdc.learner import (
@@ -25,6 +24,7 @@ from fdc.learner import (
     evaluate_classifier,
     score_partial,
 )
+from tests.conftest import save_points_csv
 
 
 def _strip_timestamp(path):
@@ -224,6 +224,16 @@ class TestTransformDecompose:
                     "--input", str(pts)]) == 2
         err = capsys.readouterr().err
         assert "'subspace_int_rows'" in err and "Traceback" not in err
+
+    def test_verify_names_the_faulty_piece(self, tmp_path, capsys):
+        pts, out, doc = self._decompose_nine(tmp_path)
+        doc["pieces"][1]["subspace_int_rows"] = []
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["eval", "--verify-decomposition", str(out),
+                    "--input", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert "error: piece 1 field 'subspace_int_rows' does not hold 1 independent" in err
 
     def test_missing_input_usage_error(self, tmp_path):
         assert run(["transform", "--out", str(tmp_path / "x.json")]) == 1
@@ -587,6 +597,13 @@ class TestEvalRejectsBadModels:
                                rows=self.PLANE_ROWS)
         assert code == 2
         assert "'subspace_int_rows'" in out.err and "Traceback" not in out.err
+
+    def test_malformed_stage_is_named(self, tmp_path, capsys):
+        doc = _plane_model()
+        doc["stages"].append({**doc["stages"][0], "w": [1.0, float("inf")]})
+        code, out = self._eval(tmp_path, capsys, doc)
+        assert code == 2
+        assert "error: model stage 1 field 'w' is not finite numbers" in out.err
 
     def test_test_file_of_another_dimension_exits_2(self, tmp_path, capsys):
         code, out = self._eval(tmp_path, capsys, _plane_model(),

@@ -31,9 +31,9 @@ from fdc.dataset import (
     load_labeled,
     load_points,
     save_labeled_csv,
-    save_points_csv,
 )
 from fdc.errors import FdcError, NonInteger, ParseError, ZeroPoint
+from tests.conftest import save_points_csv
 
 INT64 = (-(2 ** 63), 2 ** 63 - 1)
 ASCII_BLANK = " \t\x0b\x0c\x1c\x1d\x1e\x1f,"

@@ -19,6 +19,7 @@ from fdc.dataset import (
 )
 from fdc.errors import EmptyInput, NonInteger, ParseError, ZeroPoint
 from fdc.exact import primitive_rows
+from fdc.harness import general_position_model
 
 
 class TestPointSet:
@@ -236,14 +237,15 @@ class TestMassartDraw:
         assert abs(flip - 0.2) <= 0.01
 
     def test_per_point_flip_frequency(self):
-        pts = np.array([[1, 0], [0, 1]])
-        table = {(1, 0): 0.3, (0, 1): 0.05}
-        model = _uniform_model(
-            pts, np.array([1.0, 1.0]), 0.3, EtaSpec("table", table=table, default=0.0)
-        )
+        # (1, -1) lies on the separator and flips at the bound; (1, 0) at
+        # 0.3 / (1 + 10 / sqrt(2)), about 0.037.
+        pts = np.array([[1, 0], [1, -1]])
+        model = _uniform_model(pts, np.array([1.0, 1.0]), 0.3, EtaSpec("margin_inverse"))
+        rates = eta_values(model, pts)
+        assert rates == pytest.approx([0.3 / (1 + 10 / 2 ** 0.5), 0.3])
         ds = massart_draw(model, 200_000, seed=4)
         clean = sign_pm1(ds.base.points.astype(float) @ model.w_star)
-        for key, eta in table.items():
+        for key, eta in zip(map(tuple, pts.tolist()), rates):
             sel = np.all(ds.base.points == np.array(key), axis=1)
             m = sel.sum()
             freq = np.mean(clean[sel] != ds.labels[sel])
@@ -281,6 +283,14 @@ class TestMassartDraw:
         model = _uniform_model(pts, np.array([1.0, 1.0]), 0.25, EtaSpec("margin_inverse"))
         vals = eta_values(model, pts)
         assert np.all(vals <= 0.25 + 1e-12) and np.all(vals >= 0)
+
+
+@pytest.mark.parametrize("bits", [54, 62])
+def test_general_position_support_stays_below_2_to_the_bits(bits):
+    # The support of fdc gen --marginal general: 2^bits - 1 is not a
+    # binary64 number from bits 54 on, so a float clip there lets 2^bits by.
+    X = general_position_model(10, 4000, 0.1, seed=1, bits=bits).support.points
+    assert np.abs(X).max() == 2 ** bits - 1   # some draws are clipped
 
 
 class TestHardInstance:

@@ -15,6 +15,7 @@ from fdc.exact import (
     primitive_rows,
 )
 from tests.conftest import seeded_points
+from tests.reference import Span
 
 
 def test_primitive_row():
@@ -86,29 +87,10 @@ def test_exact_rank_and_pivots():
     assert span.pivots == [0, 2, 4]
 
 
-def _frac_rank(rows):
-    # independent reference: fraction Gaussian elimination
-    mat = [[Fraction(int(v)) for v in r] for r in rows]
-    rank, col = 0, 0
-    while rank < len(mat) and col < len(mat[0]):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                f = mat[i][col] / mat[rank][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def test_rank_matches_fraction_reference():
     for seed in range(30):
         pts = seeded_points(4, 7, 3, seed)
-        assert IntSpan(4, pts).rank == _frac_rank(pts)
+        assert IntSpan(4, pts).rank == Span(pts).dim
 
 
 def test_membership_mask_exact_and_prefiltered():
@@ -184,7 +166,7 @@ def test_membership_at_d_130_with_62_bit_coordinates():
     others = gen.integers(-2 ** 62, 2 ** 62, size=(4, d))
     pts = np.vstack([members, near, others])
     assert np.abs(pts).max() >= 2 ** 61
-    want = [_frac_rank(basis.tolist() + [row]) == 3 for row in pts.tolist()]
+    want = [Span(basis.tolist() + [row]).dim == 3 for row in pts.tolist()]
     assert sum(want) == 6
     np.testing.assert_array_equal(membership_mask(basis, pts), want)
     # The hyperplane x0 = x1 + ... + x129, with every coordinate past x0 at
@@ -245,7 +227,7 @@ def test_membership_mask_matches_reference(case):
                for combo in combos]
     near = [[v + (j == 0) for j, v in enumerate(row)] for row in members]
     pts = np.array(members + near + others, dtype=np.int64)
-    want = [_frac_rank(basis + [list(row)]) == _frac_rank(basis) for row in pts.tolist()]
+    want = [Span(basis + [list(row)]).dim == Span(basis).dim for row in pts.tolist()]
     np.testing.assert_array_equal(membership_mask(basis, pts), want)
     np.testing.assert_array_equal([span.contains(row) for row in pts.tolist()], want)
 

@@ -3,17 +3,11 @@ import pytest
 
 from fdc import harness, rng
 from fdc.dataset import gen_hard_instance, massart_draw
-from fdc.errors import SizeLimit
 from fdc.harness import (
     CountingOracle,
     ModelOracle,
-    bit_independence_study,
-    brute_force_heavy_subspace,
     general_position_model,
-    random_point_set,
     run_learning_trial,
-    write_study_csv,
-    STUDY_COLUMNS,
 )
 from fdc.learner import (
     LearnerConfig,
@@ -21,7 +15,8 @@ from fdc.learner import (
     Stage,
     learn_halfspace,
 )
-from fdc.linalg import full_space
+from tests.conftest import bit_independence_study
+from tests.reference import brute_force_heavy_subspace
 
 
 class TestBruteForce:
@@ -33,14 +28,14 @@ class TestBruteForce:
         assert not brute_force_heavy_subspace(np.array([[1, 0], [0, 1], [1, 1]])).found
 
     def test_single_point_in_plane(self):
-        r = brute_force_heavy_subspace(np.array([[3, 4]]), V=full_space(2))
-        assert r.found and r.member_indices == [0] and r.subspace.dim == 1
+        r = brute_force_heavy_subspace(np.array([[3, 4]]), k=2)
+        assert r.found and r.member_indices == [0] and r.dim == 1
 
     def test_size_limit(self):
         pts = np.ones((13, 2), dtype=np.int64)
-        with pytest.raises(SizeLimit):
+        with pytest.raises(ValueError):
             brute_force_heavy_subspace(pts)
-        with pytest.raises(SizeLimit):
+        with pytest.raises(ValueError):
             brute_force_heavy_subspace(np.ones((3, 5), dtype=np.int64))
 
 
@@ -153,17 +148,13 @@ class TestStudy:
         rows = bit_independence_study(2, [8, 16], 0.1, 0.2, trials=0, seed=1)
         assert rows == []
 
-    def test_single_cell_and_csv(self, tmp_path):
+    def test_single_cell(self):
         rows = bit_independence_study(
             2, [8], 0.1, 0.2, trials=1, seed=3, n_support=60, test_n=4000,
             config_kwargs={"C": 8},
         )
         assert len(rows) == 1
-        assert set(rows[0]) == set(STUDY_COLUMNS)
-        out = tmp_path / "study.csv"
-        write_study_csv(out, rows)
-        header = out.read_text().splitlines()[0]
-        assert header == ",".join(STUDY_COLUMNS)
+        assert set(rows[0]) == {"b", "trial", "error", "coverage", "draws", "seconds"}
 
     def test_paired_bits_draws_identical(self):
         rows = bit_independence_study(
@@ -179,9 +170,3 @@ class TestStudy:
         err8 = [r["error"] for r in by_b[8]]
         err20 = [r["error"] for r in by_b[20]]
         assert err8 == err20  # canonicalization makes the runs bit-identical
-
-
-def test_random_point_set_no_zero_rows():
-    ps = random_point_set(3, 50, 4, seed=9)
-    assert ps.n == 50
-    assert np.all(ps.points.any(axis=1))

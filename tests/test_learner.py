@@ -35,8 +35,8 @@ from fdc.learner import (
     outlier_bound,
     weak_partial_learner,
 )
-from fdc.linalg import full_space
 from fdc.transform import _forster_transform_once, forster_transform, mapped_unit_rows
+from tests.conftest import full_space
 
 
 class TestCanonicalize:
@@ -295,16 +295,11 @@ class TestModelOracleLabels:
     y = sign(w*.x), flipped when the draw's TAG_FLIP uniform is below
     eta(x)."""
 
-    KINDS = ["constant", "margin_inverse", "table"]
+    KINDS = ["constant", "margin_inverse"]
 
     @staticmethod
     def _model(kind):
-        model = general_position_model(6, 300, 0.3, seed=41, eta_kind=kind)
-        if kind == "table":
-            S = model.support.points
-            table = {tuple(int(v) for v in S[i]): 0.05 * (i % 7) for i in range(0, 300, 3)}
-            model.eta = EtaSpec("table", table=table, default=0.1)
-        return model
+        return general_position_model(6, 300, 0.3, seed=41, eta_kind=kind)
 
     @staticmethod
     def _labels(model, seed, X, indices):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from fdc import scaling
-from fdc.errors import Infeasible, IterationBudgetExceeded
-from fdc.harness import central_cut
+from fdc.errors import Infeasible
 from fdc.scaling import (
     ScalingWeights,
     fixed_point_scaling,
@@ -13,6 +12,7 @@ from fdc.scaling import (
     weighted_second_moment,
 )
 from tests.conftest import seeded_points
+from tests.reference import brute_force_heavy_subspace, central_cut
 
 FOUR_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 HAND_SOLUTION = np.array([2.0, 2.0, 1.0, 1.0])  # closed-form by symmetry
@@ -44,7 +44,7 @@ class TestCentralCut:
 
     def test_budget_exhausted_raises(self):
         cut = self._halfplanes(0.6, 1.0, 0.3)
-        with pytest.raises(IterationBudgetExceeded):
+        with pytest.raises(RuntimeError):
             central_cut(cut, np.full(2, 0.5), 0.5 * np.sqrt(2), 0.0, 1.0, 0.1, 1)
 
 
@@ -290,8 +290,6 @@ class TestSolve:
     def test_newton_certifies_when_no_heavy_subspace(self):
         # d <= 3, n <= 8: whenever the brute-force oracle says no heavy
         # subspace exists, the Newton path must certify within budget
-        from fdc.harness import brute_force_heavy_subspace
-
         certified = 0
         for seed in range(40):
             pts = seeded_points(3, 4 + seed % 5, 2, seed)
