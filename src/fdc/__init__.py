@@ -25,7 +25,6 @@ from .linalg import Subspace, span_of
 from .scaling import (
     ScalingWeights,
     ViolatedConstraint,
-    recheck_certificate,
     separation_oracle,
     solve_scaling_sdp,
 )
@@ -47,8 +46,7 @@ __all__ = [
     "LearnerConfig", "ModelOracle", "PartialClassifier", "evaluate_classifier",
     "learn_halfspace",
     "Subspace", "span_of",
-    "ScalingWeights", "ViolatedConstraint",
-    "recheck_certificate", "separation_oracle", "solve_scaling_sdp",
+    "ScalingWeights", "ViolatedConstraint", "separation_oracle", "solve_scaling_sdp",
     "ForsterDecomposition", "ForsterPiece", "forster_decompose",
     "forster_transform", "verify_piece",
 ]

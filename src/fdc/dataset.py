@@ -310,7 +310,7 @@ def _hard_directions(dim, n, bits, seed):
     return dirs
 
 
-def gen_hard_instance(dim, n, bits, eta, seed, eta_kind="constant"):
+def gen_hard_instance(dim, n, bits, eta, seed):
     """Hard bit-complexity instance: common directions, per-point power-of-two
     scales spread up to 2^bits.
 
@@ -334,11 +334,7 @@ def gen_hard_instance(dim, n, bits, eta, seed, eta_kind="constant"):
     w = w / np.linalg.norm(w)
 
     base = PointSet(dim, points)
-    if eta_kind == "constant":
-        spec = EtaSpec("constant", value=eta)
-    else:
-        spec = EtaSpec(eta_kind)
-    model = MassartModel(w, eta, spec, base)
+    model = MassartModel(w, eta, EtaSpec("constant", value=eta), base)
 
     clean = sign_pm1(dirs.astype(np.float64) @ w)
     flips = rng.uniform01(seed, TAG_FLIP, i_all) < eta_values(model, dirs)
@@ -359,20 +355,6 @@ def gen_hard_instance(dim, n, bits, eta, seed, eta_kind="constant"):
 _BLANK = b" \t\x0b\x0c\x1c\x1d\x1e\x1f,"  # the bytes a skipped line consists of
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _NUMERIC_START = re.compile(r"[+-]?[\d.]")  # a cell that begins like a number
-
-
-def _int64_array(points):
-    """(n, d) int64 array of integer rows.  A coordinate outside int64 raises
-    ParseError naming its row's 1-based position."""
-    try:
-        return np.array(points, dtype=np.int64)
-    except OverflowError:
-        for i, row in enumerate(points, start=1):
-            for v in row:
-                if not _INT64[0] <= v <= _INT64[1]:
-                    raise ParseError(f"coordinate {v} is outside the int64 range",
-                                     line=i) from None
-        raise
 
 
 def _read_csv_rows(path):
@@ -574,10 +556,9 @@ def _json_labels(labels):
         else:
             if np.all((y == 1) | (y == -1)):
                 return y
-    for i, v in enumerate(labels, start=1):
+    for i, v in enumerate(labels, start=1):  # some value is not -1 or 1
         if type(v) is not int or v not in (-1, 1):
             raise ParseError(f"label must be -1 or 1, got {v!r}", line=i)
-    return np.array(labels, dtype=np.int64)
 
 
 def _json_to_arrays(path, labeled):
@@ -595,8 +576,11 @@ def _json_to_arrays(path, labeled):
     y = None
     if labeled:
         y = _json_labels(_json_list(doc, "labels"))
-    if X is None:
-        X = _int64_array(pts)  # raises, naming the row
+    if X is None:  # some coordinate is outside int64
+        for i, row in enumerate(pts, start=1):
+            for v in row:
+                if not _INT64[0] <= v <= _INT64[1]:
+                    raise ParseError(f"coordinate {v} is outside the int64 range", line=i)
     dim = doc.get("dim", X.shape[1])
     if type(dim) is not int:
         raise ParseError(f'"dim" must be an integer, got {dim!r}')

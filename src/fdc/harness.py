@@ -2,7 +2,6 @@
 wrapper, general-position models, and seeded learning trials.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,7 @@ from .dataset import (
     massart_draw,
     massart_draw_rows,
 )
-from .learner import TRANSFORM_DELTA, learn_halfspace, score_partial
+from .learner import learn_halfspace, score_partial
 
 
 def general_position_model(dim, n_support, eta, seed, bits=10, eta_kind="constant"):
@@ -94,13 +93,10 @@ class CountingOracle:
 
 @dataclass
 class TrialReport:
-    seed: int
-    config: dict
     telemetry: list
     final_error: float
     coverage: float
     sample_count: int
-    wall_time: float
 
 
 def run_learning_trial(model, config, seed, test_n=100_000):
@@ -117,9 +113,7 @@ def run_learning_trial(model, config, seed, test_n=100_000):
         raise ValueError("test_n must be >= 1")
     inner = ModelOracle(model, rng.derive_seed(seed, 1))
     oracle = CountingOracle(inner)
-    t0 = time.perf_counter()
     classifier, telemetry = learn_halfspace(oracle, config, dim=model.dim)
-    wall = time.perf_counter() - t0
     if inner.count != oracle.count:
         raise AssertionError(
             f"draw audit mismatch: oracle consumed {inner.count}, wrapper saw {oracle.count}"
@@ -127,16 +121,9 @@ def run_learning_trial(model, config, seed, test_n=100_000):
     rows, y = massart_draw_rows(model, rng.derive_seed(seed, 2), range(test_n))
     partial = classifier.evaluate(model.support.points)[rows]
     report = score_partial(partial, y, classifier.default_label)
-    cfg = {
-        "eta": config.eta, "eps": config.eps, "delta": config.delta, "C": config.C,
-        "transform_delta": TRANSFORM_DELTA,
-    }
     return classifier, TrialReport(
-        seed=seed,
-        config=cfg,
         telemetry=telemetry,
         final_error=report.total_error,
         coverage=report.coverage,
         sample_count=oracle.count,
-        wall_time=wall,
     )

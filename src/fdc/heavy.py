@@ -62,16 +62,14 @@ class BasisPacking:
         self.sets = {}
         self._exchanges = {}
         # Each set takes the directions of largest remaining demand that
-        # extend its span.  Every round fills the slots or meets a demand, so
-        # slots are left over only once every demand is met.
+        # extend its span.  A round adds eps to at most k covers and uses up
+        # eps of the M slots, so sum(cover) <= k*(M - free) < kM while a slot
+        # is free: some demand is unmet, and every round has a direction.
         free = int(np.sum(mult))
         while free:
             left = self.demand - self.cover
             order = np.argsort(-left, kind="stable")
-            rest = order[left[order] > 0]
-            if not rest.size:
-                break
-            B, data = self._eliminate(rest, k)
+            B, data = self._eliminate(order[left[order] > 0], k)
             self._exchanges.setdefault(B, data)
             eps = min(free, int(left[list(B)].min()))
             self._change(B, eps)
@@ -250,9 +248,9 @@ def _decide(packing, mult, inverse):
         if _reach(adj, [0]).all() and _reach(adj.T, [0]).all():
             return HeavySubspaceResult(False)
         reach = _reach(adj, slice(None))
+        # The live directions are not strongly connected, so one of them
+        # misses another: the least mass is below M.
         mass = reach.astype(np.int64) @ mult[live]
-        if mass.min() == M:
-            return HeavySubspaceResult(False)
         cands = [np.isin(np.arange(dirs.shape[0]), live[row])
                  for row in np.unique(reach[mass == mass.min()], axis=0)]
         excess = 0

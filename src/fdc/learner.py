@@ -58,15 +58,6 @@ TRANSFORM_DELTA = 0.25
 GD_ITERS = 400
 
 
-@dataclass
-class OutlierBound:
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma >= 1.0 - 1e-9:
-            raise ValueError("gamma must be >= 1")
-
-
 def outlier_bound(vectors, counts=None):
     """Smallest Gamma such that no input is a Gamma-outlier.
 
@@ -74,6 +65,7 @@ def outlier_bound(vectors, counts=None):
     matrix: the definitional supremum over directions v of |v.x| /
     sqrt(E|v.X|^2) is attained at v = Sigma^{-1} x (Rayleigh quotient).
     ``counts`` gives each row's multiplicity (rows with count 0 are absent).
+    It is at least 1: the count-weighted mean of x^T Sigma^{-1} x is k.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -91,7 +83,7 @@ def outlier_bound(vectors, counts=None):
         raise DegenerateSecondMoment("second-moment matrix is singular on the span")
     sol = np.linalg.solve(sigma, X.T)
     quad = np.einsum("in,ni->i", X, sol)
-    return OutlierBound(float(np.sqrt(quad.max())))
+    return float(np.sqrt(quad.max()))
 
 
 @dataclass
@@ -145,9 +137,6 @@ class PartialClassifier:
     def predict(self, X):
         out = self.evaluate(X)
         return np.where(out == 0, self.default_label, out)
-
-    def star_mask(self, X):
-        return self.evaluate(X) == 0
 
 
 @dataclass
@@ -294,7 +283,7 @@ def weak_partial_learner(F, rows, y, eta, eps_prime):
     half = m // 2
     rows_val, yval = rows[half:], y[half:]
     try:
-        gamma_emp = outlier_bound(F, np.bincount(rows[:half], minlength=u)).gamma
+        gamma_emp = outlier_bound(F, np.bincount(rows[:half], minlength=u))
     except DegenerateSecondMoment:
         gamma_emp = float("inf")
 
@@ -480,7 +469,7 @@ def learn_halfspace(oracle, config, dim):
     telemetry = []
     for it in range(cap):
         star_dir = (
-            classifier.star_mask(directions)
+            classifier.evaluate(directions) == 0
             if classifier.stages
             else np.ones(directions.shape[0], dtype=bool)
         )
@@ -616,8 +605,8 @@ def classifier_from_dict(doc):
                 raise ParseError(f"{what} field 'threshold' is not a finite number")
             stages.append(Stage(subspace, A, finite_array(s["w"], what, "w", (k,)),
                                 float(threshold)))
-        if label not in (-1, 1):
+        if type(label) is not int or label not in (-1, 1):
             raise ParseError("model field 'default_label' is not -1 or 1")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {what}: {exc!r}") from None
-    return PartialClassifier(stages, default_label=int(label))
+    return PartialClassifier(stages, default_label=label)

@@ -91,27 +91,6 @@ def separation_oracle(points, candidate, mults=None):
     return None
 
 
-RECHECK_TOL = 1e-9
-
-
-def recheck_certificate(points, weights):
-    """Independent eigenvalue re-check of the scaling inequality.
-
-    Uses LAPACK eigenvalues (np.linalg.eigvalsh), a different route from the
-    oracle's leverages, and allows a worst eigenvalue down to -RECHECK_TOL
-    of tr(Sigma_c).  Returns (ok, worst_eigenvalue, threshold).
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    n, k = pts.shape
-    c = np.asarray(weights.c_sq, dtype=np.float64)
-    sigma = weighted_second_moment(pts, c)
-    scaled = ((k + weights.delta) / n) * sigma
-    mats = scaled[None, :, :] - c[:, None, None] * np.einsum("ni,nj->nij", pts, pts)
-    mins = np.linalg.eigvalsh(mats)[:, 0]
-    threshold = -RECHECK_TOL * float(np.trace(sigma))
-    return bool(mins.min() >= threshold), float(mins.min()), threshold
-
-
 def _normalized(c_sq):
     return c_sq / c_sq.min()
 

@@ -89,7 +89,6 @@ class PieceReport:
     lambda_min: float
     lambda_max: float
     distance: float
-    delta: float
     passed: bool
 
 
@@ -279,9 +278,8 @@ def verify_piece(piece, point_set):
     lam_min, lam_max = float(eigvals[0]), float(eigvals[-1])
     distance = max(abs(lam_max - 1.0 / k), abs(1.0 / k - lam_min))
     trace = float(np.trace(moment))
-    delta = float(piece.certificate[2])
-    passed = distance <= delta + CERT_EPS and abs(trace - 1.0) <= TRACE_EPS
-    return PieceReport(trace, lam_min, lam_max, distance, delta, passed)
+    passed = distance <= piece.certificate[2] + CERT_EPS and abs(trace - 1.0) <= TRACE_EPS
+    return PieceReport(trace, lam_min, lam_max, distance, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Reference heavy-subspace engines that the tests cross-check
-``fdc.heavy.find_heavy_subspace`` against.
+``fdc.heavy.find_heavy_subspace`` against, and an eigenvalue re-check of
+scaling weights, ``recheck_certificate``.
 
 They share no code with the package: they import numpy and the standard
 library only, and every rank and membership decision goes through one exact
@@ -351,3 +352,26 @@ def lp_heavy_subspace(points):
     if k == 1:
         return Result(False)
     return _strict_lp_decision(rows, k) or pair_swap_search(rows, k)
+
+
+RECHECK_TOL = 1e-9
+
+
+def recheck_certificate(points, weights):
+    """Independent eigenvalue re-check of the scaling inequality
+    c^2(x) x x^T <= ((k + delta)/n) * Sigma_c for every row x.
+
+    Uses LAPACK eigenvalues (np.linalg.eigvalsh), a different route from the
+    package's leverages, and allows a worst eigenvalue down to -RECHECK_TOL
+    of tr(Sigma_c).  ``weights`` holds ``c_sq`` and ``delta``.  Returns
+    (ok, worst_eigenvalue, threshold).
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n, k = pts.shape
+    c = np.asarray(weights.c_sq, dtype=np.float64)
+    sigma = (pts * c[:, None]).T @ pts
+    scaled = ((k + weights.delta) / n) * sigma
+    mats = scaled[None, :, :] - c[:, None, None] * np.einsum("ni,nj->nij", pts, pts)
+    mins = np.linalg.eigvalsh(mats)[:, 0]
+    threshold = -RECHECK_TOL * float(np.trace(sigma))
+    return bool(mins.min() >= threshold), float(mins.min()), threshold

@@ -151,6 +151,19 @@ class TestTransformDecompose:
         assert run(["eval", "--verify-decomposition", str(out),
                     "--input", str(pts)]) == 2
 
+    def test_verify_rejects_another_point_file(self, tmp_path, capsys):
+        pts = self._write_points(tmp_path)
+        out = tmp_path / "dec.json"
+        assert run(["decompose", "--input", str(pts), "--delta", "1e-3",
+                    "--out", str(out)]) == 0
+        # The same four points in another order: same shape, other digest.
+        other = tmp_path / "other.csv"
+        save_points_csv(other, PointSet(2, np.array([[1, 0], [1, 1], [0, 1], [1, -1]])))
+        capsys.readouterr()
+        assert run(["eval", "--verify-decomposition", str(out),
+                    "--input", str(other)]) == 2
+        assert "source digest mismatch" in capsys.readouterr().err
+
     # Six rows in the plane z = 0 and three rows off it: the first piece is
     # that plane, and the other three are lines.
     NINE = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0), (2, 1, 0), (1, -1, 0),
@@ -562,6 +575,9 @@ class TestEvalRejectsBadModels:
         (_plane_model(subspace_basis=[[1.0], [0.0]]), "subspace"),
         ({"default_label": 1, "stages": 5}, "malformed model"),
         ({**_plane_model(), "default_label": 0}, "default_label"),
+        ({**_plane_model(), "default_label": True}, "default_label"),
+        ({**_plane_model(), "default_label": 1.0}, "default_label"),
+        ({**_plane_model(), "default_label": -1.0}, "default_label"),
     ])
     def test_malformed_model_exits_2(self, tmp_path, capsys, doc, message):
         code, out = self._eval(tmp_path, capsys, doc)

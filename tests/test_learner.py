@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fdc import rng
+from fdc import learner, rng
 from fdc.dataset import (
     TAG_FLIP,
     TAG_MARGINAL,
@@ -47,14 +47,14 @@ class TestCanonicalize:
 
 class TestOutlierBound:
     def test_orthonormal_pair(self):
-        assert outlier_bound(np.array([[1.0, 0.0], [0.0, 1.0]])).gamma == pytest.approx(np.sqrt(2))
+        assert outlier_bound(np.array([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx(np.sqrt(2))
 
     def test_skewed_triple(self):
-        got = outlier_bound(np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 0.0]])).gamma
+        got = outlier_bound(np.array([[1.0, 0.0], [0.0, 1.0], [10.0, 0.0]]))
         assert got == pytest.approx(np.sqrt(3))  # attained at (0, 1)
 
     def test_single_point_1d(self):
-        assert outlier_bound(np.array([[4.0]])).gamma == pytest.approx(1.0)
+        assert outlier_bound(np.array([[4.0]])) == pytest.approx(1.0)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateSecondMoment):
@@ -582,6 +582,40 @@ class TestIterationCap:
         config = ZeroCapConfig(eta=0.1, eps=0.2, delta=0.2, C=4)
         with pytest.raises(IterationCapExceeded):
             learn_halfspace(ModelOracle(model, seed=1), config, dim=2)
+
+
+class TestRejectionBudgetExit:
+    """When a conditioned sample exhausts its draw budget (its sampler
+    returns None), ``learn_halfspace`` ends the loop and returns the stages
+    built so far.  The hard instance's run builds two stages."""
+
+    @staticmethod
+    def _learn():
+        model, _ = gen_hard_instance(5, 80, 24, 0.1, 11)
+        config = LearnerConfig(eta=0.1, eps=0.1, delta=0.2, C=4)
+        return learn_halfspace(ModelOracle(model, seed=2), config, dim=5)
+
+    @pytest.mark.parametrize("sampler", ["_rejection_hits", "_rejection_draw"])
+    @pytest.mark.parametrize("built", [0, 1])
+    def test_exit_keeps_the_stages_built(self, monkeypatch, sampler, built):
+        full, _ = self._learn()
+        assert len(full.stages) == 2
+        real, calls = getattr(learner, sampler), []
+
+        def exhausted_after_built(*args):
+            calls.append(args)
+            return real(*args) if len(calls) <= built else None
+
+        monkeypatch.setattr(learner, sampler, exhausted_after_built)
+        clf, telemetry = self._learn()
+        assert telemetry[-1]["exit"] == "rejection_budget"
+        assert len(telemetry) == built + 1
+        # The weak pool is drawn after the stage's transform.
+        assert ("piece" in telemetry[-1]) == (sampler == "_rejection_draw")
+        assert len(clf.stages) == built
+        for got, want in zip(clf.stages, full.stages):
+            np.testing.assert_array_equal(got.w, want.w)
+            assert got.threshold == want.threshold
 
 
 class TestEvaluate:

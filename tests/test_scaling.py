@@ -6,13 +6,12 @@ from fdc.errors import Infeasible
 from fdc.scaling import (
     ScalingWeights,
     fixed_point_scaling,
-    recheck_certificate,
     separation_oracle,
     solve_scaling_sdp,
     weighted_second_moment,
 )
 from tests.conftest import seeded_points
-from tests.reference import brute_force_heavy_subspace, central_cut
+from tests.reference import brute_force_heavy_subspace, central_cut, recheck_certificate
 
 FOUR_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
 HAND_SOLUTION = np.array([2.0, 2.0, 1.0, 1.0])  # closed-form by symmetry

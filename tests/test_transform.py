@@ -81,7 +81,7 @@ class TestForsterTransform:
         assert verify_piece(piece, S).passed
 
     def test_weights_align_with_members_and_pass_recheck(self):
-        from fdc.scaling import recheck_certificate
+        from tests.reference import recheck_certificate
 
         S = PointSet(2, np.array([[2, 0], [0, 3], [5, 5], [4, -4]]))
         piece = forster_transform(S, 1e-3)
